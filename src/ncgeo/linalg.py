@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
-import sympy
 
 from .cyclotomic import ONE, ZERO, Cyclotomic
 
@@ -334,9 +333,21 @@ def _rref_in_place(rows: list[list[Cyclotomic]], ncols: int) -> list[int]:
     return pivots
 
 
+def _distinct_rows(rows: Iterable[Sequence[Cyclotomic]]) -> list[list[Cyclotomic]]:
+    """The nonzero rows, each once.  The row space, hence the RREF, is unchanged."""
+    seen: set[tuple[Cyclotomic, ...]] = set()
+    out = []
+    for row in rows:
+        key = tuple(row)
+        if key not in seen and any(key):
+            seen.add(key)
+            out.append(list(key))
+    return out
+
+
 def nullspace(m: ExactMatrix) -> list[list[Cyclotomic]]:
     """Deterministic echelonized basis of the right kernel of m."""
-    rows = [list(r) for r in m.data]
+    rows = _distinct_rows(m.data)
     pivots = _rref_in_place(rows, m.cols)
     pivot_set = set(pivots)
     free_cols = [c for c in range(m.cols) if c not in pivot_set]
@@ -356,9 +367,7 @@ def solve_affine(a: ExactMatrix, b: Sequence[Scalar]) -> Optional[AffineSpace]:
     """Full solution set of a @ x = b, or None when inconsistent."""
     if len(b) != a.rows:
         raise ValueError("rhs length mismatch")
-    rows = [list(r) + [_as_cyc(v)] for r, v in zip(a.data, b)]
-    if a.rows == 0:
-        rows = []
+    rows = _distinct_rows(list(r) + [_as_cyc(v)] for r, v in zip(a.data, b))
     pivots = _rref_in_place(rows, a.cols + 1)
     if pivots and pivots[-1] == a.cols:
         return None
@@ -433,9 +442,40 @@ def _omega_residue(p: int) -> int:
     raise ValueError("no cube root found")  # pragma: no cover
 
 
+#: Miller-Rabin with bases 2, 3, 5, 7 decides primality below this bound,
+#: the least strong pseudoprime to all four bases.
+MILLER_RABIN_LIMIT = 3_215_031_751
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for 0 <= n < MILLER_RABIN_LIMIT."""
+    if n >= MILLER_RABIN_LIMIT:
+        raise ValueError(f"{n} is beyond the deterministic Miller-Rabin range")
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7):
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def modular_rank(m: ExactMatrix, p: int) -> int:
     """Rank of an integer (or Z[omega]) matrix mod p; lower bound on rank."""
-    if not sympy.isprime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     needs_omega = False
     for row in m.data:
@@ -466,7 +506,7 @@ def deterministic_primes(digest: bytes, count: int = 2) -> tuple[int, ...]:
         cand -= (cand - 1) % 3
         if cand <= 2**30 or cand in found:
             continue
-        if sympy.isprime(cand):
+        if is_prime(cand):
             found.append(cand)
     return tuple(found)
 

@@ -4,7 +4,9 @@ Connections are families A_a of one-forms indexed by the class.  Torsion
 acts pointwise on the components, so its solution space is assembled from
 one small affine block per group point; the cotorsion condition couples
 points through right translations and is solved by substituting the
-torsion-free parametrization.  Ricci curvature uses a lift of two-forms
+torsion-free parametrization.  Cotorsion and Ricci curvature commute with
+left translations, so their systems on that family are built from the
+identity block alone.  Ricci curvature uses a lift of two-forms
 into the tensor square: the canonical splitting (complement of the
 relation kernel along its orthogonal projector) or the simpler
 id - braiding lift.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Union
 
 from .cyclotomic import ONE, ZERO, Cyclotomic
@@ -321,8 +324,12 @@ def _torsion_point_block(c: ClassCalculus) -> tuple[ExactMatrix, list[Cyclotomic
     return ExactMatrix.from_rows(rows), rhs
 
 
+@lru_cache(maxsize=None)
 def solve_torsion_free(c: ClassCalculus) -> AffineSpace | None:
-    """All torsion-free connections, as an affine space of flat vectors."""
+    """All torsion-free connections, as an affine space of flat vectors.
+
+    One block of basis vectors per group point, in point order.
+    """
     n = c.n
     order = c.group.order
     block, rhs = _torsion_point_block(c)
@@ -361,16 +368,76 @@ def _combine(
     return out
 
 
+def _point_block(
+    c: ClassCalculus, family: AffineSpace
+) -> tuple[tuple[Cyclotomic, ...], ...]:
+    """The family's basis vectors supported at the identity.
+
+    The basis must be one block of vectors per group point, in point order,
+    each block the identity block moved to its own point; that is the layout
+    solve_torsion_free builds.  Raises ValueError otherwise.
+    """
+    group = c.group
+    order = group.order
+    size = c.n * c.n
+    if len(family.basis) % order:
+        raise ValueError("family basis is not one block per group point")
+    k = len(family.basis) // order
+    e = group.identity
+    block = family.basis[e * k : (e + 1) * k]
+    local = [vec[e * size : (e + 1) * size] for vec in block]
+    for g in range(order):
+        before = (ZERO,) * (g * size)
+        after = (ZERO,) * ((order - g - 1) * size)
+        for vec, loc in zip(family.basis[g * k : (g + 1) * k], local):
+            if vec != before + loc + after:
+                raise ValueError(
+                    "family basis block is not the identity block moved to its point"
+                )
+    return block
+
+
+def _family_columns(
+    c: ClassCalculus,
+    family: AffineSpace,
+    evaluate,
+) -> tuple[list[Cyclotomic], list[list[Cyclotomic]]]:
+    """base = evaluate(particular), and evaluate(particular + v) - base per basis v.
+
+    evaluate must be affine on the family and commute with left translations
+    (constant-coefficient forms and lifts, right translations), and return
+    components x |G| values with the point index fastest.  It is evaluated
+    at the particular point and on the identity block only: the column of
+    the block vector at g is the identity column with each point index h
+    read at g^-1 h.
+    """
+    group = c.group
+    order = group.order
+    block = _point_block(c, family)
+    base = evaluate(list(family.particular))
+    local = []
+    for vec in block:
+        shifted = evaluate(_combine(family.particular, [vec], [ONE]))
+        local.append([s - b for s, b in zip(shifted, base)])
+    comps = len(base) // order
+    columns = []
+    for g in range(order):
+        g_inv = group.inv(g)
+        source = [group.mult(g_inv, h) for h in range(order)]
+        for col in local:
+            columns.append(
+                [col[k * order + source[h]] for k in range(comps) for h in range(order)]
+            )
+    return base, columns
+
+
 def _solve_on_family(
+    c: ClassCalculus,
     family: AffineSpace,
     evaluate,
 ) -> AffineSpace | None:
-    """Solve evaluate(x) = 0 on an affine family, assuming evaluate is affine."""
-    base = evaluate(list(family.particular))
-    columns = []
-    for vec in family.basis:
-        shifted = evaluate(_combine(family.particular, [vec], [ONE]))
-        columns.append([s - b for s, b in zip(shifted, base)])
+    """Solve evaluate(x) = 0 on a torsion-free family (see _family_columns)."""
+    base, columns = _family_columns(c, family, evaluate)
     if columns:
         mat = ExactMatrix.from_rows(columns).transpose()
     else:
@@ -406,7 +473,7 @@ def solve_torsion_cotorsion_free(
         conn = connection_from_vector(c, vec)
         return _twoforms_to_vector(cotorsion(c, conn, metric))
 
-    return _solve_on_family(family, evaluate)
+    return _solve_on_family(c, family, evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +688,7 @@ def solve_ricci_flat(
         conn = connection_from_vector(c, vec)
         return _tensorsquare_to_vector(ricci(c, conn, lift))
 
-    return _solve_on_family(family, evaluate)
+    return _solve_on_family(c, family, evaluate)
 
 
 def levi_civita(c: ClassCalculus, metric: Metric | None = None) -> Connection:

@@ -1,3 +1,7 @@
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from ncgeo import Cyclotomic, ExactMatrix, cyc
 from ncgeo.linalg import (
+    MILLER_RABIN_LIMIT,
     AffineSpace,
     certified_rank_blocks,
     content_digest,
     deterministic_primes,
     invert,
+    is_prime,
     modular_rank,
     nullspace,
     rank,
@@ -74,6 +80,28 @@ def test_solve_affine_residuals(m, data):
     assert space.contains(x)
 
 
+@settings(max_examples=30, deadline=None)
+@given(matrices(entries=cyc_entries), st.data())
+def test_zero_duplicate_and_permuted_rows_change_nothing(m, data):
+    x = data.draw(st.lists(cyc_entries, min_size=m.cols, max_size=m.cols))
+    consistent = m.matvec(x)
+    arbitrary = data.draw(st.lists(cyc_entries, min_size=m.rows, max_size=m.rows))
+    zero = [Cyclotomic(0)] * m.cols
+    extra = data.draw(
+        st.lists(
+            st.one_of(st.just(-1), st.integers(min_value=0, max_value=m.rows - 1)),
+            max_size=6,
+        )
+    )
+    rows = [(list(r), v, w) for r, v, w in zip(m.data, consistent, arbitrary)]
+    rows += [(zero, Cyclotomic(0), Cyclotomic(0)) if i < 0 else rows[i] for i in extra]
+    rows = data.draw(st.permutations(rows))
+    grown = ExactMatrix.from_rows([r for r, _, _ in rows])
+    assert nullspace(grown) == nullspace(m)
+    assert solve_affine(grown, [v for _, v, _ in rows]) == solve_affine(m, consistent)
+    assert solve_affine(grown, [w for _, _, w in rows]) == solve_affine(m, arbitrary)
+
+
 def test_solve_affine_inconsistent():
     m = ExactMatrix.from_rows([[1, 1], [1, 1]])
     assert solve_affine(m, [0, 1]) is None
@@ -134,6 +162,11 @@ def test_deterministic_primes_are_stable_and_valid():
         assert sympy.isprime(p)
     other = deterministic_primes(content_digest(b"something else"))
     assert other != primes
+    # frozen: every certified rank's "primes" field depends on these
+    assert primes == (1801848553, 1360748209)
+    assert deterministic_primes(content_digest(b"something else"), 3) == (
+        1307783107, 1560592093, 2124417439,
+    )
 
 
 def test_certified_rank_blocks_matches_block_ranks():
@@ -144,3 +177,42 @@ def test_certified_rank_blocks_matches_block_ranks():
     total, primes = certified_rank_blocks(blocks, content_digest(b"blocks"))
     assert total == 1 + 2
     assert len(primes) == 2
+
+
+# base-2 strong pseudoprimes, Carmichael numbers, strong pseudoprimes to
+# bases (2, 3) and (2, 3, 5), and values around 2**30 and 2**31
+PRIME_TEST_TRAPS = [
+    2047, 3277, 4033, 4681, 8321, 561, 1105, 1729, 41041, 825265,
+    1373653, 25326001, 3215031749, 2147483647, 2147483646, 2**30 + 3,
+]
+
+
+def test_is_prime_agrees_with_sympy():
+    assert [n for n in range(10**5) if is_prime(n) != sympy.isprime(n)] == []
+    rng = random.Random(20011)
+    sample = [rng.randrange(2**30, 2**31) for _ in range(3000)]
+    sample += [n | 1 for n in sample] + PRIME_TEST_TRAPS
+    assert [n for n in sample if is_prime(n) != sympy.isprime(n)] == []
+
+
+def test_is_prime_refuses_the_undecided_range():
+    # the least strong pseudoprime to bases 2, 3, 5 and 7
+    assert not sympy.isprime(MILLER_RABIN_LIMIT)
+    with pytest.raises(ValueError):
+        is_prime(MILLER_RABIN_LIMIT)
+
+
+def test_cli_import_leaves_out_sympy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, ncgeo.cli; print('sympy' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgeo import (
+    AffineSpace,
     Connection,
     Cyclotomic,
     ExactMatrix,
@@ -30,10 +32,15 @@ from ncgeo import (
     solve_torsion_free,
     theta,
     torsion,
+    solve_affine,
     wedge,
 )
-from ncgeo.groups import class_calculus
+from ncgeo.groups import build_group, class_calculus
 from ncgeo.riemann import (
+    _combine,
+    _family_columns,
+    _tensorsquare_to_vector,
+    _twoforms_to_vector,
     apply_lift,
     connection_from_vector,
     connection_to_vector,
@@ -307,6 +314,13 @@ def test_ricci_flat_connection_is_unique_and_canonical(a4_c):
     assert space.dimension == 0
     lc = levi_civita(a4_c)
     assert list(space.particular) == connection_to_vector(a4_c, lc)
+    # the point-block assembly against whole-map evaluation (helpers below)
+    family = solve_torsion_free(a4_c)
+    evaluate = _ricci_map(a4_c)
+    base, columns = _whole_map_columns(family, evaluate)
+    assert _family_columns(a4_c, family, evaluate) == (base, columns)
+    assert space == _whole_map_solve(family, base, columns)
+    _assert_affine(a4_c, family, evaluate)
 
 
 def test_nonlinear_curvature_guard(a4):
@@ -326,3 +340,118 @@ def test_nonzero_ricci_detectable(a4_c):
     curv = curvature_2forms(a4_c, lopsided)
     assert not curv[0].is_zero()
     assert not ricci(a4_c, lopsided, lift_i(a4_c)).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the point-block assembly against whole-map evaluation
+# ---------------------------------------------------------------------------
+
+
+def _relabelled_a4(seed):
+    """A4 with its element indices permuted; the identity stays at index 0."""
+    a4 = build_group("a4")
+    n = a4.order
+    perm = [0] + random.Random(seed).sample(range(1, n), n - 1)
+    names = [""] * n
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        names[perm[i]] = a4.names[i]
+        for j in range(n):
+            table[perm[i]][perm[j]] = perm[a4.table[i][j]]
+    return build_group({"names": names, "table": table})
+
+
+def _cotorsion_map(c, metric):
+    def evaluate(vec):
+        return _twoforms_to_vector(cotorsion(c, connection_from_vector(c, vec), metric))
+
+    return evaluate
+
+
+def _ricci_map(c):
+    lift = lift_i(c)
+
+    def evaluate(vec):
+        return _tensorsquare_to_vector(ricci(c, connection_from_vector(c, vec), lift))
+
+    return evaluate
+
+
+def _whole_map_columns(family, evaluate):
+    """The reference: evaluate the map once per basis vector."""
+    base = evaluate(list(family.particular))
+    columns = []
+    for vec in family.basis:
+        shifted = evaluate(_combine(family.particular, [vec], [cyc(1)]))
+        columns.append([s - b for s, b in zip(shifted, base)])
+    return base, columns
+
+
+def _whole_map_solve(family, base, columns):
+    sol = solve_affine(
+        ExactMatrix.from_rows(columns).transpose(), [-v for v in base]
+    )
+    if sol is None:
+        return None
+    zero = [cyc(0)] * len(family.particular)
+    return AffineSpace(
+        particular=tuple(_combine(family.particular, family.basis, sol.particular)),
+        basis=tuple(tuple(_combine(zero, family.basis, y)) for y in sol.basis),
+    )
+
+
+def _assert_affine(c, family, evaluate):
+    """eval(p + 2v) - eval(p + v) == eval(p + v) - eval(p) along the identity
+    block and along one direction with every basis coefficient nonzero."""
+    p = list(family.particular)
+    k = len(family.basis) // c.group.order
+    e = c.group.identity
+    generic = _combine(
+        [cyc(0)] * len(p), family.basis, [cyc(i + 1) for i in range(len(family.basis))]
+    )
+    e0 = evaluate(p)
+    for v in list(family.basis[e * k : (e + 1) * k]) + [generic]:
+        e1 = evaluate(_combine(p, [v], [cyc(1)]))
+        e2 = evaluate(_combine(p, [v], [cyc(2)]))
+        assert [b - a for a, b in zip(e1, e2)] == [b - a for a, b in zip(e0, e1)]
+
+
+COTORSION_CASES = [
+    ("a4", "t", 0),
+    ("a4", "t", Fraction(1, 3)),
+    ("a4", "t", Fraction(3, 7)),
+    ("sl2z3", "0121", Fraction(1, 3)),
+    ("relabelled-a4", "t", Fraction(3, 7)),
+]
+
+
+@pytest.mark.parametrize("group_name, element, mu", COTORSION_CASES)
+def test_cotorsion_assembly_matches_whole_map(group_name, element, mu):
+    group = _relabelled_a4(7) if group_name == "relabelled-a4" else build_group(group_name)
+    c = class_calculus(group, element)
+    metric = metric_from_mu(c, mu)
+    family = solve_torsion_free(c)
+    evaluate = _cotorsion_map(c, metric)
+    base, columns = _whole_map_columns(family, evaluate)
+    assert _family_columns(c, family, evaluate) == (base, columns)
+    space = solve_torsion_cotorsion_free(c, metric)
+    assert space == _whole_map_solve(family, base, columns)
+    assert space.dimension == 9
+    _assert_affine(c, family, evaluate)
+
+
+def test_family_layout_is_checked(a4_c):
+    family = solve_torsion_free(a4_c)
+    evaluate = _cotorsion_map(a4_c, metric_from_mu(a4_c, 0))
+    short = AffineSpace(family.particular, family.basis[:-1])
+    with pytest.raises(ValueError, match="one block per group point"):
+        _family_columns(a4_c, short, evaluate)
+    # swap two vectors of different points: each block is then off its point
+    basis = list(family.basis)
+    basis[0], basis[-1] = basis[-1], basis[0]
+    with pytest.raises(ValueError, match="identity block"):
+        _family_columns(a4_c, AffineSpace(family.particular, tuple(basis)), evaluate)
+
+
+def test_torsion_free_family_is_solved_once(a4_c):
+    assert solve_torsion_free(a4_c) is solve_torsion_free(a4_c)
