@@ -15,15 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cyclotomic import ONE, ZERO, Cyclotomic
 from .groups import ClassCalculus, FiniteGroup, GroupSpecError
 from . import linalg
 from .linalg import ExactMatrix
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 Scalar = Union[Cyclotomic, int, Fraction]
 
@@ -458,6 +460,8 @@ def _check_cap(b: BraidData, m: int, cap: int) -> None:
 
 @lru_cache(maxsize=None)
 def _psi_sparse(b: BraidData) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     size = len(b.perm)
     rows = np.fromiter(b.perm, dtype=np.int64)
     cols = np.arange(size, dtype=np.int64)
@@ -468,6 +472,8 @@ def _psi_sparse(b: BraidData) -> sp.csr_matrix:
 @lru_cache(maxsize=None)
 def _bracket_sparse(b: BraidData, m: int) -> sp.csr_matrix:
     """[m, -psi] = id - psi_12 (id (x) [m-1, -psi])."""
+    import scipy.sparse as sp
+
     n = b.n
     if m == 1:
         return sp.identity(n, dtype=np.int64, format="csr")
@@ -482,6 +488,8 @@ def _bracket_sparse(b: BraidData, m: int) -> sp.csr_matrix:
 @lru_cache(maxsize=None)
 def _factorial_sparse(b: BraidData, m: int) -> sp.csr_matrix:
     """A_m = (id (x) A_{m-1}) [m, -psi]."""
+    import scipy.sparse as sp
+
     n = b.n
     if m == 1:
         return sp.identity(n, dtype=np.int64, format="csr")
@@ -541,16 +549,10 @@ def _grading_blocks(c: ClassCalculus, m: int) -> list[np.ndarray]:
     return [np.nonzero(grading == g)[0] for g in sorted(set(grading.tolist()))]
 
 
-def _block_slices(mat: sp.csr_matrix, blocks: list[np.ndarray]) -> list[np.ndarray]:
-    """Dense per-block submatrices; verifies the matrix respects the blocks."""
-    coo = mat.tocoo()
-    blocked_nnz = 0
-    out = []
-    for idx in blocks:
-        sub = mat[idx][:, idx].toarray()
-        blocked_nnz += np.count_nonzero(sub)
-        out.append(sub)
-    if blocked_nnz != coo.nnz:
+def _block_slices(mat: sp.csr_matrix, blocks: list[np.ndarray]) -> list[sp.csr_matrix]:
+    """Sparse per-block submatrices; verifies the matrix respects the blocks."""
+    out = [mat[idx][:, idx] for idx in blocks]
+    if sum(sub.count_nonzero() for sub in out) != mat.count_nonzero():
         raise linalg.CertificationError(
             "matrix does not respect the word-product block structure"
         )
@@ -569,11 +571,11 @@ def _sparse_digest(mat: sp.csr_matrix, extra: bytes) -> bytes:
     )
 
 
-def _exact_block_rank(blocks: list[np.ndarray]) -> int:
+def _exact_block_rank(blocks: list) -> int:
     total = 0
     for blk in blocks:
-        rows = [[int(v) for v in row] for row in blk]
-        total += linalg._rank_bareiss_int(rows, blk.shape[1])
+        peeled, core = linalg.reduce_block(blk)
+        total += peeled + linalg._rank_bareiss_int(core.tolist(), core.shape[1])
     return total
 
 

@@ -3,9 +3,10 @@
 Exact rank uses fraction-free (Bareiss) elimination after clearing row
 denominators; nullspace/solve use a deterministic Gauss-Jordan RREF with
 lexicographic pivot ordering so solution bases are byte-stable.  Large
-integer matrices (antisymmetrizers at degrees 5-6) go through rank mod p
-for two deterministically chosen primes > 2**30 congruent to 1 mod 3;
-agreement of the two ranks is the certification contract.
+integer matrices (antisymmetrizers at degrees 5-6) are shrunk block by
+block (``reduce_block``) and go through rank mod p for two
+deterministically chosen primes > 2**30 congruent to 1 mod 3; agreement of
+the two ranks is the certification contract.
 """
 
 from __future__ import annotations
@@ -406,7 +407,12 @@ def invert(m: ExactMatrix) -> ExactMatrix:
 
 
 def rank_mod_p(a: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix mod p (int64 elimination, p < 2**31)."""
+    """Rank of an integer matrix mod p (int64 elimination, 2 <= p < 2**31).
+
+    Residues below 2**31 keep every product of two of them inside int64.
+    """
+    if not 2 <= p < 2**31:
+        raise ValueError(f"modulus {p} is outside [2, 2**31)")
     m = np.array(a, dtype=np.int64) % p
     nrows, ncols = m.shape
     pr = 0
@@ -518,18 +524,95 @@ def content_digest(*parts: bytes) -> bytes:
     return h.digest()
 
 
+def _distinct_lines(
+    lines: np.ndarray, others: np.ndarray, vals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Keep the entries of the first line of each class of equal-up-to-sign lines.
+
+    A line is a row (or a column) of a matrix given by its nonzero entries
+    (line index, index along the line, value).  Lines are compared by exact
+    keys after scaling each by the sign of its first entry.
+    """
+    if not lines.size:
+        return lines, others, vals
+    order = np.lexsort((others, lines))
+    lines, others, vals = lines[order], others[order], vals[order]
+    bounds = np.flatnonzero(np.diff(lines)) + 1
+    starts = np.concatenate(([0], bounds))
+    ends = np.concatenate((bounds, [lines.size]))
+    signed = vals * np.repeat(np.sign(vals[starts]), ends - starts)
+    seen: set[bytes] = set()
+    keep = np.zeros(lines.size, dtype=bool)
+    for s, e in zip(starts.tolist(), ends.tolist()):
+        key = others[s:e].tobytes() + signed[s:e].tobytes()
+        if key not in seen:
+            seen.add(key)
+            keep[s:e] = True
+    return lines[keep], others[keep], vals[keep]
+
+
+def reduce_block(block) -> tuple[int, np.ndarray]:
+    """Shrink an integer matrix to a core with the same rank up to a count.
+
+    ``block`` is a 2-D integer array or a scipy sparse matrix.  Returns
+    ``(peeled, core)`` with rank(block) = peeled + rank(core) over Q and
+    modulo every prime:
+
+    * a row whose only nonzero entry is +-1 makes its column a pivot in every
+      field; the column is counted and deleted, repeatedly;
+    * then zero rows and columns, and rows and columns equal to another one
+      or to its negative, are dropped;
+    * the dense core is oriented to be at most as wide as it is tall.
+    """
+    if hasattr(block, "tocoo"):
+        coo = block.tocoo()
+        rows, cols, vals = coo.row, coo.col, coo.data
+    else:
+        block = np.asarray(block)
+        rows, cols = np.nonzero(block)
+        vals = block[rows, cols]
+    nz = vals != 0
+    rows = rows[nz].astype(np.int64)
+    cols = cols[nz].astype(np.int64)
+    vals = vals[nz].astype(np.int64)
+    peeled = 0
+    while True:
+        singleton = np.bincount(rows)[rows] == 1
+        pivot_cols = np.unique(cols[singleton & (np.abs(vals) == 1)])
+        if not pivot_cols.size:
+            break
+        peeled += pivot_cols.size
+        keep = ~np.isin(cols, pivot_cols)
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    # dropping a column equal to +-another cannot make two rows equal up to
+    # sign, nor the reverse, so one pass each way leaves no redundant line
+    rows, cols, vals = _distinct_lines(rows, cols, vals)
+    cols, rows, vals = _distinct_lines(cols, rows, vals)
+    row_ids, ri = np.unique(rows, return_inverse=True)
+    col_ids, ci = np.unique(cols, return_inverse=True)
+    core = np.zeros((row_ids.size, col_ids.size), dtype=np.int64)
+    core[ri, ci] = vals
+    if core.shape[1] > core.shape[0]:
+        core = core.T
+    return peeled, core
+
+
 def certified_rank_blocks(
-    blocks: Iterable[np.ndarray], digest: bytes
+    blocks: Iterable, digest: bytes
 ) -> tuple[int, tuple[int, int]]:
     """Sum of block ranks mod two deterministic primes; ranks must agree.
 
     The blocks must be a block-diagonal decomposition (after row/column
-    permutation) of the matrix whose rank is certified.
+    permutation) of the matrix whose rank is certified.  Each block is
+    shrunk by ``reduce_block`` first; the digest is the caller's, taken over
+    the unreduced matrix.
     """
     p1, p2 = deterministic_primes(digest)
-    blocks = list(blocks)
-    r1 = sum(rank_mod_p(b, p1) for b in blocks)
-    r2 = sum(rank_mod_p(b, p2) for b in blocks)
+    r1 = r2 = 0
+    for block in blocks:
+        peeled, core = reduce_block(block)
+        r1 += peeled + rank_mod_p(core, p1)
+        r2 += peeled + rank_mod_p(core, p2)
     if r1 != r2:
         raise CertificationError(f"modular ranks disagree: {r1} (mod {p1}) vs {r2} (mod {p2})")
     return r1, (p1, p2)

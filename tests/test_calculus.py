@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgeo import (
+    CertificationError,
     Cyclotomic,
     GroupFunction,
     OneForm,
@@ -14,6 +15,7 @@ from ncgeo import (
     braided_factorial,
     braided_integer,
     braiding,
+    class_calculus,
     cyc,
     d0,
     d1,
@@ -29,7 +31,13 @@ from ncgeo import (
     theta,
     wedge,
 )
-from ncgeo.calculus import one_form_right_mul, two_form_right_mul
+from ncgeo.calculus import (
+    _block_slices,
+    _factorial_sparse,
+    _grading_blocks,
+    one_form_right_mul,
+    two_form_right_mul,
+)
 
 small = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=3
@@ -173,6 +181,48 @@ def test_a4_dimension_methods(a4_c):
 def test_s3_exterior_dimensions(s3_c):
     dims = [exterior_dimension(s3_c, m) for m in range(6)]
     assert dims == [1, 3, 4, 3, 1, 0]
+
+
+# (dim, method, primes) by degree; the primes are fixed by the digest of
+# the unreduced antisymmetrizer
+S4_TOWERS = {
+    "(123)": [
+        (1, "exact", None),
+        (8, "exact", None),
+        (38, "exact", None),
+        (142, "modular-certified", [1988952421, 2058623341]),
+        (455, "modular-certified", [1339487329, 1952121049]),
+        (1308, "modular-certified", [1750314619, 1409302117]),
+    ],
+    "(34)": [
+        (1, "exact", None),
+        (6, "exact", None),
+        (19, "exact", None),
+        (42, "exact", None),
+        (71, "modular-certified", [1899759139, 1144039651]),
+        (96, "modular-certified", [1864431889, 1358331547]),
+        (106, "modular-certified", [1513612273, 1971333571]),
+    ],
+}
+
+
+@pytest.mark.parametrize("element", sorted(S4_TOWERS))
+def test_s4_exterior_towers(s4, element):
+    c = class_calculus(s4, element)
+    tower = S4_TOWERS[element]
+    got = [exterior_dimension_info(c, m) for m in range(len(tower))]
+    assert [(dim, info["method"], info.get("primes")) for dim, info in got] == tower
+
+
+def test_block_slices_refuse_an_entry_across_blocks(a4_c):
+    mat = _factorial_sparse(braiding(a4_c), 3)
+    blocks = _grading_blocks(a4_c, 3)
+    slices = _block_slices(mat, blocks)
+    assert sum(sub.count_nonzero() for sub in slices) == mat.count_nonzero()
+    crossed = mat.tolil(copy=True)
+    crossed[blocks[0][0], blocks[1][0]] = 1
+    with pytest.raises(CertificationError):
+        _block_slices(crossed.tocsr(), blocks)
 
 
 def test_a4_quadratic_dimensions(a4_c):

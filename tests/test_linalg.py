@@ -4,7 +4,9 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 import sympy
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from ncgeo import Cyclotomic, ExactMatrix, cyc
 from ncgeo.linalg import (
     MILLER_RABIN_LIMIT,
     AffineSpace,
+    _rank_bareiss_int,
     certified_rank_blocks,
     content_digest,
     deterministic_primes,
@@ -20,6 +23,8 @@ from ncgeo.linalg import (
     modular_rank,
     nullspace,
     rank,
+    rank_mod_p,
+    reduce_block,
     solve_affine,
 )
 
@@ -179,6 +184,67 @@ def test_certified_rank_blocks_matches_block_ranks():
     assert len(primes) == 2
 
 
+@st.composite
+def padded_blocks(draw):
+    """Small integer blocks with redundant rows and columns and unit rows.
+
+    Rows and columns are repeated, negated or zero; each +-1 unit row comes
+    with a row that also has a nonzero entry in its column.
+    """
+    entries = st.integers(min_value=-2, max_value=2)
+    nrows = draw(st.integers(min_value=1, max_value=6))
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    signs = st.sampled_from((1, -1))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        j = draw(st.integers(min_value=0, max_value=ncols - 1))
+        unit = [0] * ncols
+        unit[j] = draw(signs)
+        other = list(draw(st.sampled_from(rows)))
+        other[j] = draw(st.sampled_from((-2, -1, 1, 2)))
+        rows += [unit, other]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        k = draw(st.integers(min_value=-1, max_value=len(rows) - 1))
+        rows.append([0] * ncols if k < 0 else [draw(signs) * v for v in rows[k]])
+    cols = [list(col) for col in zip(*rows)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        k = draw(st.integers(min_value=-1, max_value=ncols - 1))
+        cols.append([0] * len(rows) if k < 0 else [draw(signs) * v for v in cols[k]])
+    cols = draw(st.permutations(cols))
+    return np.array(draw(st.permutations(list(zip(*cols)))), dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(padded_blocks())
+def test_reduce_block_keeps_rank_and_leaves_no_redundant_line(block):
+    peeled, core = reduce_block(block)
+    assert peeled + _rank_bareiss_int(core.tolist(), core.shape[1]) == _rank_bareiss_int(
+        block.tolist(), block.shape[1]
+    )
+    for p in deterministic_primes(content_digest(block.tobytes())):
+        assert peeled + rank_mod_p(core, p) == rank_mod_p(block, p)
+    assert core.shape[1] <= core.shape[0]
+    for lines in (core, core.T):
+        seen = set()
+        for line in lines:
+            assert line.any()
+            key = (line * np.sign(line[np.flatnonzero(line)[0]])).tobytes()
+            assert key not in seen
+            seen.add(key)
+    sparse_peeled, sparse_core = reduce_block(sp.csr_matrix(block))
+    assert sparse_peeled == peeled
+    assert np.array_equal(sparse_core, core)
+
+
+def test_rank_mod_p_refuses_moduli_outside_int64_range():
+    a = np.array([[1, 2], [3, 4]])
+    assert rank_mod_p(a, 2**31 - 1) == 2
+    for p in (-7, 0, 1, 2**31, 2**32 + 15):
+        with pytest.raises(ValueError):
+            rank_mod_p(a, p)
+
+
 # base-2 strong pseudoprimes, Carmichael numbers, strong pseudoprimes to
 # bases (2, 3) and (2, 3, 5), and values around 2**30 and 2**31
 PRIME_TEST_TRAPS = [
@@ -202,17 +268,26 @@ def test_is_prime_refuses_the_undecided_range():
         is_prime(MILLER_RABIN_LIMIT)
 
 
-def test_cli_import_leaves_out_sympy():
+def _modules_loaded_by_cli_import(*names):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
     )
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, ncgeo.cli; print('sympy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, ncgeo.cli; print([n in sys.modules for n in {names!r}])"],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_out_sympy():
+    assert _modules_loaded_by_cli_import("sympy") == "[False]"
+
+
+def test_cli_import_leaves_out_scipy():
+    # only the braided factorials need scipy.sparse; they import it themselves
+    assert _modules_loaded_by_cli_import("scipy", "scipy.sparse") == "[False, False]"
