@@ -13,13 +13,12 @@ decomposition by word product keeps that cheap).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
-from .cyclotomic import ONE, ZERO, Cyclotomic
+from .cyclotomic import ONE, ZERO, Cyclotomic, Scalar, as_cyc
 from .groups import ClassCalculus, FiniteGroup, GroupSpecError
 from . import linalg
 from .linalg import ExactMatrix
@@ -27,7 +26,6 @@ from .linalg import ExactMatrix
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-Scalar = Union[Cyclotomic, int, Fraction]
 
 #: Largest degree the antisymmetrizer builders accept by default.
 DEFAULT_DEGREE_CAP = 6
@@ -49,12 +47,6 @@ class ScaleCapError(RuntimeError):
         self.diagnostic = {"error": message, **(diagnostic or {})}
 
 
-def _as_cyc(value: Scalar) -> Cyclotomic:
-    if isinstance(value, Cyclotomic):
-        return value
-    return Cyclotomic(value)
-
-
 # ---------------------------------------------------------------------------
 # functions on the group
 # ---------------------------------------------------------------------------
@@ -68,11 +60,11 @@ class GroupFunction:
 
     @classmethod
     def from_values(cls, values: Sequence[Scalar]) -> "GroupFunction":
-        return cls(tuple(_as_cyc(v) for v in values))
+        return cls(tuple(as_cyc(v) for v in values))
 
     @classmethod
     def constant(cls, order: int, value: Scalar = 1) -> "GroupFunction":
-        return cls((_as_cyc(value),) * order)
+        return cls((as_cyc(value),) * order)
 
     @classmethod
     def delta(cls, order: int, g: int) -> "GroupFunction":
@@ -102,7 +94,7 @@ class GroupFunction:
             return GroupFunction(
                 tuple(a * b for a, b in zip(self.values, other.values))
             )
-        s = _as_cyc(other)
+        s = as_cyc(other)
         return GroupFunction(tuple(a * s for a in self.values))
 
     def __rmul__(self, other: Scalar) -> "GroupFunction":
@@ -155,7 +147,7 @@ class OneForm:
         return OneForm(tuple(-a for a in self.coeffs))
 
     def scale(self, s: Scalar) -> "OneForm":
-        s = _as_cyc(s)
+        s = as_cyc(s)
         return OneForm(tuple(f * s for f in self.coeffs))
 
     def left_mul(self, f: GroupFunction) -> "OneForm":
@@ -181,7 +173,7 @@ class TwoForm:
         return TwoForm(tuple(-a for a in self.coeffs))
 
     def scale(self, s: Scalar) -> "TwoForm":
-        s = _as_cyc(s)
+        s = as_cyc(s)
         return TwoForm(tuple(f * s for f in self.coeffs))
 
     def left_mul(self, f: GroupFunction) -> "TwoForm":
@@ -641,9 +633,10 @@ def quadratic_dimension(c: ClassCalculus, m: int) -> int:
     grading2 = _word_grading(c, 2)
     for vec in kernel:
         scaled = linalg._clear_row_denominators(list(vec))
-        if any(v.om for v in scaled):
+        triples = [v.triple() for v in scaled]
+        if any(b for _, b, _ in triples):
             raise linalg.CertificationError("relation vector is not rational")
-        support = [(q, int(v.re)) for q, v in enumerate(scaled) if v]
+        support = [(q, a) for q, (a, _, _) in enumerate(triples) if a]
         grades = {grading2[q] for q, _ in support}
         if len(grades) != 1:
             raise linalg.CertificationError(

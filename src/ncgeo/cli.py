@@ -7,8 +7,9 @@ Every command prints one deterministic JSON report on stdout:
      "versions": {"engine": ..., "group_spec_hash": ...}}
 
 Exit codes: 0 success; 2 precondition violation (JSON diagnostic on
-stderr); 64 unknown subcommand; 65 malformed group table (the
-diagnostic names a violated triple when associativity fails).
+stderr); 3 a certification failed (the report is still printed);
+64 unknown subcommand; 65 malformed group table (the diagnostic names a
+violated triple when associativity fails).
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ ENGINE_VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
+EXIT_CERTIFICATION_FAILED = 3
 EXIT_UNKNOWN_COMMAND = 64
 EXIT_BAD_GROUP = 65
 
@@ -993,6 +995,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         },
     }
     print(json.dumps(report, sort_keys=True, indent=2))
+    if any(cert["status"] == "failed" for cert in certs):
+        return EXIT_CERTIFICATION_FAILED
     return EXIT_OK
 
 

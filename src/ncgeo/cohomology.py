@@ -11,10 +11,9 @@ transformations act by unit functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, Scalar, as_cyc
 from .groups import (
     ClassCalculus,
     FiniteGroup,
@@ -40,14 +39,6 @@ from .calculus import (
     two_form_right_mul,
     wedge,
 )
-
-Scalar = Union[Cyclotomic, int, Fraction]
-
-
-def _as_cyc(value: Scalar) -> Cyclotomic:
-    if isinstance(value, Cyclotomic):
-        return value
-    return Cyclotomic(value)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +151,7 @@ class FlatFamily:
     axis: str | None  # class label for axis families
 
     def member(self, c: ClassCalculus, lam: Scalar) -> OneForm:
-        lam = _as_cyc(lam)
+        lam = as_cyc(lam)
         th = theta(c)
         if self.kind == "diagonal":
             return th.scale(lam - 1)
@@ -177,7 +168,7 @@ def constant_flat_connections(c: ClassCalculus) -> list[FlatFamily]:
 def constant_one_form(c: ClassCalculus, coeffs: Sequence[Scalar]) -> OneForm:
     order = c.group.order
     return OneForm(
-        tuple(GroupFunction.constant(order, _as_cyc(v)) for v in coeffs)
+        tuple(GroupFunction.constant(order, as_cyc(v)) for v in coeffs)
     )
 
 

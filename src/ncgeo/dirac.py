@@ -11,16 +11,13 @@ numerics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
-from .cyclotomic import ONE, OMEGA, ZERO, Cyclotomic
+from .cyclotomic import ONE, OMEGA, ZERO, Cyclotomic, Scalar
 from .groups import ClassCalculus, FiniteGroup, GroupSpecError
 from . import linalg
 from .linalg import ExactMatrix
 from .riemann import Connection, Metric, levi_civita, metric_from_mu
-
-Scalar = Union[Cyclotomic, int, Fraction]
 
 
 @dataclass(frozen=True)

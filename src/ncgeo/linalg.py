@@ -15,24 +15,15 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .cyclotomic import ONE, ZERO, Cyclotomic
-
-Scalar = Union[Cyclotomic, int, Fraction]
+from .cyclotomic import ONE, ZERO, Cyclotomic, Scalar, as_cyc
 
 
 class CertificationError(RuntimeError):
     """Two modular ranks disagreed; the certified value does not exist."""
-
-
-def _as_cyc(value: Scalar) -> Cyclotomic:
-    if isinstance(value, Cyclotomic):
-        return value
-    return Cyclotomic(value)
 
 
 class ExactMatrix:
@@ -49,7 +40,7 @@ class ExactMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalar]]) -> "ExactMatrix":
-        data = [[_as_cyc(v) for v in row] for row in rows]
+        data = [[as_cyc(v) for v in row] for row in rows]
         nrows = len(data)
         ncols = len(data[0]) if data else 0
         if any(len(row) != ncols for row in data):
@@ -112,7 +103,7 @@ class ExactMatrix:
         return ExactMatrix(self.rows, self.cols, [[-v for v in row] for row in self.data])
 
     def scale(self, s: Scalar) -> "ExactMatrix":
-        s = _as_cyc(s)
+        s = as_cyc(s)
         return ExactMatrix(self.rows, self.cols, [[s * v for v in row] for row in self.data])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -134,7 +125,7 @@ class ExactMatrix:
     def matvec(self, vec: Sequence[Scalar]) -> list[Cyclotomic]:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        v = [_as_cyc(x) for x in vec]
+        v = [as_cyc(x) for x in vec]
         out = []
         for row in self.data:
             acc = ZERO
@@ -175,7 +166,7 @@ class ExactMatrix:
             for j, v in enumerate(row):
                 if not v.is_integer():
                     raise ValueError(f"non-integer entry at ({i}, {j}): {v}")
-                out[i, j] = int(v.re)
+                out[i, j] = v.triple()[0]
         return out.astype(np.int64)
 
 
@@ -196,7 +187,7 @@ class AffineSpace:
             raise ValueError("coefficient count mismatch")
         out = list(self.particular)
         for c, vec in zip(coeffs, self.basis):
-            c = _as_cyc(c)
+            c = as_cyc(c)
             if not c:
                 continue
             out = [o + c * v for o, v in zip(out, vec)]
@@ -204,7 +195,7 @@ class AffineSpace:
 
     def contains(self, point: Sequence[Scalar]) -> bool:
         """Exact membership test: point - particular in span(basis)?"""
-        diff = [_as_cyc(p) - q for p, q in zip(point, self.particular)]
+        diff = [as_cyc(p) - q for p, q in zip(point, self.particular)]
         if len(diff) != len(self.particular):
             raise ValueError("point length mismatch")
         if not self.basis:
@@ -221,10 +212,9 @@ class AffineSpace:
 def _clear_row_denominators(row: Sequence[Cyclotomic]) -> list[Cyclotomic]:
     lcm = 1
     for v in row:
-        for part in (v.re, v.om):
-            d = part.denominator
-            if d != 1:
-                lcm = lcm // math.gcd(lcm, d) * d
+        d = v.triple()[2]
+        if d != 1:
+            lcm = lcm // math.gcd(lcm, d) * d
     if lcm == 1:
         return list(row)
     s = Cyclotomic(lcm)
@@ -236,7 +226,7 @@ def rank(m: ExactMatrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
     if m.is_integer():
-        return _rank_bareiss_int([[int(v.re) for v in row] for row in m.data], m.cols)
+        return _rank_bareiss_int([[v.triple()[0] for v in row] for row in m.data], m.cols)
     rows = [_clear_row_denominators(row) for row in m.data]
     return _rank_bareiss_cyc(rows, m.cols)
 
@@ -368,7 +358,7 @@ def solve_affine(a: ExactMatrix, b: Sequence[Scalar]) -> Optional[AffineSpace]:
     """Full solution set of a @ x = b, or None when inconsistent."""
     if len(b) != a.rows:
         raise ValueError("rhs length mismatch")
-    rows = _distinct_rows(list(r) + [_as_cyc(v)] for r, v in zip(a.data, b))
+    rows = _distinct_rows(list(r) + [as_cyc(v)] for r, v in zip(a.data, b))
     pivots = _rref_in_place(rows, a.cols + 1)
     if pivots and pivots[-1] == a.cols:
         return None
@@ -486,18 +476,21 @@ def modular_rank(m: ExactMatrix, p: int) -> int:
     needs_omega = False
     for row in m.data:
         for v in row:
-            if v.re.denominator != 1 or v.om.denominator != 1:
+            _, b, d = v.triple()
+            if d != 1:
                 raise ValueError(f"non-integer entry {v}")
-            if v.om:
+            if b:
                 needs_omega = True
     if needs_omega:
         r = _omega_residue(p)
         arr = np.array(
-            [[(int(v.re) + int(v.om) * r) % p for v in row] for row in m.data],
+            [[(a + b * r) % p for a, b, _ in (v.triple() for v in row)]
+             for row in m.data],
             dtype=np.int64,
         )
     else:
-        arr = np.array([[int(v.re) % p for v in row] for row in m.data], dtype=np.int64)
+        arr = np.array([[v.triple()[0] % p for v in row] for row in m.data],
+                       dtype=np.int64)
     if arr.size == 0:
         return 0
     return rank_mod_p(arr, p)

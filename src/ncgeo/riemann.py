@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Sequence
 
-from .cyclotomic import ONE, ZERO, Cyclotomic
+from .cyclotomic import ONE, ZERO, Cyclotomic, Scalar, as_cyc
 from .groups import ClassCalculus
 from . import linalg
 from .linalg import AffineSpace, ExactMatrix
@@ -37,14 +37,6 @@ from .calculus import (
     wedge,
     zero_two_form,
 )
-
-Scalar = Union[Cyclotomic, int, Fraction]
-
-
-def _as_cyc(value: Scalar) -> Cyclotomic:
-    if isinstance(value, Cyclotomic):
-        return value
-    return Cyclotomic(value)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +76,7 @@ class TensorSquare:
         return TensorSquare(self.n, tuple(-a for a in self.coeffs))
 
     def scale(self, s: Scalar) -> "TensorSquare":
-        s = _as_cyc(s)
+        s = as_cyc(s)
         return TensorSquare(self.n, tuple(f * s for f in self.coeffs))
 
 
@@ -175,7 +167,7 @@ class Metric:
 def metric_from_mu(c: ClassCalculus, mu: Scalar) -> Metric:
     """eta = id + mu * (all-ones); invertible exactly when 1 + n*mu != 0."""
     n = c.n
-    mu = _as_cyc(mu)
+    mu = as_cyc(mu)
     data = [
         [mu + 1 if a == b else mu for b in range(n)]
         for a in range(n)

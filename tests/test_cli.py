@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -141,6 +142,16 @@ def test_levi_civita_report(capsys):
     assert coeffs["A_t"]["e_x"] == "-1/4"
     names = {c["check_name"] for c in report["certifications"]}
     assert {"torsion_vanishes", "cotorsion_vanishes", "regular"} <= names
+
+
+def test_failed_certification_exits_3(capsys, monkeypatch):
+    riemann = sys.modules["ncgeo.riemann"]
+    monkeypatch.setattr(riemann, "is_regular", lambda c, conn: False)
+    code, out, _ = _capture(capsys, ["levi-civita"])
+    assert code == 3
+    statuses = {c["check_name"]: c["status"] for c in json.loads(out)["certifications"]}
+    assert statuses["regular"] == "failed"
+    assert statuses["torsion_vanishes"] == "ok"
 
 
 def test_ricci_flat_report(capsys):

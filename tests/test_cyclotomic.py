@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -110,3 +111,166 @@ def test_rational_embedding(q):
     a = cyc(q)
     assert a.om == 0
     assert bool(a) == (q != 0)
+
+
+# -- oracle: the Fraction-pair arithmetic the triple representation replaced --
+
+
+class PairModel:
+    """Reference a + b*omega with a, b Fractions, arithmetic done on the pair."""
+
+    def __init__(self, re=0, om=0):
+        self.re, self.om = Fraction(re), Fraction(om)
+
+    @classmethod
+    def of(cls, value):
+        if isinstance(value, PairModel):
+            return value
+        if isinstance(value, Cyclotomic):
+            return cls(value.re, value.om)
+        return cls(value)
+
+    def __add__(self, other):
+        o = PairModel.of(other)
+        return PairModel(self.re + o.re, self.om + o.om)
+
+    def __sub__(self, other):
+        o = PairModel.of(other)
+        return PairModel(self.re - o.re, self.om - o.om)
+
+    def __mul__(self, other):
+        o = PairModel.of(other)
+        a, b, c, d = self.re, self.om, o.re, o.om
+        return PairModel(a * c - b * d, a * d + b * c - b * d)
+
+    def conjugate(self):
+        return PairModel(self.re - self.om, -self.om)
+
+    def norm(self):
+        return self.re * self.re - self.re * self.om + self.om * self.om
+
+    def inverse(self):
+        n = self.norm()
+        if not n:
+            raise ZeroDivisionError
+        return PairModel((self.re - self.om) / n, -self.om / n)
+
+    def __truediv__(self, other):
+        return self * PairModel.of(other).inverse()
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inverse() ** -k
+        out = PairModel(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        o = PairModel.of(other)
+        return self.re == o.re and self.om == o.om
+
+    def __hash__(self):
+        return hash(self.re) if not self.om else hash((self.re, self.om))
+
+    def __repr__(self):
+        return f"Cyclotomic({self.re!r}, {self.om!r})"
+
+    def __str__(self):
+        if not self.om:
+            return str(self.re)
+        if not self.re:
+            return f"{self.om}w"
+        sign = "+" if self.om > 0 else "-"
+        return f"{self.re}{sign}{abs(self.om)}w"
+
+    def to_json(self):
+        if not self.om:
+            return str(self.re)
+        return {"re": str(self.re), "om": str(self.om)}
+
+
+small_q = st.fractions(min_value=Fraction(-6), max_value=Fraction(6), max_denominator=6)
+high_q = st.builds(
+    Fraction,
+    st.integers(min_value=-10**12, max_value=10**12),
+    st.integers(min_value=1, max_value=10**6),
+)
+any_q = st.one_of(small_q, high_q, st.just(Fraction(0)))
+pairs = st.tuples(any_q, any_q)
+operands = st.one_of(
+    pairs.map(lambda p: Cyclotomic(*p)),
+    st.integers(min_value=-10**12, max_value=10**12),
+    any_q,
+)
+
+
+def assert_agrees(x, ref):
+    """x is canonical and reads, hashes and prints exactly like the model."""
+    assert isinstance(x, Cyclotomic)
+    a, b, d = x.triple()
+    assert d > 0
+    assert math.gcd(a, b, d) == 1
+    assert (x.re, x.om) == (ref.re, ref.om)
+    assert hash(x) == hash(ref)
+    assert str(x) == str(ref)
+    assert repr(x) == repr(ref)
+    assert x.to_json() == ref.to_json()
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs, operands)
+def test_ring_operations_match_pair_model(p, other):
+    x, ref = Cyclotomic(*p), PairModel(*p)
+    assert_agrees(x, ref)
+    assert_agrees(-x, PairModel() - ref)
+    assert_agrees(x.conjugate(), ref.conjugate())
+    assert x.norm() == ref.norm()
+    assert_agrees(x + other, ref + other)
+    assert_agrees(other + x, PairModel.of(other) + ref)
+    assert_agrees(x - other, ref - other)
+    assert_agrees(other - x, PairModel.of(other) - ref)
+    assert_agrees(x * other, ref * other)
+    assert_agrees(other * x, PairModel.of(other) * ref)
+    assert (x == other) == (ref == other)
+    assert (other == x) == (ref == other)
+    assert (x == Cyclotomic(*p)) and hash(x) == hash(Cyclotomic(*p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs, operands, st.integers(min_value=-3, max_value=3))
+def test_division_and_powers_match_pair_model(p, other, k):
+    x, ref = Cyclotomic(*p), PairModel(*p)
+    if ref.norm():
+        assert_agrees(x.inverse(), ref.inverse())
+        assert_agrees(other / x, PairModel.of(other) / ref)
+        assert_agrees(x**k, ref**k)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    if PairModel.of(other).norm():
+        assert_agrees(x / other, ref / other)
+
+
+@given(pairs)
+def test_json_and_constructor_round_trip_canonically(p):
+    x = Cyclotomic(*p)
+    assert_agrees(Cyclotomic.from_json(x.to_json()), PairModel(*p))
+    assert_agrees(Cyclotomic(x.re, x.om), PairModel(*p))
+
+
+def test_canonical_triples():
+    assert ZERO.triple() == (0, 0, 1)
+    assert cyc(Fraction(2, 4), Fraction(-6, 8)).triple() == (2, -3, 4)
+    assert (cyc(Fraction(1, 6), Fraction(1, 6)) * 3).triple() == (1, 1, 2)
+    assert (cyc(Fraction(1, 2)) + cyc(Fraction(1, 2))).triple() == (1, 0, 1)
+    assert cyc(2, 1).inverse().triple() == (1, -1, 3)
+    assert hash(cyc(Fraction(-1, 3))) == hash(Fraction(-1, 3))
+
+
+def test_immutable():
+    x = cyc(1, 2)
+    with pytest.raises(AttributeError):
+        x.re = Fraction(3)
+    with pytest.raises(AttributeError):
+        x._t = (0, 0, 1)
