@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Sequence, Union
 import numpy as np
 
 from .cyclotomic import ONE, ZERO, Cyclotomic, Scalar, as_cyc
-from .groups import ClassCalculus, FiniteGroup, GroupSpecError
+from .groups import ClassCalculus, DiagnosticError, FiniteGroup
 from . import linalg
 from .linalg import ExactMatrix
 
@@ -39,12 +39,8 @@ AUTO_EXACT_LIMIT = 256
 QUADRATIC_SIZE_LIMIT = 4096
 
 
-class ScaleCapError(RuntimeError):
+class ScaleCapError(DiagnosticError, RuntimeError):
     """Refusal to build matrices beyond the supported scale."""
-
-    def __init__(self, message: str, diagnostic: dict | None = None):
-        super().__init__(message)
-        self.diagnostic = {"error": message, **(diagnostic or {})}
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +322,7 @@ def omega2_basis(c: ClassCalculus) -> Omega2Basis:
         if len(pairs) + len(kernel) != size:
             pairs = None
     if pairs is None:
-        rows = [list(v) for v in kernel]
-        pivots = linalg._rref_in_place(rows, size) if rows else []
+        _, pivots = linalg.rref(ExactMatrix(len(kernel), size, [list(v) for v in kernel]))
         pivot_set = set(pivots)
         pairs = [(q // n, q % n) for q in range(size) if q not in pivot_set]
     # reduction = first len(pairs) rows of [basis | kernel]^-1
@@ -563,14 +558,6 @@ def _sparse_digest(mat: sp.csr_matrix, extra: bytes) -> bytes:
     )
 
 
-def _exact_block_rank(blocks: list) -> int:
-    total = 0
-    for blk in blocks:
-        peeled, core = linalg.reduce_block(blk)
-        total += peeled + linalg._rank_bareiss_int(core.tolist(), core.shape[1])
-    return total
-
-
 def exterior_dimension(
     c: ClassCalculus,
     m: int,
@@ -610,7 +597,7 @@ def exterior_dimension_info(
     mat = _factorial_sparse(b, m)
     blocks = _block_slices(mat, _grading_blocks(c, m))
     if method == "exact":
-        return _exact_block_rank(blocks), {"method": "exact"}
+        return linalg.exact_rank_blocks(blocks), {"method": "exact"}
     digest = _sparse_digest(mat, b"exterior")
     rank_certified, primes = linalg.certified_rank_blocks(blocks, digest)
     return rank_certified, {"method": "modular-certified", "primes": list(primes)}
@@ -632,11 +619,10 @@ def quadratic_dimension(c: ClassCalculus, m: int) -> int:
     kernel_rows: list[tuple[list[tuple[int, int]], int]] = []
     grading2 = _word_grading(c, 2)
     for vec in kernel:
-        scaled = linalg._clear_row_denominators(list(vec))
-        triples = [v.triple() for v in scaled]
-        if any(b for _, b, _ in triples):
+        scaled, omega_parts = linalg.integer_row(vec)
+        if any(omega_parts):
             raise linalg.CertificationError("relation vector is not rational")
-        support = [(q, a) for q, (a, _, _) in enumerate(triples) if a]
+        support = [(q, a) for q, a in enumerate(scaled) if a]
         grades = {grading2[q] for q, _ in support}
         if len(grades) != 1:
             raise linalg.CertificationError(
@@ -674,7 +660,7 @@ def quadratic_dimension(c: ClassCalculus, m: int) -> int:
                 dense[r, ci] = val
         all_blocks.append(dense)
     if exact:
-        total_rank = _exact_block_rank(all_blocks)
+        total_rank = linalg.exact_rank_blocks(all_blocks)
     else:
         digest = linalg.content_digest(
             b"quadratic",

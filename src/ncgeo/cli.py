@@ -24,6 +24,7 @@ from typing import Sequence
 from .cyclotomic import Cyclotomic, OMEGA, ZERO
 from .groups import (
     ClassCalculus,
+    DiagnosticError,
     FiniteGroup,
     GroupSpecError,
     build_group,
@@ -36,26 +37,19 @@ from .groups import (
 )
 from . import linalg
 from . import calculus as _calculus
-import importlib
-
-# "from . import riemann" would pick up the same-named function that the
-# package namespace re-exports, so bind the submodule explicitly
-_riemann = importlib.import_module("ncgeo.riemann")
-_dirac = importlib.import_module("ncgeo.dirac")
-_cohomology = importlib.import_module("ncgeo.cohomology")
+from . import cohomology as _cohomology
+from . import dirac as _dirac
+from . import riemann as _riemann
 from .calculus import (
     DEFAULT_DEGREE_CAP,
     GroupFunction,
     OneForm,
-    ScaleCapError,
     basis_pair_labels,
     braiding,
     degree2_relations,
-    e_form,
     exterior_dimension_info,
     omega2_basis,
     quadratic_dimension,
-    theta,
 )
 
 ENGINE_VERSION = "0.1.0"
@@ -67,10 +61,8 @@ EXIT_UNKNOWN_COMMAND = 64
 EXIT_BAD_GROUP = 65
 
 
-class PreconditionError(RuntimeError):
-    def __init__(self, message: str, diagnostic: dict | None = None):
-        super().__init__(message)
-        self.diagnostic = {"error": message, **(diagnostic or {})}
+class PreconditionError(DiagnosticError, RuntimeError):
+    """A command's inputs are outside what it supports."""
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +227,7 @@ def _cmd_extdims(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, list]:
     dims = []
     certs = []
     for m in range(max_degree + 1):
-        try:
-            dim, info = exterior_dimension_info(c, m, cap=cap)
-        except ScaleCapError as ex:
-            raise PreconditionError(str(ex), ex.diagnostic)
+        dim, info = exterior_dimension_info(c, m, cap=cap)
         entry = {"degree": m, "dim": dim, "method": info["method"]}
         if "primes" in info:
             entry["primes"] = info["primes"]
@@ -251,13 +240,10 @@ def _cmd_extdims(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, list]:
         )
     results = {"dims": dims}
     if ns.quadratic:
-        quad = []
-        for m in range(2, max_degree + 1):
-            try:
-                quad.append({"degree": m, "dim": quadratic_dimension(c, m)})
-            except ScaleCapError as ex:
-                raise PreconditionError(str(ex), ex.diagnostic)
-        results["quadratic_dims"] = quad
+        results["quadratic_dims"] = [
+            {"degree": m, "dim": quadratic_dimension(c, m)}
+            for m in range(2, max_degree + 1)
+        ]
     return results, certs
 
 
@@ -582,7 +568,7 @@ def _cmd_dirac(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, list]:
         certs.append(
             {
                 "check_name": "spectrum_multiplicities_sum_to_dimension",
-                "status": "ok",
+                "status": "ok" if results["spectrum_total"] == D.rows else "failed",
             }
         )
     if ns.eigenbasis:
@@ -658,7 +644,10 @@ def _cmd_laplacian(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, list
             "check_name": "laplacian_closed_form",
             "status": "ok" if matches else "failed",
         },
-        {"check_name": "spectrum_multiplicities_sum_to_dimension", "status": "ok"},
+        {
+            "check_name": "spectrum_multiplicities_sum_to_dimension",
+            "status": "ok" if sum(spec.values()) == box.rows else "failed",
+        },
     ]
     return results, certs
 
@@ -966,10 +955,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         c = _resolve_class(group, ns.class_element) if needs_class else None
         results, certs = handler(ns, group, c)
-    except PreconditionError as ex:
-        print(json.dumps(ex.diagnostic, sort_keys=True), file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (GroupSpecError, ScaleCapError) as ex:
+    except DiagnosticError as ex:
         print(json.dumps(ex.diagnostic, sort_keys=True), file=sys.stderr)
         return EXIT_PRECONDITION
     except (ValueError, ZeroDivisionError, linalg.CertificationError) as ex:

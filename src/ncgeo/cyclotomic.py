@@ -60,6 +60,13 @@ class Cyclotomic:
         """The reduced integers (a, b, d) with self = (a + b*omega)/d."""
         return self._t
 
+    @staticmethod
+    def from_triple(a: int, b: int, d: int) -> "Cyclotomic":
+        """(a + b*omega)/d for integers a, b and d > 0; the inverse of triple()."""
+        if d <= 0:
+            raise ValueError(f"denominator {d} is not positive")
+        return _make(a, b, d)
+
     @property
     def re(self) -> Fraction:
         return Fraction(self._t[0], self._t[2])

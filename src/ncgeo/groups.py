@@ -15,12 +15,16 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 
-class GroupSpecError(ValueError):
-    """Raised for malformed group descriptions; carries a JSON diagnostic."""
+class DiagnosticError(Exception):
+    """An error that carries a JSON diagnostic: {"error": message, **details}."""
 
     def __init__(self, message: str, diagnostic: dict | None = None):
         super().__init__(message)
         self.diagnostic = {"error": message, **(diagnostic or {})}
+
+
+class GroupSpecError(DiagnosticError, ValueError):
+    """Raised for malformed group descriptions."""
 
 
 @dataclass(frozen=True)

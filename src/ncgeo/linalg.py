@@ -1,12 +1,16 @@
 """Dense exact linear algebra over Q(omega), plus a modular fast path.
 
-Exact rank uses fraction-free (Bareiss) elimination after clearing row
-denominators; nullspace/solve use a deterministic Gauss-Jordan RREF with
-lexicographic pivot ordering so solution bases are byte-stable.  Large
-integer matrices (antisymmetrizers at degrees 5-6) are shrunk block by
-block (``reduce_block``) and go through rank mod p for two
-deterministically chosen primes > 2**30 congruent to 1 mod 3; agreement of
-the two ranks is the certification contract.
+All exact elimination is one fraction-free loop over Z[omega]: each row's
+denominators are cleared once (``integer_row``), rows are combined as
+p*row - f*pivot_row and divided by the integer gcd of their entries.  The
+exact rank is the pivot count of a forward pass; nullspace, solve_affine
+and invert read the reduced row echelon form (``rref``), whose pivot rows
+are divided by their pivots once, through the norm.  The RREF is unique,
+so solution bases are byte-stable.  Large integer matrices
+(antisymmetrizers at degrees 5-6) are shrunk block by block
+(``reduce_block``) and go through rank mod p for two deterministically
+chosen primes > 2**30 congruent to 1 mod 3; agreement of the two ranks is
+the certification contract.
 """
 
 from __future__ import annotations
@@ -156,9 +160,6 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return all(not v for row in self.data for v in row)
 
-    def is_integer(self) -> bool:
-        return all(v.is_integer() for row in self.data for v in row)
-
     def to_int_array(self) -> np.ndarray:
         """Integer numpy copy; raises on non-integer entries."""
         out = np.empty((self.rows, self.cols), dtype=object)
@@ -205,123 +206,79 @@ class AffineSpace:
 
 
 # ---------------------------------------------------------------------------
-# exact rank (fraction-free)
+# exact elimination over Z[omega]
 # ---------------------------------------------------------------------------
 
-
-def _clear_row_denominators(row: Sequence[Cyclotomic]) -> list[Cyclotomic]:
-    lcm = 1
-    for v in row:
-        d = v.triple()[2]
-        if d != 1:
-            lcm = lcm // math.gcd(lcm, d) * d
-    if lcm == 1:
-        return list(row)
-    s = Cyclotomic(lcm)
-    return [s * v for v in row]
+#: a row of Z[omega] entries a[j] + b[j]*omega, as (a, b)
+IntRow = tuple[list[int], list[int]]
 
 
-def rank(m: ExactMatrix) -> int:
-    """Rank over Q(omega) by Bareiss fraction-free elimination."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    if m.is_integer():
-        return _rank_bareiss_int([[v.triple()[0] for v in row] for row in m.data], m.cols)
-    rows = [_clear_row_denominators(row) for row in m.data]
-    return _rank_bareiss_cyc(rows, m.cols)
+def integer_row(row: Sequence[Cyclotomic]) -> IntRow:
+    """The row times the lcm of its denominators, split into a + b*omega parts."""
+    triples = [v.triple() for v in row]
+    lcm = math.lcm(*(d for _, _, d in triples))
+    return (
+        [a * (lcm // d) for a, _, d in triples],
+        [b * (lcm // d) for _, b, d in triples],
+    )
 
 
-def _rank_bareiss_int(rows: list[list[int]], ncols: int) -> int:
-    nrows = len(rows)
-    prev = 1
-    pr = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(pr, nrows):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != pr:
-            rows[pr], rows[piv] = rows[piv], rows[pr]
-        p = rows[pr][col]
-        for r in range(pr + 1, nrows):
-            row_r = rows[r]
-            v = row_r[col]
-            row_p = rows[pr]
-            for c in range(col + 1, ncols):
-                row_r[c] = (p * row_r[c] - v * row_p[c]) // prev
-            row_r[col] = 0
-        prev = p
-        pr += 1
-        if pr == nrows:
-            break
-    return pr
+def _eliminate(rows: list[IntRow], ncols: int, reduce: bool) -> list[int]:
+    """Fraction-free elimination over Z[omega], in place; returns the pivot columns.
 
-
-def _rank_bareiss_cyc(rows: list[list[Cyclotomic]], ncols: int) -> int:
-    nrows = len(rows)
-    prev = ONE
-    pr = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(pr, nrows):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != pr:
-            rows[pr], rows[piv] = rows[piv], rows[pr]
-        p = rows[pr][col]
-        for r in range(pr + 1, nrows):
-            row_r = rows[r]
-            v = row_r[col]
-            row_p = rows[pr]
-            for c in range(col + 1, ncols):
-                row_r[c] = (p * row_r[c] - v * row_p[c]) / prev
-            row_r[col] = ZERO
-        prev = p
-        pr += 1
-        if pr == nrows:
-            break
-    return pr
-
-
-# ---------------------------------------------------------------------------
-# RREF, nullspace, affine solve
-# ---------------------------------------------------------------------------
-
-
-def _rref_in_place(rows: list[list[Cyclotomic]], ncols: int) -> list[int]:
-    """Reduced row echelon form; returns pivot column indices (ascending)."""
+    Pivots are taken column by column from the first row that has one.  Each
+    row with a nonzero entry f in the pivot column, below the pivot row (and
+    above it too when ``reduce``), becomes p*row - f*pivot_row and is divided
+    by the integer gcd of its entries.  The pivot rows end up first.
+    """
     nrows = len(rows)
     pivots: list[int] = []
     pr = 0
     for col in range(ncols):
-        piv = None
-        for r in range(pr, nrows):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != pr:
-            rows[pr], rows[piv] = rows[piv], rows[pr]
-        inv = rows[pr][col].inverse()
-        rows[pr] = [inv * v for v in rows[pr]]
-        for r in range(nrows):
-            if r == pr:
-                continue
-            f = rows[r][col]
-            if f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
-        pivots.append(col)
-        pr += 1
         if pr == nrows:
             break
+        for r in range(pr, nrows):
+            if rows[r][0][col] or rows[r][1][col]:
+                break
+        else:
+            continue
+        rows[pr], rows[r] = rows[r], rows[pr]
+        ya, yb = rows[pr]
+        pa, pb = ya[col], yb[col]
+        pq = pa - pb
+        for r in range(0 if reduce else pr + 1, nrows):
+            xa, xb = rows[r]
+            fa, fb = xa[col], xb[col]
+            if r == pr or not (fa or fb):
+                continue
+            # p*x - f*y with (a + b*w)(c + e*w) = (ac - be) + (ae + bc - be)w
+            fq = fa - fb
+            na = [pa * u - pb * v - fa * s + fb * t for u, v, s, t in zip(xa, xb, ya, yb)]
+            nb = [pb * u + pq * v - fb * s - fq * t for u, v, s, t in zip(xa, xb, ya, yb)]
+            g = math.gcd(*na, *nb)
+            if g > 1:
+                na = [v // g for v in na]
+                nb = [v // g for v in nb]
+            rows[r] = (na, nb)
+        pivots.append(col)
+        pr += 1
     return pivots
+
+
+def rank(m: ExactMatrix) -> int:
+    """Rank over Q(omega): the pivot count of a forward elimination."""
+    return len(_eliminate([integer_row(row) for row in m.data], m.cols, False))
+
+
+def exact_rank_blocks(blocks: Iterable) -> int:
+    """Exact sum of the ranks of integer blocks, each shrunk by ``reduce_block``."""
+    total = 0
+    for block in blocks:
+        peeled, core = reduce_block(block)
+        ncols = core.shape[1]
+        rows = [(row, [0] * ncols) for row in core.tolist()]
+        total += peeled + len(_eliminate(rows, ncols, False))
+    return total
 
 
 def _distinct_rows(rows: Iterable[Sequence[Cyclotomic]]) -> list[list[Cyclotomic]]:
@@ -336,47 +293,62 @@ def _distinct_rows(rows: Iterable[Sequence[Cyclotomic]]) -> list[list[Cyclotomic
     return out
 
 
-def nullspace(m: ExactMatrix) -> list[list[Cyclotomic]]:
-    """Deterministic echelonized basis of the right kernel of m."""
-    rows = _distinct_rows(m.data)
-    pivots = _rref_in_place(rows, m.cols)
+def rref(m: ExactMatrix) -> tuple[list[list[Cyclotomic]], list[int]]:
+    """Reduced row echelon form: its nonzero rows and their (ascending) pivot columns.
+
+    The form is unique for the row space, so it does not depend on the
+    order, repetition or scaling of the rows of m.
+    """
+    rows = [integer_row(row) for row in _distinct_rows(m.data)]
+    pivots = _eliminate(rows, m.cols, True)
+    make = Cyclotomic.from_triple
+    out = []
+    for (xa, xb), col in zip(rows, pivots):
+        # x / p = x * conj(p) / norm(p), conj(a + b*w) = (a - b) - b*w
+        pa, pb = xa[col], xb[col]
+        pq = pa - pb
+        n = pa * pq + pb * pb
+        out.append([make(u * pq + v * pb, v * pa - u * pb, n) for u, v in zip(xa, xb)])
+    return out, pivots
+
+
+def _free_basis(
+    rows: list[list[Cyclotomic]], pivots: list[int], ncols: int
+) -> list[list[Cyclotomic]]:
+    """One kernel vector per non-pivot column of an RREF, read off its rows."""
     pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
-    for f in free_cols:
-        vec = [ZERO] * m.cols
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        vec = [ZERO] * ncols
         vec[f] = ONE
-        for i, p in enumerate(pivots):
-            v = rows[i][f]
-            if v:
-                vec[p] = -v
+        for row, p in zip(rows, pivots):
+            if row[f]:
+                vec[p] = -row[f]
         basis.append(vec)
     return basis
+
+
+def nullspace(m: ExactMatrix) -> list[list[Cyclotomic]]:
+    """Deterministic echelonized basis of the right kernel of m."""
+    rows, pivots = rref(m)
+    return _free_basis(rows, pivots, m.cols)
 
 
 def solve_affine(a: ExactMatrix, b: Sequence[Scalar]) -> Optional[AffineSpace]:
     """Full solution set of a @ x = b, or None when inconsistent."""
     if len(b) != a.rows:
         raise ValueError("rhs length mismatch")
-    rows = _distinct_rows(list(r) + [as_cyc(v)] for r, v in zip(a.data, b))
-    pivots = _rref_in_place(rows, a.cols + 1)
+    aug = [list(r) + [as_cyc(v)] for r, v in zip(a.data, b)]
+    rows, pivots = rref(ExactMatrix(a.rows, a.cols + 1, aug))
     if pivots and pivots[-1] == a.cols:
         return None
     particular = [ZERO] * a.cols
-    for i, p in enumerate(pivots):
-        particular[p] = rows[i][a.cols]
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(a.cols) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        vec = [ZERO] * a.cols
-        vec[f] = ONE
-        for i, p in enumerate(pivots):
-            v = rows[i][f]
-            if v:
-                vec[p] = -v
-        basis.append(tuple(vec))
-    return AffineSpace(tuple(particular), tuple(basis))
+    for row, p in zip(rows, pivots):
+        particular[p] = row[a.cols]
+    basis = _free_basis(rows, pivots, a.cols)
+    return AffineSpace(tuple(particular), tuple(tuple(v) for v in basis))
 
 
 def invert(m: ExactMatrix) -> ExactMatrix:
@@ -384,8 +356,8 @@ def invert(m: ExactMatrix) -> ExactMatrix:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    rows = [list(r) + [ONE if i == j else ZERO for j in range(n)] for i, r in enumerate(m.data)]
-    pivots = _rref_in_place(rows, 2 * n)
+    aug = [list(r) + [ONE if i == j else ZERO for j in range(n)] for i, r in enumerate(m.data)]
+    rows, pivots = rref(ExactMatrix(n, 2 * n, aug))
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return ExactMatrix(n, n, [row[n:] for row in rows])

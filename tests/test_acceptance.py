@@ -53,7 +53,6 @@ from ncgeo import (
     quadratic_dimension,
     rank,
     ricci,
-    riemann,
     solve_ricci_flat,
     solve_torsion_free,
     solve_torsion_cotorsion_free,
@@ -82,6 +81,7 @@ from ncgeo.groups import TABLE_II, TABLE_III
 from ncgeo.riemann import (
     connection_from_vector,
     connection_to_vector,
+    riemann,
     wedge_tensor,
 )
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -228,3 +229,59 @@ def test_unknown_class_label_exits_2(capsys):
 def test_s3_dims_via_cli(capsys):
     report = _report(capsys, ["extdims", "--group", "s3", "--max-degree", "5"])
     assert [d["dim"] for d in report["results"]["dims"]] == [1, 3, 4, 3, 1, 0]
+
+
+# SHA-256 of stdout; exact reports must stay byte-identical whatever the
+# elimination behind them
+STDOUT_SHA256 = {
+    "relations": "eae484a16bff626027f28502356f72c8ac16c4f2c7dc65e116198023f8c0a898",
+    "metric --mu 3/7": "4864327a6b926db20c74c7bac8c70e74255b690186b04239fe94ae93aea59963",
+    "connections --mu 3/7": "0d4f5d8109279764438a302b507599baddb367135142e27888d4669912d257dd",
+    "ricci-flat": "3380fad1179a77778db846a1ea29493ef7d89a3e3351b30704a51cfdf62a9d4f",
+    "dirac --spectrum": "94978948969e2aa2a8af9b19cadf6ae4536c87e4013bb92d02bd625fb235548b",
+    "laplacian --mu 3/7": "87b3983e1a1dad90b33657816d561402c328a78a0269b7128ae4775da1f4e8ff",
+    "cohomology": "6503a9db18dc1821b606906e1f4db1963e075c186a627c633e514cbd3ce48038",
+    "connections --group sl2z3 --class 0121 --mu 1/7":
+        "5f2feea3ba63edf9dc7d69b8caa04168c184414c3c24dff9b49fbe0a8a80e742",
+}
+
+
+@pytest.mark.parametrize("command", sorted(STDOUT_SHA256))
+def test_stdout_is_byte_identical_to_pinned_digest(capsys, command):
+    code, out, err = _capture(capsys, command.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
+
+
+@pytest.mark.parametrize(
+    "argv", [["dirac", "--spectrum"], ["laplacian"]], ids=["dirac", "laplacian"]
+)
+def test_short_spectrum_fails_its_certification(capsys, monkeypatch, argv):
+    dirac = sys.modules["ncgeo.dirac"]
+    full = dirac.verify_spectrum
+
+    def short(m, candidates):
+        spec = full(m, candidates)
+        lam = next(iter(spec))
+        return {**spec, lam: spec[lam] - 1}
+
+    monkeypatch.setattr(dirac, "verify_spectrum", short)
+    code, out, _ = _capture(capsys, argv)
+    assert code == 3
+    statuses = {c["check_name"]: c["status"] for c in json.loads(out)["certifications"]}
+    assert statuses["spectrum_multiplicities_sum_to_dimension"] == "failed"
+
+
+def test_diagnostic_errors_share_one_base():
+    from ncgeo.calculus import ScaleCapError
+    from ncgeo.cli import PreconditionError
+    from ncgeo.groups import DiagnosticError, GroupSpecError
+
+    assert issubclass(GroupSpecError, ValueError)
+    assert issubclass(ScaleCapError, RuntimeError)
+    assert issubclass(PreconditionError, RuntimeError)
+    for cls in (GroupSpecError, ScaleCapError, PreconditionError):
+        ex = cls("refused", {"degree": 7})
+        assert isinstance(ex, DiagnosticError)
+        assert str(ex) == "refused"
+        assert ex.diagnostic == {"error": "refused", "degree": 7}

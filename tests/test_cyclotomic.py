@@ -266,6 +266,11 @@ def test_canonical_triples():
     assert (cyc(Fraction(1, 2)) + cyc(Fraction(1, 2))).triple() == (1, 0, 1)
     assert cyc(2, 1).inverse().triple() == (1, -1, 3)
     assert hash(cyc(Fraction(-1, 3))) == hash(Fraction(-1, 3))
+    assert Cyclotomic.from_triple(4, -6, 8).triple() == (2, -3, 4)
+    assert Cyclotomic.from_triple(0, 0, 5) == ZERO
+    for d in (0, -2):
+        with pytest.raises(ValueError):
+            Cyclotomic.from_triple(1, 1, d)
 
 
 def test_immutable():

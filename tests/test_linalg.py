@@ -10,14 +10,14 @@ import scipy.sparse as sp
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from ncgeo import Cyclotomic, ExactMatrix, cyc
+from ncgeo import ONE, ZERO, Cyclotomic, ExactMatrix, cyc
 from ncgeo.linalg import (
     MILLER_RABIN_LIMIT,
     AffineSpace,
-    _rank_bareiss_int,
     certified_rank_blocks,
     content_digest,
     deterministic_primes,
+    exact_rank_blocks,
     invert,
     is_prime,
     modular_rank,
@@ -25,6 +25,7 @@ from ncgeo.linalg import (
     rank,
     rank_mod_p,
     reduce_block,
+    rref,
     solve_affine,
 )
 
@@ -105,6 +106,127 @@ def test_zero_duplicate_and_permuted_rows_change_nothing(m, data):
     assert nullspace(grown) == nullspace(m)
     assert solve_affine(grown, [v for _, v, _ in rows]) == solve_affine(m, consistent)
     assert solve_affine(grown, [w for _, _, w in rows]) == solve_affine(m, arbitrary)
+
+
+def reference_rref(rows, ncols):
+    """Gauss-Jordan on Cyclotomic entries, one field division per pivot row.
+
+    Independent of the integer kernel; returns the nonzero RREF rows and
+    their pivot columns.
+    """
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        pr = len(pivots)
+        piv = next((r for r in range(pr, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[pr], rows[piv] = rows[piv], rows[pr]
+        inv = rows[pr][col].inverse()
+        rows[pr] = [inv * v for v in rows[pr]]
+        for r in range(len(rows)):
+            f = rows[r][col]
+            if r != pr and f:
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def reference_free_basis(rows, pivots, ncols):
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            vec = [ZERO] * ncols
+            vec[f] = ONE
+            for row, p in zip(rows, pivots):
+                vec[p] = -row[f]
+            basis.append(vec)
+    return basis
+
+
+def reference_solve(m, b):
+    rows, pivots = reference_rref([r + [v] for r, v in zip(m.data, b)], m.cols + 1)
+    if pivots and pivots[-1] == m.cols:
+        return None
+    particular = [ZERO] * m.cols
+    for row, p in zip(rows, pivots):
+        particular[p] = row[m.cols]
+    return particular, reference_free_basis(rows, pivots, m.cols)
+
+
+def _triples(rows):
+    return [[v.triple() for v in row] for row in rows]
+
+
+qw_entries = st.one_of(
+    st.just(Cyclotomic(0)),
+    st.builds(
+        Cyclotomic,
+        st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=4),
+        st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=4),
+    ),
+)
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """Wide, tall and square Q(omega) matrices, often rank-deficient.
+
+    Besides fresh rows there are zero rows, repeated rows, scaled rows and
+    sums of two earlier rows.
+    """
+    nrows = draw(st.integers(min_value=1, max_value=7))
+    ncols = draw(st.integers(min_value=1, max_value=7))
+    fresh = st.lists(qw_entries, min_size=ncols, max_size=ncols)
+    rows = [draw(fresh)]
+    while len(rows) < nrows:
+        kind = draw(st.sampled_from(("fresh", "zero", "repeat", "scaled", "sum")))
+        i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        j = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        if kind == "fresh":
+            rows.append(draw(fresh))
+        elif kind == "zero":
+            rows.append([Cyclotomic(0)] * ncols)
+        elif kind == "repeat":
+            rows.append(list(rows[i]))
+        elif kind == "scaled":
+            s = draw(qw_entries.filter(bool))
+            rows.append([s * v for v in rows[i]])
+        else:
+            rows.append([a + b for a, b in zip(rows[i], rows[j])])
+    return ExactMatrix.from_rows(draw(st.permutations(rows)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(degenerate_matrices(), st.data())
+def test_integer_kernel_matches_field_gauss_jordan(m, data):
+    ref_rows, ref_pivots = reference_rref(m.data, m.cols)
+    rows, pivots = rref(m)
+    assert pivots == ref_pivots
+    assert _triples(rows) == _triples(ref_rows)
+    assert rank(m) == len(ref_pivots)
+    assert _triples(nullspace(m)) == _triples(reference_free_basis(ref_rows, ref_pivots, m.cols))
+    x = data.draw(st.lists(qw_entries, min_size=m.cols, max_size=m.cols))
+    arbitrary = data.draw(st.lists(qw_entries, min_size=m.rows, max_size=m.rows))
+    for b in (m.matvec(x), arbitrary):
+        space, ref = solve_affine(m, b), reference_solve(m, b)
+        if ref is None:
+            assert space is None
+        else:
+            assert _triples([space.particular]) == _triples([ref[0]])
+            assert _triples(space.basis) == _triples(ref[1])
+    assert reference_solve(m, m.matvec(x)) is not None
+    k = min(m.rows, m.cols)
+    square = m.submatrix(range(k), range(k))
+    ref_rows, ref_pivots = reference_rref(
+        [r + [ONE if i == j else ZERO for j in range(k)] for i, r in enumerate(square.data)],
+        2 * k,
+    )
+    if ref_pivots[:k] == list(range(k)):
+        assert _triples(invert(square).data) == _triples([r[k:] for r in ref_rows])
+    else:
+        with pytest.raises(ValueError):
+            invert(square)
 
 
 def test_solve_affine_inconsistent():
@@ -219,9 +341,10 @@ def padded_blocks(draw):
 @given(padded_blocks())
 def test_reduce_block_keeps_rank_and_leaves_no_redundant_line(block):
     peeled, core = reduce_block(block)
-    assert peeled + _rank_bareiss_int(core.tolist(), core.shape[1]) == _rank_bareiss_int(
-        block.tolist(), block.shape[1]
-    )
+    exact = sympy.Matrix(block.tolist()).rank()
+    assert rank(ExactMatrix.from_rows(block.tolist())) == exact
+    assert peeled + rank(ExactMatrix.from_rows(core.tolist())) == exact
+    assert exact_rank_blocks([block]) == exact
     for p in deterministic_primes(content_digest(block.tobytes())):
         assert peeled + rank_mod_p(core, p) == rank_mod_p(block, p)
     assert core.shape[1] <= core.shape[0]

@@ -26,7 +26,6 @@ from ncgeo import (
     metric_tensor,
     rank,
     ricci,
-    riemann,
     solve_ricci_flat,
     solve_torsion_cotorsion_free,
     solve_torsion_free,
@@ -45,6 +44,7 @@ from ncgeo.riemann import (
     connection_from_vector,
     connection_to_vector,
     is_regular,
+    riemann,
     tensor_of_forms,
     wedge_tensor,
 )
