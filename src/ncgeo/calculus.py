@@ -7,16 +7,19 @@ relations come from the braiding e_a (x) e_b -> e_{aba^-1} (x) e_a via
 braided integers and factorials; exterior dimensions are the ranks of the
 braided factorials, computed exactly in small degree and certified modulo
 two large primes in degrees where the matrices reach 4096 x 4096 (block
-decomposition by word product keeps that cheap).
+decomposition by word product keeps that cheap).  numpy and scipy are
+imported only by these exterior ranks.  The quadratic cover, where only the
+degree-two relations are imposed, is exact on a word basis: degree m is
+spanned by a basis word of degree m - 1 times a letter, at most
+``QUADRATIC_SIZE_LIMIT`` of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence, Union
-
-import numpy as np
 
 from .cyclotomic import ONE, ZERO, Cyclotomic, Scalar, as_cyc
 from .groups import ClassCalculus, DiagnosticError, FiniteGroup
@@ -24,6 +27,7 @@ from . import linalg
 from .linalg import ExactMatrix
 
 if TYPE_CHECKING:
+    import numpy as np
     import scipy.sparse as sp
 
 
@@ -36,6 +40,7 @@ EXACT_SIZE_LIMIT = 1024
 #: Default policy: exact below, modular above.
 AUTO_EXACT_LIMIT = 256
 
+#: Largest spanning set (n times the previous quadratic dimension) accepted.
 QUADRATIC_SIZE_LIMIT = 4096
 
 
@@ -447,6 +452,7 @@ def _check_cap(b: BraidData, m: int, cap: int) -> None:
 
 @lru_cache(maxsize=None)
 def _psi_sparse(b: BraidData) -> sp.csr_matrix:
+    import numpy as np
     import scipy.sparse as sp
 
     size = len(b.perm)
@@ -459,6 +465,7 @@ def _psi_sparse(b: BraidData) -> sp.csr_matrix:
 @lru_cache(maxsize=None)
 def _bracket_sparse(b: BraidData, m: int) -> sp.csr_matrix:
     """[m, -psi] = id - psi_12 (id (x) [m-1, -psi])."""
+    import numpy as np
     import scipy.sparse as sp
 
     n = b.n
@@ -475,6 +482,7 @@ def _bracket_sparse(b: BraidData, m: int) -> sp.csr_matrix:
 @lru_cache(maxsize=None)
 def _factorial_sparse(b: BraidData, m: int) -> sp.csr_matrix:
     """A_m = (id (x) A_{m-1}) [m, -psi]."""
+    import numpy as np
     import scipy.sparse as sp
 
     n = b.n
@@ -532,6 +540,8 @@ def _word_grading(c: ClassCalculus, m: int) -> tuple[int, ...]:
 
 
 def _grading_blocks(c: ClassCalculus, m: int) -> list[np.ndarray]:
+    import numpy as np
+
     grading = np.fromiter(_word_grading(c, m), dtype=np.int64)
     return [np.nonzero(grading == g)[0] for g in sorted(set(grading.tolist()))]
 
@@ -547,6 +557,8 @@ def _block_slices(mat: sp.csr_matrix, blocks: list[np.ndarray]) -> list[sp.csr_m
 
 
 def _sparse_digest(mat: sp.csr_matrix, extra: bytes) -> bytes:
+    import numpy as np
+
     coo = mat.tocoo()
     order = np.lexsort((coo.col, coo.row))
     return linalg.content_digest(
@@ -603,72 +615,98 @@ def exterior_dimension_info(
     return rank_certified, {"method": "modular-certified", "primes": list(primes)}
 
 
+class _QuadraticTower:
+    """The quadratic cover on a word basis, extended one degree at a time.
+
+    Degree m is spanned by the words u.a, u a basis word of degree m - 1,
+    numbered u * n + a.  The relation rows are w (x) r, for w a basis word
+    of degree m - 2 and r a degree-two relation, each w.a written in its
+    normal form of degree m - 1.  The spanning words that are not pivots
+    of the rows' reduced echelon form are the basis.  ``forms[m]`` holds
+    the normal form of every spanning word of degree m over that basis and
+    ``prods[m]`` the group product of every basis word.
+    """
+
+    def __init__(self, c: ClassCalculus):
+        self.calculus = c
+        self.relations = []  # each scaled to integers: the span is unchanged
+        for vec in degree2_relations(c):
+            scaled, omega_parts = linalg.integer_row(vec)
+            if any(omega_parts):
+                raise linalg.CertificationError("relation vector is not rational")
+            rel = [(q // c.n, q % c.n, x) for q, x in enumerate(scaled) if x]
+            # pivots are kept reduced within their word product only
+            if len({c.group.mult(c.elements[a], c.elements[b]) for a, b, _ in rel}) != 1:
+                raise linalg.CertificationError("relation vector mixes word-product blocks")
+            self.relations.append(rel)
+        self.prods = [[c.group.identity], list(c.elements)]
+        self.forms = [[], [{a: 1} for a in range(c.n)]]
+
+    def dimension(self, m: int) -> int:
+        while len(self.prods) <= m:
+            self._extend()
+        return len(self.prods[m])
+
+    def _extend(self) -> None:
+        c = self.calculus
+        n, m = c.n, len(self.prods)
+        size = n * len(self.prods[m - 1])
+        if size > QUADRATIC_SIZE_LIMIT:
+            raise ScaleCapError(
+                f"quadratic dimension refused beyond {QUADRATIC_SIZE_LIMIT} spanning words",
+                {"degree": m, "spanning_set": size, "allowed": QUADRATIC_SIZE_LIMIT},
+            )
+        grade = [c.group.mult(g, e) for g in self.prods[m - 1] for e in c.elements]
+        below = self.forms[m - 1]
+        pivots: dict[int, dict] = {}  # pivot word -> its normal form
+        by_grade: dict[int, list[int]] = {}
+        for w in range(len(self.prods[m - 2])):
+            for rel in self.relations:
+                row: dict = {}
+                for a, b, x in rel:
+                    for u, y in below[w * n + a].items():
+                        row[u * n + b] = row.get(u * n + b, 0) + x * y
+                for col in [col for col in row if col in pivots]:
+                    x = row.pop(col)
+                    for f, y in pivots[col].items():
+                        row[f] = row.get(f, 0) + x * y
+                row = {col: x for col, x in row.items() if x}
+                if not row:
+                    continue
+                p = min(row)
+                s = -1 / Fraction(row.pop(p))
+                # integral values stay ints, whose arithmetic is much faster
+                form = {f: v.numerator if v.denominator == 1 else v
+                        for f, v in ((f, y * s) for f, y in row.items())}
+                # keep every earlier pivot's normal form free of the new pivot
+                for q in by_grade.setdefault(grade[p], []):
+                    other = pivots[q]
+                    y = other.pop(p, 0)
+                    if y:
+                        for f, z in form.items():
+                            other[f] = other.get(f, 0) + y * z
+                by_grade[grade[p]].append(p)
+                pivots[p] = form
+        basis = [col for col in range(size) if col not in pivots]
+        index = {col: i for i, col in enumerate(basis)}
+        self.forms.append([
+            {index[f]: x for f, x in pivots[col].items()} if col in pivots
+            else {index[col]: 1}
+            for col in range(size)
+        ])
+        self.prods.append([grade[col] for col in basis])
+
+
+@lru_cache(maxsize=None)
+def _quadratic_tower(c: ClassCalculus) -> _QuadraticTower:
+    return _QuadraticTower(c)
+
+
 def quadratic_dimension(c: ClassCalculus, m: int) -> int:
     """Degree-m dimension when only the degree-two relations are imposed."""
     if m < 2:
         raise ValueError("degree must be >= 2")
-    size = c.n**m
-    if size > QUADRATIC_SIZE_LIMIT:
-        raise ScaleCapError(
-            f"quadratic dimension refused beyond {QUADRATIC_SIZE_LIMIT} columns",
-            {"degree": m, "matrix_side": size, "allowed": QUADRATIC_SIZE_LIMIT},
-        )
-    n = c.n
-    kernel = degree2_relations(c)
-    # integer-scaled kernel rows with their two-letter product grading
-    kernel_rows: list[tuple[list[tuple[int, int]], int]] = []
-    grading2 = _word_grading(c, 2)
-    for vec in kernel:
-        scaled, omega_parts = linalg.integer_row(vec)
-        if any(omega_parts):
-            raise linalg.CertificationError("relation vector is not rational")
-        support = [(q, a) for q, a in enumerate(scaled) if a]
-        grades = {grading2[q] for q, _ in support}
-        if len(grades) != 1:
-            raise linalg.CertificationError(
-                "relation vector mixes word-product blocks"
-            )
-        kernel_rows.append((support, grades.pop()))
-    grading_m = _word_grading(c, m)
-    block_cols: dict[int, dict[int, int]] = {}
-    for idx, g in enumerate(grading_m):
-        cols = block_cols.setdefault(g, {})
-        cols[idx] = len(cols)
-    rows_per_block: dict[int, list[dict[int, int]]] = {g: [] for g in block_cols}
-    for i in range(m - 1):
-        left_grading = _word_grading(c, i)
-        right_grading = _word_grading(c, m - 2 - i)
-        right = len(right_grading)
-        for support, kgrade in kernel_rows:
-            for u, gu in enumerate(left_grading):
-                for v, gv in enumerate(right_grading):
-                    g = c.group.mult(c.group.mult(gu, kgrade), gv)
-                    row = {}
-                    for q, val in support:
-                        idx = (u * n * n + q) * right + v
-                        row[block_cols[g][idx]] = val
-                    rows_per_block[g].append(row)
-    total_rank = 0
-    exact = size <= AUTO_EXACT_LIMIT
-    all_blocks = []
-    for g in sorted(rows_per_block):
-        ncols = len(block_cols[g])
-        rows = rows_per_block[g]
-        dense = np.zeros((len(rows), ncols), dtype=np.int64)
-        for r, row in enumerate(rows):
-            for ci, val in row.items():
-                dense[r, ci] = val
-        all_blocks.append(dense)
-    if exact:
-        total_rank = linalg.exact_rank_blocks(all_blocks)
-    else:
-        digest = linalg.content_digest(
-            b"quadratic",
-            repr((c.labels, m)).encode(),
-            *(blk.tobytes() for blk in all_blocks),
-        )
-        total_rank, _ = linalg.certified_rank_blocks(all_blocks, digest)
-    return size - total_rank
+    return _quadratic_tower(c).dimension(m)
 
 
 def exterior_profile(

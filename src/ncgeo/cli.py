@@ -9,7 +9,8 @@ Every command prints one deterministic JSON report on stdout:
 Exit codes: 0 success; 2 precondition violation (JSON diagnostic on
 stderr); 3 a certification failed (the report is still printed);
 64 unknown subcommand; 65 malformed group table (the diagnostic names a
-violated triple when associativity fails).
+violated triple when associativity fails); 141 (128 + SIGPIPE) the reader
+closed stdout before the report was written.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -47,7 +49,7 @@ from .calculus import (
     basis_pair_labels,
     braiding,
     degree2_relations,
-    exterior_dimension_info,
+    exterior_profile,
     omega2_basis,
     quadratic_dimension,
 )
@@ -59,6 +61,7 @@ EXIT_PRECONDITION = 2
 EXIT_CERTIFICATION_FAILED = 3
 EXIT_UNKNOWN_COMMAND = 64
 EXIT_BAD_GROUP = 65
+EXIT_BROKEN_PIPE = 141
 
 
 class PreconditionError(DiagnosticError, RuntimeError):
@@ -68,6 +71,10 @@ class PreconditionError(DiagnosticError, RuntimeError):
 # ---------------------------------------------------------------------------
 # serialization helpers
 # ---------------------------------------------------------------------------
+
+
+def _check(name: str, ok: bool) -> dict:
+    return {"check_name": name, "status": "ok" if ok else "failed"}
 
 
 def _cyc_json(x: Cyclotomic):
@@ -222,28 +229,19 @@ def _cmd_info(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, list]:
 
 
 def _cmd_extdims(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, list]:
-    max_degree = ns.max_degree
-    cap = max_degree if ns.unsupported_scale else DEFAULT_DEGREE_CAP
-    dims = []
-    certs = []
-    for m in range(max_degree + 1):
-        dim, info = exterior_dimension_info(c, m, cap=cap)
-        entry = {"degree": m, "dim": dim, "method": info["method"]}
-        if "primes" in info:
-            entry["primes"] = info["primes"]
-        dims.append(entry)
-        certs.append(
-            {
-                "check_name": f"extdims_degree_{m}_{info['method']}",
-                "status": "ok",
-            }
-        )
-    results = {"dims": dims}
+    cap = ns.max_degree if ns.unsupported_scale else DEFAULT_DEGREE_CAP
+    results = {}
+    # the quadratic tower is the cheaper one, so its refusal comes first
     if ns.quadratic:
         results["quadratic_dims"] = [
             {"degree": m, "dim": quadratic_dimension(c, m)}
-            for m in range(2, max_degree + 1)
+            for m in range(2, ns.max_degree + 1)
         ]
+    results["dims"] = exterior_profile(c, ns.max_degree, cap=cap)
+    certs = [
+        {"check_name": f"extdims_degree_{d['degree']}_{d['method']}", "status": "ok"}
+        for d in results["dims"]
+    ]
     return results, certs
 
 
@@ -275,12 +273,7 @@ def _cmd_relations(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, list
         "relations": rels,
         "basis_pairs": basis_pair_labels(c),
     }
-    certs = [
-        {
-            "check_name": "relations_fixed_by_braiding",
-            "status": "ok" if invariant else "failed",
-        }
-    ]
+    certs = [_check("relations_fixed_by_braiding", invariant)]
     return results, certs
 
 
@@ -297,21 +290,11 @@ def _cmd_metric(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, list]:
             for b in range(c.n):
                 if metric.eta.data[conj[a]][conj[b]] != metric.eta.data[a][b]:
                     invariant = False
-    certs.append(
-        {
-            "check_name": "eta_conjugation_invariant",
-            "status": "ok" if invariant else "failed",
-        }
-    )
+    certs.append(_check("eta_conjugation_invariant", invariant))
     wedge_zero = _riemann.wedge_tensor(
         c, _riemann.metric_tensor(c, metric)
     ).is_zero()
-    certs.append(
-        {
-            "check_name": "metric_tensor_wedges_to_zero",
-            "status": "ok" if wedge_zero else "failed",
-        }
-    )
+    certs.append(_check("metric_tensor_wedges_to_zero", wedge_zero))
     results = {
         "invariant_space_dim": len(space),
         "invariant_space_basis": [_matrix_json(m) for m in space],
@@ -336,32 +319,26 @@ def _cmd_connections(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, li
     certs = []
     conn = _riemann.connection_from_vector(c, list(tc.particular))
     certs.append(
-        {
-            "check_name": "torsion_zero_on_particular",
-            "status": "ok"
-            if all(t.is_zero() for t in _riemann.torsion(c, conn))
-            else "failed",
-        }
+        _check(
+            "torsion_zero_on_particular",
+            all(t.is_zero() for t in _riemann.torsion(c, conn)),
+        )
     )
     certs.append(
-        {
-            "check_name": "cotorsion_zero_on_particular",
-            "status": "ok"
-            if all(t.is_zero() for t in _riemann.cotorsion(c, conn, metric))
-            else "failed",
-        }
+        _check(
+            "cotorsion_zero_on_particular",
+            all(t.is_zero() for t in _riemann.cotorsion(c, conn, metric)),
+        )
     )
     # deterministic nontrivial member of the solution space
     coeffs = [Cyclotomic(k + 1) for k in range(tc.dimension)]
     member = _riemann.connection_from_vector(c, list(tc.point(coeffs)))
     certs.append(
-        {
-            "check_name": "torsion_and_cotorsion_zero_on_member",
-            "status": "ok"
-            if all(t.is_zero() for t in _riemann.torsion(c, member))
-            and all(t.is_zero() for t in _riemann.cotorsion(c, member, metric))
-            else "failed",
-        }
+        _check(
+            "torsion_and_cotorsion_zero_on_member",
+            all(t.is_zero() for t in _riemann.torsion(c, member))
+            and all(t.is_zero() for t in _riemann.cotorsion(c, member, metric)),
+        )
     )
     results = {
         "mu": _cyc_json(mu),
@@ -376,22 +353,15 @@ def _cmd_levi_civita(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, li
     metric = _metric_or_die(c, mu)
     conn = _riemann.levi_civita(c, metric)
     certs = [
-        {
-            "check_name": "torsion_vanishes",
-            "status": "ok"
-            if all(t.is_zero() for t in _riemann.torsion(c, conn))
-            else "failed",
-        },
-        {
-            "check_name": "cotorsion_vanishes",
-            "status": "ok"
-            if all(t.is_zero() for t in _riemann.cotorsion(c, conn, metric))
-            else "failed",
-        },
-        {
-            "check_name": "regular",
-            "status": "ok" if _riemann.is_regular(c, conn) else "failed",
-        },
+        _check(
+            "torsion_vanishes",
+            all(t.is_zero() for t in _riemann.torsion(c, conn)),
+        ),
+        _check(
+            "cotorsion_vanishes",
+            all(t.is_zero() for t in _riemann.cotorsion(c, conn, metric)),
+        ),
+        _check("regular", _riemann.is_regular(c, conn)),
     ]
     results = {
         "mu": _cyc_json(mu),
@@ -423,12 +393,7 @@ def _cmd_curvature(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, list
         "equals_d_of_basis_forms": matches,
         "nonzero": any(not f.is_zero() for f in curv),
     }
-    certs = [
-        {
-            "check_name": "curvature_equals_d_basis",
-            "status": "ok" if matches else "failed",
-        }
-    ]
+    certs = [_check("curvature_equals_d_basis", matches)]
     return results, certs
 
 
@@ -454,12 +419,7 @@ def _cmd_ricci(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, list]:
                 if not ric.entry(a, b).is_zero()
             },
         }
-        certs.append(
-            {
-                "check_name": f"ricci_vanishes_lift_{name}",
-                "status": "ok" if ric.is_zero() else "failed",
-            }
-        )
+        certs.append(_check(f"ricci_vanishes_lift_{name}", ric.is_zero()))
     results = {"mu": _cyc_json(mu), "connection": "levi-civita", "ricci": entries}
     return results, certs
 
@@ -476,34 +436,23 @@ def _cmd_ricci_flat(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, lis
     matches_lc = list(space.particular) == _riemann.connection_to_vector(c, lc)
     metric0 = _riemann.metric_from_mu(c, 0)
     certs = [
-        {
-            "check_name": "torsion_vanishes",
-            "status": "ok"
-            if all(t.is_zero() for t in _riemann.torsion(c, conn))
-            else "failed",
-        },
-        {
-            "check_name": "ricci_vanishes_lift_i",
-            "status": "ok"
-            if _riemann.ricci(c, conn, _riemann.lift_i(c)).is_zero()
-            else "failed",
-        },
-        {
-            "check_name": "ricci_vanishes_lift_iprime",
-            "status": "ok"
-            if _riemann.ricci(c, conn, _riemann.lift_iprime(c)).is_zero()
-            else "failed",
-        },
-        {
-            "check_name": "cotorsion_vanishes",
-            "status": "ok"
-            if all(t.is_zero() for t in _riemann.cotorsion(c, conn, metric0))
-            else "failed",
-        },
-        {
-            "check_name": "regular",
-            "status": "ok" if _riemann.is_regular(c, conn) else "failed",
-        },
+        _check(
+            "torsion_vanishes",
+            all(t.is_zero() for t in _riemann.torsion(c, conn)),
+        ),
+        _check(
+            "ricci_vanishes_lift_i",
+            _riemann.ricci(c, conn, _riemann.lift_i(c)).is_zero(),
+        ),
+        _check(
+            "ricci_vanishes_lift_iprime",
+            _riemann.ricci(c, conn, _riemann.lift_iprime(c)).is_zero(),
+        ),
+        _check(
+            "cotorsion_vanishes",
+            all(t.is_zero() for t in _riemann.cotorsion(c, conn, metric0)),
+        ),
+        _check("regular", _riemann.is_regular(c, conn)),
     ]
     results = {
         "solution_space": _affine_connections_json(c, space),
@@ -550,12 +499,7 @@ def _cmd_dirac(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, list]:
     expected = linalg.ExactMatrix.identity(3).scale(
         Cyclotomic(4) * _mu_scaling(c, mu)
     )
-    certs.append(
-        {
-            "check_name": "casimir_is_scalar",
-            "status": "ok" if cas == expected else "failed",
-        }
-    )
+    certs.append(_check("casimir_is_scalar", cas == expected))
     if ns.spectrum:
         spec = _dirac.verify_spectrum(D, _dirac_candidates(c, mu))
         results["spectrum"] = [
@@ -565,12 +509,8 @@ def _cmd_dirac(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, list]:
             )
         ]
         results["spectrum_total"] = sum(spec.values())
-        certs.append(
-            {
-                "check_name": "spectrum_multiplicities_sum_to_dimension",
-                "status": "ok" if results["spectrum_total"] == D.rows else "failed",
-            }
-        )
+        total_ok = results["spectrum_total"] == D.rows
+        certs.append(_check("spectrum_multiplicities_sum_to_dimension", total_ok))
     if ns.eigenbasis:
         if mu:
             raise PreconditionError(
@@ -588,18 +528,8 @@ def _cmd_dirac(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, list]:
             {"eigenvalue": _cyc_json(lam), "vector": [_cyc_json(v) for v in vec]}
             for lam, vec in eig
         ]
-        certs.append(
-            {
-                "check_name": "eigenbasis_eigen_equations",
-                "status": "ok" if ok else "failed",
-            }
-        )
-        certs.append(
-            {
-                "check_name": "eigenbasis_independent",
-                "status": "ok" if independent else "failed",
-            }
-        )
+        certs.append(_check("eigenbasis_eigen_equations", ok))
+        certs.append(_check("eigenbasis_independent", independent))
     if not ns.spectrum and not ns.eigenbasis:
         results["matrix"] = _matrix_json(D)
     return results, certs
@@ -640,14 +570,8 @@ def _cmd_laplacian(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, list
         "closed_form": "-(1/4) (sum_a R_a - 4)^2 / (1 + 4 mu)",
     }
     certs = [
-        {
-            "check_name": "laplacian_closed_form",
-            "status": "ok" if matches else "failed",
-        },
-        {
-            "check_name": "spectrum_multiplicities_sum_to_dimension",
-            "status": "ok" if sum(spec.values()) == box.rows else "failed",
-        },
+        _check("laplacian_closed_form", matches),
+        _check("spectrum_multiplicities_sum_to_dimension", sum(spec.values()) == box.rows),
     ]
     return results, certs
 
@@ -676,12 +600,7 @@ def _cmd_fourier(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, list]:
         "function": [_cyc_json(v) for v in values],
         "coefficients": {k: _cyc_json(v) for k, v in coeffs.items()},
     }
-    certs = [
-        {
-            "check_name": "fourier_roundtrip_exact",
-            "status": "ok" if roundtrip else "failed",
-        }
-    ]
+    certs = [_check("fourier_roundtrip_exact", roundtrip)]
     return results, certs
 
 
@@ -694,15 +613,9 @@ def _cmd_cohomology(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, lis
         "representative": data["representative"],
     }
     certs = [
-        {"check_name": "d1_after_d0_is_zero", "status": "ok"},
-        {
-            "check_name": "theta_closed",
-            "status": "ok" if data["theta_closed"] else "failed",
-        },
-        {
-            "check_name": "theta_not_exact",
-            "status": "ok" if not data["theta_exact"] else "failed",
-        },
+        _check("d1_after_d0_is_zero", data["d1_after_d0_is_zero"]),
+        _check("theta_closed", data["theta_closed"]),
+        _check("theta_not_exact", not data["theta_exact"]),
     ]
     return results, certs
 
@@ -733,12 +646,7 @@ def _cmd_flat_u1(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, list]:
                 if not _cohomology.u1_curvature(c, alpha).is_zero():
                     all_flat = False
         results["checked_parameters"] = [str(p) for p in params]
-        certs.append(
-            {
-                "check_name": "families_flat_at_sample_parameters",
-                "status": "ok" if all_flat else "failed",
-            }
-        )
+        certs.append(_check("families_flat_at_sample_parameters", all_flat))
         # deterministic gauge-covariance samples
         import random as _random
 
@@ -770,12 +678,7 @@ def _cmd_flat_u1(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, list]:
             )
             if not (lhs - rhs).is_zero():
                 covariant = False
-        certs.append(
-            {
-                "check_name": "gauge_covariance_samples",
-                "status": "ok" if covariant else "failed",
-            }
-        )
+        certs.append(_check("gauge_covariance_samples", covariant))
     else:
         certs.append({"check_name": "families_enumerated", "status": "ok"})
     return results, certs
@@ -788,14 +691,8 @@ def _cmd_s4_check(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, list]
     conj = _cohomology.conjugate_calculus_check(ca4)
     results = {"cross_relations": cross, "conjugate_calculus_a4": conj}
     certs = [
-        {
-            "check_name": "s4_relations_in_braiding_kernel",
-            "status": "ok" if cross["all_in_kernel"] else "failed",
-        },
-        {
-            "check_name": "transpose_identity_a4",
-            "status": "ok" if conj["transpose_identity"] else "failed",
-        },
+        _check("s4_relations_in_braiding_kernel", cross["all_in_kernel"]),
+        _check("transpose_identity_a4", conj["transpose_identity"]),
     ]
     return results, certs
 
@@ -987,7 +884,15 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # nothing more can reach the reader; point stdout at devnull so the
+        # interpreter's own flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

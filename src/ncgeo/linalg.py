@@ -19,11 +19,12 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .cyclotomic import ONE, ZERO, Cyclotomic, Scalar, as_cyc
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class CertificationError(RuntimeError):
@@ -162,6 +163,8 @@ class ExactMatrix:
 
     def to_int_array(self) -> np.ndarray:
         """Integer numpy copy; raises on non-integer entries."""
+        import numpy as np
+
         out = np.empty((self.rows, self.cols), dtype=object)
         for i, row in enumerate(self.data):
             for j, v in enumerate(row):
@@ -373,6 +376,8 @@ def rank_mod_p(a: np.ndarray, p: int) -> int:
 
     Residues below 2**31 keep every product of two of them inside int64.
     """
+    import numpy as np
+
     if not 2 <= p < 2**31:
         raise ValueError(f"modulus {p} is outside [2, 2**31)")
     m = np.array(a, dtype=np.int64) % p
@@ -443,6 +448,8 @@ def is_prime(n: int) -> bool:
 
 def modular_rank(m: ExactMatrix, p: int) -> int:
     """Rank of an integer (or Z[omega]) matrix mod p; lower bound on rank."""
+    import numpy as np
+
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     needs_omega = False
@@ -498,6 +505,8 @@ def _distinct_lines(
     (line index, index along the line, value).  Lines are compared by exact
     keys after scaling each by the sign of its first entry.
     """
+    import numpy as np
+
     if not lines.size:
         return lines, others, vals
     order = np.lexsort((others, lines))
@@ -529,6 +538,8 @@ def reduce_block(block) -> tuple[int, np.ndarray]:
       or to its negative, are dropped;
     * the dense core is oriented to be at most as wide as it is tall.
     """
+    import numpy as np
+
     if hasattr(block, "tocoo"):
         coo = block.tocoo()
         rows, cols, vals = coo.row, coo.col, coo.data

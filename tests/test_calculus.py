@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ncgeo import (
     CertificationError,
     Cyclotomic,
+    ExactMatrix,
     GroupFunction,
     OneForm,
     ScaleCapError,
@@ -15,6 +16,7 @@ from ncgeo import (
     braided_factorial,
     braided_integer,
     braiding,
+    build_group,
     class_calculus,
     cyc,
     d0,
@@ -27,6 +29,7 @@ from ncgeo import (
     omega2_basis,
     partial,
     quadratic_dimension,
+    rank,
     right_to_left,
     theta,
     wedge,
@@ -228,6 +231,84 @@ def test_block_slices_refuse_an_entry_across_blocks(a4_c):
 def test_a4_quadratic_dimensions(a4_c):
     # degrees 2..5 agree with the full exterior tower
     assert [quadratic_dimension(a4_c, m) for m in range(2, 6)] == [8, 11, 12, 12]
+
+
+S4_123_QUADRATIC = [1, 8, 38, 142, 456, 1316]
+
+
+def test_s4_123_quadratic_tower(s4):
+    c = class_calculus(s4, "(123)")
+    tower = [1, c.n] + [quadratic_dimension(c, m) for m in range(2, 6)]
+    assert tower == S4_123_QUADRATIC
+    exterior = [dim for dim, _, _ in S4_TOWERS["(123)"]]
+    # the exterior algebra's first relation beyond degree two sits in degree four
+    assert [q - e for q, e in zip(tower, exterior)] == [0, 0, 0, 0, 1, 8]
+    with pytest.raises(ScaleCapError) as exc:
+        quadratic_dimension(c, 6)
+    diag = exc.value.diagnostic
+    assert (diag["degree"], diag["spanning_set"], diag["allowed"]) == (6, 8 * 1316, 4096)
+
+
+def test_s4_34_quadratic_tower_equals_exterior(s4):
+    c = class_calculus(s4, "(34)")
+    exterior = [dim for dim, _, _ in S4_TOWERS["(34)"]]
+    assert [1, c.n] + [quadratic_dimension(c, m) for m in range(2, 7)] == exterior
+
+
+@pytest.mark.parametrize("group_name, element", [("a4", "t"), ("sl2z3", "0121")])
+def test_quadratic_tower_is_stable_at_twelve(group_name, element):
+    c = class_calculus(build_group(group_name), element)
+    assert [quadratic_dimension(c, m) for m in range(4, 11)] == [12] * 7
+
+
+def _stacked_relations(c, m):
+    """The rows of every I (x) R (x) I in degree m, as one dense matrix."""
+    n = c.n
+    rows = []
+    for i in range(m - 1):
+        right = n ** (m - 2 - i)
+        for rel in degree2_relations(c):
+            for u in range(n**i):
+                for v in range(right):
+                    row = [cyc(0)] * n**m
+                    for q, x in enumerate(rel):
+                        row[(u * n * n + q) * right + v] = x
+                    rows.append(row)
+    return ExactMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize(
+    "group_name, element, top",
+    [("a4", "t", 4), ("s3", "(12)", 4), ("s4", "(34)", 3)],
+)
+def test_quadratic_tower_matches_dense_relation_rank(group_name, element, top):
+    c = class_calculus(build_group(group_name), element)
+    for m in range(2, top + 1):
+        want = c.n**m - rank(_stacked_relations(c, m))
+        assert quadratic_dimension(c, m) == want
+
+
+def _relabelled(group, perm):
+    """The group with element i renamed to perm[i]; the identity stays at 0."""
+    perm = [0] + list(perm)
+    names = [""] * group.order
+    table = [[0] * group.order for _ in range(group.order)]
+    for i in range(group.order):
+        names[perm[i]] = group.names[i]
+        for j in range(group.order):
+            table[perm[i]][perm[j]] = perm[group.table[i][j]]
+    return {"names": names, "table": table}
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_quadratic_tower_is_relabelling_invariant(a4, s3, data):
+    for group, element, top in ((a4, "t", 7), (s3, "(12)", 6)):
+        perm = data.draw(st.permutations(range(1, group.order)))
+        c = class_calculus(build_group(_relabelled(group, perm)), element)
+        tower = [quadratic_dimension(c, m) for m in range(2, top + 1)]
+        base = class_calculus(group, element)
+        assert tower == [quadratic_dimension(base, m) for m in range(2, top + 1)]
 
 
 def test_degree_cap_refusal(a4_c):

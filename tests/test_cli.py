@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -112,6 +114,18 @@ def test_extdims_over_cap_exits_2(capsys):
     assert diag["cap"] == 6
 
 
+def test_s4_123_quadratic_refusal_reports_spanning_set(capsys):
+    argv = ["extdims", "--group", "s4", "--class", "(123)", "--quadratic"]
+    report = _report(capsys, argv + ["--max-degree", "5"])
+    quadratic = [d["dim"] for d in report["results"]["quadratic_dims"]]
+    assert quadratic == [38, 142, 456, 1316]
+    code, out, err = _capture(capsys, argv + ["--max-degree", "6"])
+    assert code == 2
+    assert out == ""
+    diag = json.loads(err)
+    assert (diag["degree"], diag["spanning_set"], diag["allowed"]) == (6, 10528, 4096)
+
+
 def test_float_mu_rejected(capsys):
     code, out, err = _capture(capsys, ["metric", "--mu", "0.25"])
     assert code == 2
@@ -196,6 +210,37 @@ def test_cohomology_report(capsys):
         "ker_d1": 12,
         "representative": "theta",
     }
+
+
+def test_nonzero_d1_after_d0_fails_its_certification(capsys, monkeypatch):
+    cohomology = sys.modules["ncgeo.cohomology"]
+    full = cohomology.d1_matrix
+
+    def perturbed(c):
+        m = full(c)
+        m.data[0][0] = m.data[0][0] + 1
+        return m
+
+    monkeypatch.setattr(cohomology, "d1_matrix", perturbed)
+    code, out, _ = _capture(capsys, ["cohomology"])
+    assert code == 3
+    statuses = {c["check_name"]: c["status"] for c in json.loads(out)["certifications"]}
+    assert statuses["d1_after_d0_is_zero"] == "failed"
+
+
+def test_closed_stdout_exits_without_traceback():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ncgeo.cli", "extdims", "--quadratic"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # the reader is gone before the report is written
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 141
+    assert err == ""
 
 
 def test_flat_u1_check_families(capsys):

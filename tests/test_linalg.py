@@ -391,14 +391,15 @@ def test_is_prime_refuses_the_undecided_range():
         is_prime(MILLER_RABIN_LIMIT)
 
 
-def _modules_loaded_by_cli_import(*names):
+def _modules_loaded_after(statements, *names):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
     )
     out = subprocess.run(
-        [sys.executable, "-c", f"import sys, ncgeo.cli; print([n in sys.modules for n in {names!r}])"],
+        [sys.executable, "-c",
+         f"import sys\n{statements}\nprint([n in sys.modules for n in {names!r}])"],
         env=env,
         capture_output=True,
         text=True,
@@ -407,10 +408,33 @@ def _modules_loaded_by_cli_import(*names):
     return out.stdout.strip()
 
 
+def _modules_loaded_by_cli_import(*names):
+    return _modules_loaded_after("import ncgeo.cli", *names)
+
+
 def test_cli_import_leaves_out_sympy():
     assert _modules_loaded_by_cli_import("sympy") == "[False]"
 
 
 def test_cli_import_leaves_out_scipy():
-    # only the braided factorials need scipy.sparse; they import it themselves
-    assert _modules_loaded_by_cli_import("scipy", "scipy.sparse") == "[False, False]"
+    # only the modular exterior certificate needs numpy and scipy.sparse;
+    # it imports them itself
+    names = ("numpy", "scipy", "scipy.sparse")
+    for module in ("ncgeo", "ncgeo.cli"):
+        assert _modules_loaded_after(f"import {module}", *names) == "[False, False, False]"
+
+
+def _run_quietly(*argvs):
+    runs = ", ".join(repr(argv) for argv in argvs)
+    return (
+        "import contextlib, io\n"
+        "from ncgeo.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert [run(argv) for argv in ({runs},)] == [0] * {len(argvs)}"
+    )
+
+
+def test_numpy_loads_only_for_the_modular_exterior_ranks():
+    exact = _run_quietly(["cohomology"], ["connections", "--mu", "3/7"])
+    assert _modules_loaded_after(exact, "numpy") == "[False]"
+    assert _modules_loaded_after(_run_quietly(["extdims"]), "numpy") == "[True]"
