@@ -6,12 +6,16 @@ the differential d f = sum_a (R_a - id)(f) e_a.  Degree-two and higher
 relations come from the braiding e_a (x) e_b -> e_{aba^-1} (x) e_a via
 braided integers and factorials; exterior dimensions are the ranks of the
 braided factorials, computed exactly in small degree and certified modulo
-two large primes in degrees where the matrices reach 4096 x 4096 (block
-decomposition by word product keeps that cheap).  numpy and scipy are
-imported only by these exterior ranks.  The quadratic cover, where only the
-degree-two relations are imposed, is exact on a word basis: degree m is
-spanned by a basis word of degree m - 1 times a letter, at most
-``QUADRATIC_SIZE_LIMIT`` of them.
+two large primes in degrees where the matrices reach 4096 x 4096.  The
+matrices split into blocks by word product, and conjugation by a group
+element carries the block of product g onto that of its conjugate, so each
+block rank is taken once per conjugation orbit of products, after an exact
+check that the blocks of the orbit are similar under the induced word
+permutation.  The digest that fixes the primes reads the matrix in
+canonical CSR order.  numpy and scipy are imported only by these exterior
+ranks.  The quadratic cover, where only the degree-two relations are
+imposed, is exact on a word basis: degree m is spanned by a basis word of
+degree m - 1 times a letter, at most ``QUADRATIC_SIZE_LIMIT`` of them.
 """
 
 from __future__ import annotations
@@ -556,16 +560,71 @@ def _block_slices(mat: sp.csr_matrix, blocks: list[np.ndarray]) -> list[sp.csr_m
     return out
 
 
-def _sparse_digest(mat: sp.csr_matrix, extra: bytes) -> bytes:
+def _orbit_blocks(
+    c: ClassCalculus, m: int, mat: sp.csr_matrix
+) -> list[tuple[sp.csr_matrix, int]]:
+    """One grade block per conjugation orbit of grades, with the orbit size.
+
+    Conjugation by h commutes with the braiding, so A_m commutes with the
+    word permutation that conjugates every letter by h, and that permutation
+    carries the block of grade g onto the block of grade h g h^-1.  Every
+    other block of an orbit is checked to equal the representative's block
+    under it, entry for entry, so its rank is the same in every field.
+    """
     import numpy as np
 
-    coo = mat.tocoo()
-    order = np.lexsort((coo.col, coo.row))
+    group = c.group
+    blocks = _grading_blocks(c, m)
+    slices = _block_slices(mat, blocks)
+    grading = _word_grading(c, m)
+    block_of = {grading[idx[0]]: k for k, idx in enumerate(blocks)}
+    place = {e: pos for pos, e in enumerate(c.elements)}
+    powers = c.n ** np.arange(m - 1, -1, -1)  # first letter most significant
+    where = np.full(c.n**m, -1)  # word -> its place in a block, or -1
+    weights = [0] * len(blocks)
+    done: set[int] = set()
+    for k, idx in enumerate(blocks):
+        if k in done:
+            continue
+        for h in range(group.order):
+            j = block_of[group.conjugate(h, grading[idx[0]])]
+            if j in done:
+                continue
+            done.add(j)
+            weights[k] += 1
+            if j == k:
+                continue
+            letter = np.array([place[group.conjugate(h, e)] for e in c.elements])
+            image = (letter[idx[:, None] // powers % c.n] * powers).sum(axis=1)
+            where[blocks[j]] = np.arange(blocks[j].size)
+            pos = where[image]
+            where[blocks[j]] = -1
+            # the letter map is a bijection, so the image has idx.size words
+            if blocks[j].size != idx.size or (pos < 0).any():
+                raise linalg.CertificationError(
+                    "conjugation does not map a grade block onto a grade block"
+                )
+            if (slices[j][pos][:, pos] - slices[k]).count_nonzero():
+                raise linalg.CertificationError("conjugate grade blocks differ")
+    return [(slices[k], w) for k, w in enumerate(weights) if w]
+
+
+def _sparse_digest(mat: sp.csr_matrix, extra: bytes) -> bytes:
+    """SHA-256 of the shape, then the rows, columns and values in row-major order.
+
+    The entries are read in canonical CSR order: ``sum_duplicates`` sorts
+    the column indices of each row and sums repeated entries, in place, and
+    no copy of the matrix is made.
+    """
+    import numpy as np
+
+    mat.sum_duplicates()
+    rows = np.repeat(np.arange(mat.shape[0], dtype=np.int64), np.diff(mat.indptr))
     return linalg.content_digest(
         np.asarray(mat.shape, dtype=np.int64).tobytes(),
-        coo.row[order].astype(np.int64).tobytes(),
-        coo.col[order].astype(np.int64).tobytes(),
-        coo.data[order].astype(np.int64).tobytes(),
+        rows,
+        mat.indices.astype(np.int64),
+        np.ascontiguousarray(mat.data, dtype=np.int64),
         extra,
     )
 
@@ -607,7 +666,7 @@ def exterior_dimension_info(
     b = braiding(c)
     _check_cap(b, m, cap)
     mat = _factorial_sparse(b, m)
-    blocks = _block_slices(mat, _grading_blocks(c, m))
+    blocks = _orbit_blocks(c, m, mat)
     if method == "exact":
         return linalg.exact_rank_blocks(blocks), {"method": "exact"}
     digest = _sparse_digest(mat, b"exterior")

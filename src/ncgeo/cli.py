@@ -29,6 +29,7 @@ from .groups import (
     DiagnosticError,
     FiniteGroup,
     GroupSpecError,
+    axiom_violation,
     build_group,
     class_calculus,
     class_generates,
@@ -224,7 +225,8 @@ def _cmd_info(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, list]:
         "classification": classification,
         "class_generates_group": class_generates(c),
     }
-    certs = [{"check_name": "group_axioms", "status": "ok"}]
+    axioms_hold = axiom_violation(group.names, group.table) is None
+    certs = [_check("group_axioms", axioms_hold)]
     return results, certs
 
 

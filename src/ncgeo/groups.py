@@ -74,6 +74,36 @@ class FiniteGroup:
             ) from None
 
 
+def axiom_violation(
+    names: Sequence[str], table: Sequence[Sequence[int]]
+) -> GroupSpecError | None:
+    """The first failed group axiom of a square index table, or None.
+
+    Index 0 must be a two-sided identity, the product associative and every
+    element must have a two-sided inverse.
+    """
+    n = len(table)
+    for j in range(n):
+        if table[0][j] != j or table[j][0] != j:
+            return GroupSpecError(
+                "index 0 is not a two-sided identity", {"element": names[j]}
+            )
+    for i in range(n):
+        for j in range(n):
+            ij = table[i][j]
+            for k in range(n):
+                if table[ij][k] != table[i][table[j][k]]:
+                    return GroupSpecError(
+                        "associativity fails",
+                        {"triple": [names[i], names[j], names[k]]},
+                    )
+    for i in range(n):
+        inv = next((j for j in range(n) if table[i][j] == 0), None)
+        if inv is None or table[inv][i] != 0:
+            return GroupSpecError("missing inverse", {"element": names[i]})
+    return None
+
+
 def _validate(names: Sequence[str], table: Sequence[Sequence[int]]) -> FiniteGroup:
     n = len(names)
     if len(set(names)) != n:
@@ -93,26 +123,10 @@ def _validate(names: Sequence[str], table: Sequence[Sequence[int]]) -> FiniteGro
     for j in range(n):
         if len({table[i][j] for i in range(n)}) != n:
             raise GroupSpecError("column is not a permutation", {"col": names[j]})
-    for j in range(n):
-        if table[0][j] != j or table[j][0] != j:
-            raise GroupSpecError(
-                "index 0 is not a two-sided identity", {"element": names[j]}
-            )
-    for i in range(n):
-        for j in range(n):
-            ij = table[i][j]
-            for k in range(n):
-                if table[ij][k] != table[i][table[j][k]]:
-                    raise GroupSpecError(
-                        "associativity fails",
-                        {"triple": [names[i], names[j], names[k]]},
-                    )
-    inverse = [0] * n
-    for i in range(n):
-        inv = next((j for j in range(n) if table[i][j] == 0), None)
-        if inv is None or table[inv][i] != 0:
-            raise GroupSpecError("missing inverse", {"element": names[i]})
-        inverse[i] = inv
+    violation = axiom_violation(names, table)
+    if violation is not None:
+        raise violation
+    inverse = [row.index(0) for row in table]
     return FiniteGroup(
         names=tuple(names),
         table=tuple(tuple(row) for row in table),

@@ -10,7 +10,9 @@ so solution bases are byte-stable.  Large integer matrices
 (antisymmetrizers at degrees 5-6) are shrunk block by block
 (``reduce_block``) and go through rank mod p for two deterministically
 chosen primes > 2**30 congruent to 1 mod 3; agreement of the two ranks is
-the certification contract.
+the certification contract.  The block rankers take (block, weight) pairs,
+so a block that stands for a whole orbit of similar blocks, checked equal
+by the caller, is ranked once.
 """
 
 from __future__ import annotations
@@ -274,13 +276,16 @@ def rank(m: ExactMatrix) -> int:
 
 
 def exact_rank_blocks(blocks: Iterable) -> int:
-    """Exact sum of the ranks of integer blocks, each shrunk by ``reduce_block``."""
+    """Exact sum of weight * rank over (integer block, weight) pairs.
+
+    Each block is shrunk by ``reduce_block`` first.
+    """
     total = 0
-    for block in blocks:
+    for block, weight in blocks:
         peeled, core = reduce_block(block)
         ncols = core.shape[1]
         rows = [(row, [0] * ncols) for row in core.tolist()]
-        total += peeled + len(_eliminate(rows, ncols, False))
+        total += weight * (peeled + len(_eliminate(rows, ncols, False)))
     return total
 
 
@@ -489,7 +494,8 @@ def deterministic_primes(digest: bytes, count: int = 2) -> tuple[int, ...]:
     return tuple(found)
 
 
-def content_digest(*parts: bytes) -> bytes:
+def content_digest(*parts) -> bytes:
+    """SHA-256 of the concatenated parts: bytes or C-contiguous arrays."""
     h = hashlib.sha256()
     for part in parts:
         h.update(part)
@@ -576,19 +582,20 @@ def reduce_block(block) -> tuple[int, np.ndarray]:
 def certified_rank_blocks(
     blocks: Iterable, digest: bytes
 ) -> tuple[int, tuple[int, int]]:
-    """Sum of block ranks mod two deterministic primes; ranks must agree.
+    """Sum of weight * rank mod two deterministic primes; the sums must agree.
 
-    The blocks must be a block-diagonal decomposition (after row/column
-    permutation) of the matrix whose rank is certified.  Each block is
+    ``blocks`` holds (block, weight) pairs: each block stands for ``weight``
+    blocks of a block-diagonal decomposition (after row/column permutation)
+    of the matrix whose rank is certified, all similar to it.  Each block is
     shrunk by ``reduce_block`` first; the digest is the caller's, taken over
     the unreduced matrix.
     """
     p1, p2 = deterministic_primes(digest)
     r1 = r2 = 0
-    for block in blocks:
+    for block, weight in blocks:
         peeled, core = reduce_block(block)
-        r1 += peeled + rank_mod_p(core, p1)
-        r2 += peeled + rank_mod_p(core, p2)
+        r1 += weight * (peeled + rank_mod_p(core, p1))
+        r2 += weight * (peeled + rank_mod_p(core, p2))
     if r1 != r2:
         raise CertificationError(f"modular ranks disagree: {r1} (mod {p1}) vs {r2} (mod {p2})")
     return r1, (p1, p2)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from ncgeo import (
@@ -34,10 +35,14 @@ from ncgeo import (
     theta,
     wedge,
 )
+from ncgeo import calculus, linalg
+from ncgeo.cli import run
 from ncgeo.calculus import (
     _block_slices,
     _factorial_sparse,
     _grading_blocks,
+    _sparse_digest,
+    _word_grading,
     one_form_right_mul,
     two_form_right_mul,
 )
@@ -228,6 +233,92 @@ def test_block_slices_refuse_an_entry_across_blocks(a4_c):
         _block_slices(crossed.tocsr(), blocks)
 
 
+def test_sl2z3_modular_records(sl2z3):
+    c = class_calculus(sl2z3, "0121")
+    got = [exterior_dimension_info(c, m) for m in (5, 6)]
+    assert [(dim, info["method"], info["primes"]) for dim, info in got] == [
+        (12, "modular-certified", [1329157897, 1078345453]),
+        (11, "modular-certified", [1516271443, 1730694397]),
+    ]
+
+
+def test_s4_123_ranks_one_block_per_conjugation_orbit(s4, monkeypatch):
+    c = class_calculus(s4, "(123)")
+    rank_mod_p = linalg.rank_mod_p
+    calls = []
+
+    def counted(a, p):
+        calls.append(p)
+        return rank_mod_p(a, p)
+
+    monkeypatch.setattr(linalg, "rank_mod_p", counted)
+    dim, info = exterior_dimension_info(c, 5)
+    assert dim == 1308
+    # 12 grade blocks in 3 orbits (sizes 1, 3, 8), each ranked at both primes
+    assert len(calls) == 3 * 2
+    assert sorted(set(calls)) == sorted(info["primes"])
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_unequal_conjugate_blocks_refuse_certification(s4, monkeypatch, capsys, m):
+    c = class_calculus(s4, "(34)")
+    grading = _word_grading(c, m)
+    # the block of the largest grade with a nontrivial orbit is not its
+    # orbit's representative, the smallest grade
+    idx = next(
+        idx for idx in reversed(_grading_blocks(c, m))
+        if len({s4.conjugate(h, grading[idx[0]]) for h in range(s4.order)}) > 1
+    )
+    full = _factorial_sparse(braiding(c), m)
+    mutated = full.tolil(copy=True)
+    mutated[idx[0], idx[0]] += 1
+    mutated = mutated.tocsr()
+    monkeypatch.setattr(
+        calculus, "_factorial_sparse",
+        lambda b, k: mutated if k == m else _factorial_sparse(b, k),
+    )
+    with pytest.raises(CertificationError):
+        exterior_dimension_info(c, m)  # exact at degree 3, modular at 4
+    code = run(["extdims", "--group", "s4", "--class", "(34)", "--max-degree", str(m)])
+    captured = capsys.readouterr()
+    assert code != 0
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "blocks differ" in captured.err
+
+
+def _lexsort_digest(shape, entries, extra):
+    """Oracle for the prime digest: the entries sorted by (row, col)."""
+    rows, cols, vals = (np.array(x, dtype=np.int64) for x in zip(*entries))
+    order = np.lexsort((cols, rows))
+    return linalg.content_digest(
+        np.asarray(shape, dtype=np.int64).tobytes(),
+        rows[order].tobytes(),
+        cols[order].tobytes(),
+        vals[order].tobytes(),
+        extra,
+    )
+
+
+def test_sparse_digest_reads_canonical_csr_order(a4_c):
+    # row 0 lists its columns out of order; row 2 holds (2, 3) as -3 + 1
+    mat = sp.csr_matrix(
+        (
+            np.array([5, -1, 3, -3, 7, 1], dtype=np.int64),
+            np.array([3, 0, 1, 3, 0, 3], dtype=np.int32),
+            np.array([0, 2, 3, 6], dtype=np.int32),
+        ),
+        shape=(3, 4),
+    )
+    assert not mat.has_canonical_format
+    entries = [(0, 0, -1), (2, 3, -2), (0, 3, 5), (1, 1, 3), (2, 0, 7)]
+    assert _sparse_digest(mat, b"x") == _lexsort_digest((3, 4), entries, b"x")
+    big = _factorial_sparse(braiding(a4_c), 5).tocoo()
+    entries = list(zip(big.row.tolist(), big.col.tolist(), big.data.tolist()))
+    want = _lexsort_digest(big.shape, entries, b"exterior")
+    assert _sparse_digest(_factorial_sparse(braiding(a4_c), 5), b"exterior") == want
+
+
 def test_a4_quadratic_dimensions(a4_c):
     # degrees 2..5 agree with the full exterior tower
     assert [quadratic_dimension(a4_c, m) for m in range(2, 6)] == [8, 11, 12, 12]
@@ -309,6 +400,14 @@ def test_quadratic_tower_is_relabelling_invariant(a4, s3, data):
         tower = [quadratic_dimension(c, m) for m in range(2, top + 1)]
         base = class_calculus(group, element)
         assert tower == [quadratic_dimension(base, m) for m in range(2, top + 1)]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_exterior_dims_are_relabelling_invariant(s4, data):
+    perm = data.draw(st.permutations(range(1, s4.order)))
+    c = class_calculus(build_group(_relabelled(s4, perm)), "(34)")
+    assert [exterior_dimension(c, m) for m in range(6)] == [1, 6, 19, 42, 71, 96]
 
 
 def test_degree_cap_refusal(a4_c):

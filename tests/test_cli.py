@@ -228,6 +228,16 @@ def test_nonzero_d1_after_d0_fails_its_certification(capsys, monkeypatch):
     assert statuses["d1_after_d0_is_zero"] == "failed"
 
 
+def test_failed_group_axioms_fail_info(capsys, monkeypatch):
+    cli = sys.modules["ncgeo.cli"]
+    broken = cli.GroupSpecError("associativity fails", {"triple": ["x", "y", "z"]})
+    monkeypatch.setattr(cli, "axiom_violation", lambda names, table: broken)
+    code, out, _ = _capture(capsys, ["info"])
+    assert code == 3
+    statuses = {c["check_name"]: c["status"] for c in json.loads(out)["certifications"]}
+    assert statuses["group_axioms"] == "failed"
+
+
 def test_closed_stdout_exits_without_traceback():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))

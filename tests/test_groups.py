@@ -16,6 +16,7 @@ from ncgeo import (
     generated_subgroup,
     is_cyclic_class,
 )
+from ncgeo.groups import axiom_violation
 
 
 def test_builtin_orders():
@@ -38,6 +39,7 @@ def test_cyclic_groups(n):
 
 def test_group_axioms_on_builtins(a4, s3, s4, sl2z3):
     for g in (a4, s3, s4, sl2z3):
+        assert axiom_violation(g.names, g.table) is None
         e = g.identity
         for i in range(g.order):
             assert g.mult(i, g.inv(i)) == e

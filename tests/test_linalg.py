@@ -298,12 +298,16 @@ def test_deterministic_primes_are_stable_and_valid():
 
 def test_certified_rank_blocks_matches_block_ranks():
     blocks = [
-        ExactMatrix.from_rows([[1, 2], [2, 4]]).to_int_array(),
-        ExactMatrix.from_rows([[1, 0], [0, 1]]).to_int_array(),
+        (ExactMatrix.from_rows([[1, 2], [2, 4]]).to_int_array(), 1),
+        (ExactMatrix.from_rows([[1, 0], [0, 1]]).to_int_array(), 1),
     ]
     total, primes = certified_rank_blocks(blocks, content_digest(b"blocks"))
     assert total == 1 + 2
     assert len(primes) == 2
+    # a weight stands for that many similar blocks
+    weighted, same = certified_rank_blocks(
+        [(blocks[0][0], 3), (blocks[1][0], 2)], content_digest(b"blocks"))
+    assert (weighted, same) == (3 * 1 + 2 * 2, primes)
 
 
 @st.composite
@@ -344,7 +348,8 @@ def test_reduce_block_keeps_rank_and_leaves_no_redundant_line(block):
     exact = sympy.Matrix(block.tolist()).rank()
     assert rank(ExactMatrix.from_rows(block.tolist())) == exact
     assert peeled + rank(ExactMatrix.from_rows(core.tolist())) == exact
-    assert exact_rank_blocks([block]) == exact
+    assert exact_rank_blocks([(block, 1)]) == exact
+    assert exact_rank_blocks([(block, 3)]) == 3 * exact
     for p in deterministic_primes(content_digest(block.tobytes())):
         assert peeled + rank_mod_p(core, p) == rank_mod_p(block, p)
     assert core.shape[1] <= core.shape[0]
