@@ -11,9 +11,12 @@ matrices split into blocks by word product, and conjugation by a group
 element carries the block of product g onto that of its conjugate, so each
 block rank is taken once per conjugation orbit of products, after an exact
 check that the blocks of the orbit are similar under the induced word
-permutation.  The digest that fixes the primes reads the matrix in
-canonical CSR order.  numpy and scipy are imported only by these exterior
-ranks.  The quadratic cover, where only the degree-two relations are
+permutation.  The factorials are numpy arrays in canonical CSR order
+(``linalg.Csr``): A_m = (id (x) A_{m-1}) [m, -psi] is a signed sum of m
+column permutations of id (x) A_{m-1}, summed one row chunk at a time, so
+no sparse product is formed; the digest that fixes the primes reads those
+arrays.  numpy is imported only by these exterior ranks.  The quadratic
+cover, where only the degree-two relations are
 imposed, is exact on a word basis: degree m is spanned by a basis word of
 degree m - 1 times a letter, at most ``QUADRATIC_SIZE_LIMIT`` of them.
 """
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
 from .cyclotomic import ONE, ZERO, Cyclotomic, Scalar, as_cyc
 from .groups import ClassCalculus, DiagnosticError, FiniteGroup
@@ -32,7 +35,6 @@ from .linalg import ExactMatrix
 
 if TYPE_CHECKING:
     import numpy as np
-    import scipy.sparse as sp
 
 
 #: Largest degree the antisymmetrizer builders accept by default.
@@ -46,6 +48,9 @@ AUTO_EXACT_LIMIT = 256
 
 #: Largest spanning set (n times the previous quadratic dimension) accepted.
 QUADRATIC_SIZE_LIMIT = 4096
+
+#: Products summed and sorted together while a braided factorial is built.
+_CHUNK = 2**14
 
 
 class ScaleCapError(DiagnosticError, RuntimeError):
@@ -455,55 +460,107 @@ def _check_cap(b: BraidData, m: int, cap: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _psi_sparse(b: BraidData) -> sp.csr_matrix:
+def _psi_sparse(b: BraidData) -> linalg.Csr:
+    """The braiding as a permutation matrix: column j holds a 1 in row perm[j]."""
     import numpy as np
-    import scipy.sparse as sp
 
     size = len(b.perm)
-    rows = np.fromiter(b.perm, dtype=np.int64)
-    cols = np.arange(size, dtype=np.int64)
-    data = np.ones(size, dtype=np.int64)
-    return sp.csr_matrix((data, (rows, cols)), shape=(size, size))
+    perm = np.fromiter(b.perm, dtype=np.int64)
+    return linalg.csr_from_entries((size, size), perm, np.arange(size), np.ones(size, dtype=np.int64))
 
 
-@lru_cache(maxsize=None)
-def _bracket_sparse(b: BraidData, m: int) -> sp.csr_matrix:
-    """[m, -psi] = id - psi_12 (id (x) [m-1, -psi])."""
+def _letter_moves(b: BraidData, m: int) -> np.ndarray:
+    """Entry [k, u] is the column of row u's one entry in term k of [m, -psi].
+
+    [m, -psi] = sum_k (-1)^k psi_12 psi_23 ... psi_{k,k+1}, words numbered
+    with the first letter most significant.  Term k is a permutation
+    matrix: it moves the letter at position k + 1 to the front, conjugated
+    by the prefix.  So row u holds its entry in the column of the word in
+    which the first letter of u has moved back k places, past each next
+    letter by one inverse braiding (row r of psi holds its entry in column
+    psi^-1(r)).
+    """
     import numpy as np
-    import scipy.sparse as sp
 
     n = b.n
-    if m == 1:
-        return sp.identity(n, dtype=np.int64, format="csr")
-    sub = _bracket_sparse(b, m - 1)
-    psi12 = sp.kron(_psi_sparse(b), sp.identity(n ** (m - 2), dtype=np.int64), format="csr")
-    shifted = sp.kron(sp.identity(n, dtype=np.int64), sub, format="csr")
-    out = sp.identity(n**m, dtype=np.int64, format="csr") - psi12 @ shifted
-    out.eliminate_zeros()
+    back = _psi_sparse(b).indices.astype(np.int64)
+    words = np.arange(n**m, dtype=np.int64)
+    out = np.empty((m, n**m), dtype=np.int64)
+    out[0] = words
+    carried = words // n ** (m - 1)  # the moving letter
+    for k in range(1, m):
+        low = n ** (m - 1 - k)  # place value of position k
+        carried = back[carried * n + words // low % n] % n
+        out[k] = words // low % n**k * (n * low) + carried * low + words % low
     return out
 
 
 @lru_cache(maxsize=None)
-def _factorial_sparse(b: BraidData, m: int) -> sp.csr_matrix:
-    """A_m = (id (x) A_{m-1}) [m, -psi]."""
+def _bracket_sparse(b: BraidData, m: int) -> linalg.Csr:
+    """[m, -psi] = id - psi_12 + psi_12 psi_23 - ..., one signed permutation per term."""
     import numpy as np
-    import scipy.sparse as sp
+
+    size = b.n**m
+    signs = np.repeat((-1) ** np.arange(m, dtype=np.int64), size)
+    return linalg.csr_from_entries(
+        (size, size), np.tile(np.arange(size), m), _letter_moves(b, m).ravel(), signs
+    )
+
+
+@lru_cache(maxsize=None)
+def _factorial_sparse(b: BraidData, m: int) -> linalg.Csr:
+    """A_m = (id (x) A_{m-1}) [m, -psi], one first-letter row block at a time.
+
+    Right multiplication by term k of [m, -psi] moves every column c of
+    id (x) A_{m-1} to ``_letter_moves(b, m)[k][c]``, so no sparse product is
+    formed: each row block, in chunks of about ``_CHUNK`` products, is
+    summed and sorted on its own and appended to the result.
+    """
+    import numpy as np
 
     n = b.n
     if m == 1:
-        return sp.identity(n, dtype=np.int64, format="csr")
+        return _bracket_sparse(b, 1)  # A_1 = [1, -psi] = id
     prev = _factorial_sparse(b, m - 1)
-    out = sp.kron(sp.identity(n, dtype=np.int64), prev, format="csr") @ _bracket_sparse(b, m)
-    out.eliminate_zeros()
-    return out
+    moves = _letter_moves(b, m)
+    width, size = n ** (m - 1), n**m
+    prev_rows = prev.row_indices()
+    signs = (-1) ** np.arange(m, dtype=np.int64)[:, None]
+    # rows of A_{m-1} cut so that a chunk has about _CHUNK products
+    cuts = np.searchsorted(prev.indptr, np.arange(0, prev.data.size, max(1, _CHUNK // m)), "right")
+    cuts = np.unique(np.concatenate(([0], cuts - 1, [width])))
+    # every product may survive; pages of np.empty that are never written are
+    # never allocated, and the buffers shrink in place to the final count
+    bound = n * m * prev.data.size
+    indices = np.empty(bound, dtype=np.int32)
+    data = np.empty(bound, dtype=np.int64)
+    lengths = []
+    filled = 0
+    for a in range(n):
+        for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            s, e = prev.indptr[lo], prev.indptr[hi]
+            chunk = linalg.csr_from_entries(
+                (hi - lo, size),
+                np.tile(prev_rows[s:e] - lo, m),
+                moves[:, a * width + prev.indices[s:e]].ravel(),
+                (signs * prev.data[s:e]).ravel(),
+            )
+            lengths.append(np.diff(chunk.indptr))
+            indices[filled : filled + chunk.data.size] = chunk.indices
+            data[filled : filled + chunk.data.size] = chunk.data
+            filled += chunk.data.size
+    indices.resize(filled, refcheck=False)
+    data.resize(filled, refcheck=False)
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(lengths), out=indptr[1:])
+    return linalg.Csr((size, size), indptr, indices, data)
 
 
-def _sparse_to_exact(m: sp.spmatrix) -> ExactMatrix:
-    coo = m.tocoo()
+def _sparse_to_exact(m: linalg.Csr) -> ExactMatrix:
     rows, cols = m.shape
     data = [[ZERO] * cols for _ in range(rows)]
-    for r, col, v in zip(coo.row, coo.col, coo.data):
-        data[r][col] = Cyclotomic.from_int(int(v))
+    for r, col, v in zip(m.row_indices().tolist(), m.indices.tolist(), m.data.tolist()):
+        data[r][col] = Cyclotomic.from_int(v)
     return ExactMatrix(rows, cols, data)
 
 
@@ -544,55 +601,74 @@ def _word_grading(c: ClassCalculus, m: int) -> tuple[int, ...]:
 
 
 def _grading_blocks(c: ClassCalculus, m: int) -> list[np.ndarray]:
+    """The words of each grade, in increasing order, grades in increasing order."""
     import numpy as np
 
     grading = np.fromiter(_word_grading(c, m), dtype=np.int64)
-    return [np.nonzero(grading == g)[0] for g in sorted(set(grading.tolist()))]
+    return [np.flatnonzero(grading == g) for g in sorted(set(grading.tolist()))]
 
 
-def _block_slices(mat: sp.csr_matrix, blocks: list[np.ndarray]) -> list[sp.csr_matrix]:
-    """Sparse per-block submatrices; verifies the matrix respects the blocks."""
-    out = [mat[idx][:, idx] for idx in blocks]
-    if sum(sub.count_nonzero() for sub in out) != mat.count_nonzero():
-        raise linalg.CertificationError(
-            "matrix does not respect the word-product block structure"
-        )
-    return out
+def _block_slices(mat: linalg.Csr, blocks: list[np.ndarray]) -> Iterator[linalg.Csr]:
+    """Per-block submatrices, in block order; verifies the matrix respects the blocks.
+
+    Every word lies in one block, so every entry is read once, in the block
+    of its row, where its column must lie too.
+    """
+    import numpy as np
+
+    block_of = np.empty(mat.shape[0], dtype=np.int64)  # word -> its block
+    place = np.empty(mat.shape[0], dtype=np.int32)  # word -> its place in the block
+    for k, idx in enumerate(blocks):
+        block_of[idx] = k
+        place[idx] = np.arange(idx.size)
+    row_lengths = np.diff(mat.indptr)
+    for k, idx in enumerate(blocks):
+        lengths = row_lengths[idx]
+        indptr = np.zeros(idx.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        entries = np.repeat(mat.indptr[idx] - indptr[:-1], lengths) + np.arange(indptr[-1])
+        cols = mat.indices[entries]
+        if (block_of[cols] != k).any():
+            raise linalg.CertificationError(
+                "matrix does not respect the word-product block structure"
+            )
+        yield linalg.Csr((idx.size, idx.size), indptr, place[cols], mat.data[entries])
 
 
 def _orbit_blocks(
-    c: ClassCalculus, m: int, mat: sp.csr_matrix
-) -> list[tuple[sp.csr_matrix, int]]:
+    c: ClassCalculus, m: int, mat: linalg.Csr
+) -> list[tuple[linalg.Csr, int]]:
     """One grade block per conjugation orbit of grades, with the orbit size.
 
     Conjugation by h commutes with the braiding, so A_m commutes with the
     word permutation that conjugates every letter by h, and that permutation
     carries the block of grade g onto the block of grade h g h^-1.  Every
     other block of an orbit is checked to equal the representative's block
-    under it, entry for entry, so its rank is the same in every field.
+    under it, entry for entry, so its rank is the same in every field.  The
+    representative is the orbit's first block, so one pass over the blocks
+    keeps only the representatives.
     """
     import numpy as np
 
     group = c.group
     blocks = _grading_blocks(c, m)
-    slices = _block_slices(mat, blocks)
     grading = _word_grading(c, m)
     block_of = {grading[idx[0]]: k for k, idx in enumerate(blocks)}
     place = {e: pos for pos, e in enumerate(c.elements)}
     powers = c.n ** np.arange(m - 1, -1, -1)  # first letter most significant
     where = np.full(c.n**m, -1)  # word -> its place in a block, or -1
+    twins: dict[int, tuple[int, np.ndarray | None]] = {}  # block -> (representative, word map)
     weights = [0] * len(blocks)
-    done: set[int] = set()
     for k, idx in enumerate(blocks):
-        if k in done:
+        if k in twins:
             continue
         for h in range(group.order):
             j = block_of[group.conjugate(h, grading[idx[0]])]
-            if j in done:
+            if j in twins:
                 continue
-            done.add(j)
             weights[k] += 1
             if j == k:
+                twins[j] = (k, None)
                 continue
             letter = np.array([place[group.conjugate(h, e)] for e in c.elements])
             image = (letter[idx[:, None] // powers % c.n] * powers).sum(axis=1)
@@ -604,27 +680,33 @@ def _orbit_blocks(
                 raise linalg.CertificationError(
                     "conjugation does not map a grade block onto a grade block"
                 )
-            if (slices[j][pos][:, pos] - slices[k]).count_nonzero():
-                raise linalg.CertificationError("conjugate grade blocks differ")
-    return [(slices[k], w) for k, w in enumerate(weights) if w]
+            twins[j] = (k, pos)
+    reps: dict[int, linalg.Csr] = {}
+    for j, block in enumerate(_block_slices(mat, blocks)):
+        k, pos = twins[j]
+        if k == j:
+            reps[k] = block
+            continue
+        rep = reps[k]
+        moved = linalg.csr_from_entries(rep.shape, pos[rep.row_indices()], pos[rep.indices], rep.data)
+        # both are canonical, so equal matrices have equal indptr, indices and data
+        if not all(map(np.array_equal, moved[1:], block[1:])):
+            raise linalg.CertificationError("conjugate grade blocks differ")
+    return [(reps[k], weights[k]) for k in reps]
 
 
-def _sparse_digest(mat: sp.csr_matrix, extra: bytes) -> bytes:
+def _sparse_digest(mat: linalg.Csr, extra: bytes) -> bytes:
     """SHA-256 of the shape, then the rows, columns and values in row-major order.
 
-    The entries are read in canonical CSR order: ``sum_duplicates`` sorts
-    the column indices of each row and sums repeated entries, in place, and
-    no copy of the matrix is made.
+    Each part is read as int64 bytes, the entries in canonical CSR order.
     """
     import numpy as np
 
-    mat.sum_duplicates()
-    rows = np.repeat(np.arange(mat.shape[0], dtype=np.int64), np.diff(mat.indptr))
     return linalg.content_digest(
         np.asarray(mat.shape, dtype=np.int64).tobytes(),
-        rows,
+        mat.row_indices(),
         mat.indices.astype(np.int64),
-        np.ascontiguousarray(mat.data, dtype=np.int64),
+        mat.data,
         extra,
     )
 

@@ -7,8 +7,9 @@ exact rank is the pivot count of a forward pass; nullspace, solve_affine
 and invert read the reduced row echelon form (``rref``), whose pivot rows
 are divided by their pivots once, through the norm.  The RREF is unique,
 so solution bases are byte-stable.  Large integer matrices
-(antisymmetrizers at degrees 5-6) are shrunk block by block
-(``reduce_block``) and go through rank mod p for two deterministically
+(antisymmetrizers at degrees 5-6), kept as numpy arrays in canonical CSR
+order (``Csr``), are shrunk block by block (``reduce_block``) and go
+through rank mod p for two deterministically
 chosen primes > 2**30 congruent to 1 mod 3; agreement of the two ranks is
 the certification contract.  The block rankers take (block, weight) pairs,
 so a block that stands for a whole orbit of similar blocks, checked equal
@@ -21,7 +22,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .cyclotomic import ONE, ZERO, Cyclotomic, Scalar, as_cyc
 
@@ -158,22 +159,10 @@ class ExactMatrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
 
-    # -- predicates / conversions -------------------------------------------
+    # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
         return all(not v for row in self.data for v in row)
-
-    def to_int_array(self) -> np.ndarray:
-        """Integer numpy copy; raises on non-integer entries."""
-        import numpy as np
-
-        out = np.empty((self.rows, self.cols), dtype=object)
-        for i, row in enumerate(self.data):
-            for j, v in enumerate(row):
-                if not v.is_integer():
-                    raise ValueError(f"non-integer entry at ({i}, {j}): {v}")
-                out[i, j] = v.triple()[0]
-        return out.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -531,12 +520,64 @@ def _distinct_lines(
     return lines[keep], others[keep], vals[keep]
 
 
+class Csr(NamedTuple):
+    """A sparse integer matrix as numpy arrays in canonical CSR order.
+
+    Row i holds the entries ``indptr[i]:indptr[i + 1]`` of ``indices``
+    (int32 columns, increasing) and ``data`` (int64 values, all nonzero).
+    """
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    def row_indices(self) -> np.ndarray:
+        """The row of every entry."""
+        import numpy as np
+
+        return np.repeat(np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr))
+
+
+def csr_from_entries(shape: tuple[int, int], rows, cols, vals) -> Csr:
+    """The matrix whose entries at repeated positions sum; zeros are dropped.
+
+    One sort orders the entries: each is packed into a single int64 key,
+    row above column above value, so equal positions end up adjacent.
+    """
+    import numpy as np
+
+    nrows, ncols = shape
+    span = int(np.abs(vals).max(initial=0))  # values lie in [-span, span]
+    vbits = (2 * span).bit_length()
+    cbits = max(ncols - 1, 0).bit_length()
+    if ncols > 2**31 or nrows << (cbits + vbits) > 2**63:
+        raise OverflowError(f"{nrows} x {ncols} entries up to {span} do not pack into int64")
+    key = np.left_shift(rows, cbits + vbits, dtype=np.int64)
+    key |= np.left_shift(cols, vbits, dtype=np.int64)
+    key += vals
+    key += span  # the low bits now hold vals + span, in [0, 2**vbits)
+    key.sort()
+    place = key >> vbits  # row << cbits | column
+    first = np.empty(key.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(place[1:], place[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    key &= (1 << vbits) - 1
+    key -= span
+    sums = np.add.reduceat(key, starts) if starts.size else key
+    keep = sums != 0
+    place = place[starts][keep]
+    indptr = np.searchsorted(place, np.arange(nrows + 1, dtype=np.int64) << cbits)
+    return Csr(shape, indptr, (place & ((1 << cbits) - 1)).astype(np.int32), sums[keep])
+
+
 def reduce_block(block) -> tuple[int, np.ndarray]:
     """Shrink an integer matrix to a core with the same rank up to a count.
 
-    ``block`` is a 2-D integer array or a scipy sparse matrix.  Returns
-    ``(peeled, core)`` with rank(block) = peeled + rank(core) over Q and
-    modulo every prime:
+    ``block`` is a 2-D integer array or a ``Csr``.  Returns ``(peeled,
+    core)`` with rank(block) = peeled + rank(core) over Q and modulo every
+    prime:
 
     * a row whose only nonzero entry is +-1 makes its column a pivot in every
       field; the column is counted and deleted, repeatedly;
@@ -546,9 +587,8 @@ def reduce_block(block) -> tuple[int, np.ndarray]:
     """
     import numpy as np
 
-    if hasattr(block, "tocoo"):
-        coo = block.tocoo()
-        rows, cols, vals = coo.row, coo.col, coo.data
+    if isinstance(block, Csr):
+        rows, cols, vals = block.row_indices(), block.indices, block.data
     else:
         block = np.asarray(block)
         rows, cols = np.nonzero(block)

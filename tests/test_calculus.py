@@ -39,6 +39,7 @@ from ncgeo import calculus, linalg
 from ncgeo.cli import run
 from ncgeo.calculus import (
     _block_slices,
+    _bracket_sparse,
     _factorial_sparse,
     _grading_blocks,
     _sparse_digest,
@@ -46,6 +47,9 @@ from ncgeo.calculus import (
     one_form_right_mul,
     two_form_right_mul,
 )
+from ncgeo.linalg import csr_from_entries
+
+from helpers import to_int_array
 
 small = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=3
@@ -121,19 +125,19 @@ def signed_word_antisymmetrizer(c, m):
 def test_antisymmetrizer_matches_signed_word_sum_a4(a4_c, m):
     got = braided_factorial(braiding(a4_c), m)
     expected = signed_word_antisymmetrizer(a4_c, m)
-    assert got.to_int_array().tolist() == expected.tolist()
+    assert to_int_array(got).tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_antisymmetrizer_matches_signed_word_sum_s3(s3_c, m):
     got = braided_factorial(braiding(s3_c), m)
     expected = signed_word_antisymmetrizer(s3_c, m)
-    assert got.to_int_array().tolist() == expected.tolist()
+    assert to_int_array(got).tolist() == expected.tolist()
 
 
 def test_braided_integer_degree_two(a4_c):
     b = braiding(a4_c)
-    got = braided_integer(b, 2).to_int_array()
+    got = to_int_array(braided_integer(b, 2))
     expected = np.eye(16, dtype=np.int64) - _psi_dense(a4_c)
     assert got.tolist() == expected.tolist()
 
@@ -222,15 +226,24 @@ def test_s4_exterior_towers(s4, element):
     assert [(dim, info["method"], info.get("primes")) for dim, info in got] == tower
 
 
+def _with_entry(mat, row, col, value):
+    """A copy of a Csr matrix with value added at (row, col)."""
+    return csr_from_entries(
+        mat.shape,
+        np.append(mat.row_indices(), row),
+        np.append(mat.indices, col),
+        np.append(mat.data, value),
+    )
+
+
 def test_block_slices_refuse_an_entry_across_blocks(a4_c):
     mat = _factorial_sparse(braiding(a4_c), 3)
     blocks = _grading_blocks(a4_c, 3)
-    slices = _block_slices(mat, blocks)
-    assert sum(sub.count_nonzero() for sub in slices) == mat.count_nonzero()
-    crossed = mat.tolil(copy=True)
-    crossed[blocks[0][0], blocks[1][0]] = 1
+    slices = list(_block_slices(mat, blocks))
+    assert sum(sub.data.size for sub in slices) == mat.data.size
+    crossed = _with_entry(mat, blocks[0][0], blocks[1][0], 1)
     with pytest.raises(CertificationError):
-        _block_slices(crossed.tocsr(), blocks)
+        list(_block_slices(crossed, blocks))
 
 
 def test_sl2z3_modular_records(sl2z3):
@@ -270,9 +283,7 @@ def test_unequal_conjugate_blocks_refuse_certification(s4, monkeypatch, capsys, 
         if len({s4.conjugate(h, grading[idx[0]]) for h in range(s4.order)}) > 1
     )
     full = _factorial_sparse(braiding(c), m)
-    mutated = full.tolil(copy=True)
-    mutated[idx[0], idx[0]] += 1
-    mutated = mutated.tocsr()
+    mutated = _with_entry(full, idx[0], idx[0], 1)
     monkeypatch.setattr(
         calculus, "_factorial_sparse",
         lambda b, k: mutated if k == m else _factorial_sparse(b, k),
@@ -302,21 +313,66 @@ def _lexsort_digest(shape, entries, extra):
 
 def test_sparse_digest_reads_canonical_csr_order(a4_c):
     # row 0 lists its columns out of order; row 2 holds (2, 3) as -3 + 1
-    mat = sp.csr_matrix(
-        (
-            np.array([5, -1, 3, -3, 7, 1], dtype=np.int64),
-            np.array([3, 0, 1, 3, 0, 3], dtype=np.int32),
-            np.array([0, 2, 3, 6], dtype=np.int32),
-        ),
-        shape=(3, 4),
+    # and (1, 2) as 4 - 4, which cancels
+    mat = csr_from_entries(
+        (3, 4),
+        np.array([0, 0, 1, 2, 2, 2, 1, 1]),
+        np.array([3, 0, 1, 3, 0, 3, 2, 2]),
+        np.array([5, -1, 3, -3, 7, 1, 4, -4]),
     )
-    assert not mat.has_canonical_format
     entries = [(0, 0, -1), (2, 3, -2), (0, 3, 5), (1, 1, 3), (2, 0, 7)]
+    assert mat.indptr.tolist() == [0, 2, 3, 5]
     assert _sparse_digest(mat, b"x") == _lexsort_digest((3, 4), entries, b"x")
-    big = _factorial_sparse(braiding(a4_c), 5).tocoo()
+    # against the oracle: scipy's product, read in lexsort order
+    big = _scipy_factorial(braiding(a4_c), 5).tocoo()
     entries = list(zip(big.row.tolist(), big.col.tolist(), big.data.tolist()))
     want = _lexsort_digest(big.shape, entries, b"exterior")
     assert _sparse_digest(_factorial_sparse(braiding(a4_c), 5), b"exterior") == want
+
+
+def _scipy_bracket(b, m):
+    """Oracle: [m, -psi] = id - psi_12 (id (x) [m-1, -psi]) by scipy products."""
+    n = b.n
+    if m == 1:
+        return sp.identity(n, dtype=np.int64, format="csr")
+    size = n * n
+    psi = sp.csr_matrix(
+        (np.ones(size, dtype=np.int64), (np.array(b.perm), np.arange(size))),
+        shape=(size, size),
+    )
+    psi12 = sp.kron(psi, sp.identity(n ** (m - 2), dtype=np.int64), format="csr")
+    shifted = sp.kron(sp.identity(n, dtype=np.int64), _scipy_bracket(b, m - 1), format="csr")
+    return sp.identity(n**m, dtype=np.int64, format="csr") - psi12 @ shifted
+
+
+def _scipy_factorial(b, m):
+    """Oracle: A_m = (id (x) A_{m-1}) [m, -psi] by scipy products."""
+    n = b.n
+    if m == 1:
+        return sp.identity(n, dtype=np.int64, format="csr")
+    shifted = sp.kron(sp.identity(n, dtype=np.int64), _scipy_factorial(b, m - 1), format="csr")
+    return shifted @ _scipy_bracket(b, m)
+
+
+def _assert_same_entries(got, want):
+    want = want.tocsr()
+    want.sum_duplicates()
+    want.eliminate_zeros()
+    assert got.shape == want.shape
+    assert got.indptr.tolist() == want.indptr.tolist()
+    assert got.indices.tolist() == want.indices.tolist()
+    assert got.data.tolist() == want.data.tolist()
+
+
+@pytest.mark.parametrize("group, element, top", [
+    ("a4", "t", 5), ("s3", "(12)", 5), ("sl2z3", "0121", 5),
+    ("s4", "(34)", 5), ("s4", "(123)", 4),
+])
+def test_numpy_factorials_equal_the_scipy_products(group, element, top):
+    b = braiding(class_calculus(build_group(group), element))
+    for m in range(1, top + 1):
+        _assert_same_entries(_bracket_sparse(b, m), _scipy_bracket(b, m))
+        _assert_same_entries(_factorial_sparse(b, m), _scipy_factorial(b, m))
 
 
 def test_a4_quadratic_dimensions(a4_c):

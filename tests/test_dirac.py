@@ -27,6 +27,8 @@ from ncgeo import (
 )
 from ncgeo.dirac import right_translation_blocks
 
+from helpers import to_int_array
+
 W_SIGNS = {
     # off-diagonal blocks of the free operator, frozen sign patterns
     # over the class order (t, x, y, z)
@@ -186,7 +188,7 @@ def test_translation_blocks_are_permutations(a4_c):
     blocks = right_translation_blocks(a4_c)
     assert sorted(blocks) == sorted(a4_c.labels)
     for mat in blocks.values():
-        arr = mat.to_int_array()
+        arr = to_int_array(mat)
         assert arr.sum(axis=0).tolist() == [1] * 12
         assert arr.sum(axis=1).tolist() == [1] * 12
 

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import sympy
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +15,7 @@ from ncgeo.linalg import (
     AffineSpace,
     certified_rank_blocks,
     content_digest,
+    csr_from_entries,
     deterministic_primes,
     exact_rank_blocks,
     invert,
@@ -28,6 +28,8 @@ from ncgeo.linalg import (
     rref,
     solve_affine,
 )
+
+from helpers import to_int_array
 
 small_fracs = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=4
@@ -298,8 +300,8 @@ def test_deterministic_primes_are_stable_and_valid():
 
 def test_certified_rank_blocks_matches_block_ranks():
     blocks = [
-        (ExactMatrix.from_rows([[1, 2], [2, 4]]).to_int_array(), 1),
-        (ExactMatrix.from_rows([[1, 0], [0, 1]]).to_int_array(), 1),
+        (to_int_array(ExactMatrix.from_rows([[1, 2], [2, 4]])), 1),
+        (to_int_array(ExactMatrix.from_rows([[1, 0], [0, 1]])), 1),
     ]
     total, primes = certified_rank_blocks(blocks, content_digest(b"blocks"))
     assert total == 1 + 2
@@ -360,9 +362,33 @@ def test_reduce_block_keeps_rank_and_leaves_no_redundant_line(block):
             key = (line * np.sign(line[np.flatnonzero(line)[0]])).tobytes()
             assert key not in seen
             seen.add(key)
-    sparse_peeled, sparse_core = reduce_block(sp.csr_matrix(block))
+    rows, cols = np.nonzero(block)
+    sparse = csr_from_entries(block.shape, rows, cols, block[rows, cols])
+    sparse_peeled, sparse_core = reduce_block(sparse)
     assert sparse_peeled == peeled
     assert np.array_equal(sparse_core, core)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(-3, 3)),
+                max_size=30))
+def test_csr_from_entries_sums_repeats_and_drops_zeros(entries):
+    rows, cols, vals = (np.array([e[i] for e in entries], dtype=np.int64) for i in range(3))
+    mat = csr_from_entries((5, 6), rows, cols, vals)
+    dense = np.zeros((5, 6), dtype=np.int64)
+    np.add.at(dense, (rows, cols), vals)
+    r, c = np.nonzero(dense)  # row-major
+    assert mat.indptr.tolist() == [0, *np.cumsum(np.count_nonzero(dense, axis=1)).tolist()]
+    assert mat.indices.tolist() == c.tolist()
+    assert mat.data.tolist() == dense[r, c].tolist()
+    assert np.array_equal(mat.row_indices(), r)
+
+
+def test_csr_from_entries_refuses_keys_beyond_int64():
+    one = np.array([1])
+    assert csr_from_entries((2**20, 2**20), one, one, one).data.tolist() == [1]
+    with pytest.raises(OverflowError):
+        csr_from_entries((2**20, 2**20), one, one, np.array([2**30]))
 
 
 def test_rank_mod_p_refuses_moduli_outside_int64_range():
@@ -422,8 +448,7 @@ def test_cli_import_leaves_out_sympy():
 
 
 def test_cli_import_leaves_out_scipy():
-    # only the modular exterior certificate needs numpy and scipy.sparse;
-    # it imports them itself
+    # only the exterior ranks need numpy, and they import it themselves
     names = ("numpy", "scipy", "scipy.sparse")
     for module in ("ncgeo", "ncgeo.cli"):
         assert _modules_loaded_after(f"import {module}", *names) == "[False, False, False]"
@@ -443,3 +468,6 @@ def test_numpy_loads_only_for_the_modular_exterior_ranks():
     exact = _run_quietly(["cohomology"], ["connections", "--mu", "3/7"])
     assert _modules_loaded_after(exact, "numpy") == "[False]"
     assert _modules_loaded_after(_run_quietly(["extdims"]), "numpy") == "[True]"
+    # the braided factorials are plain numpy arrays: scipy is never loaded
+    quadratic = _run_quietly(["extdims", "--quadratic"])
+    assert _modules_loaded_after(quadratic, "numpy", "scipy") == "[True, False]"
