@@ -2,7 +2,11 @@
 
 Functions on G form the base algebra; the one-form module has a left basis
 {e_a} indexed by the class, with the bimodule rule e_a f = R_a(f) e_a and
-the differential d f = sum_a (R_a - id)(f) e_a.  Degree-two and higher
+the differential d f = sum_a (R_a - id)(f) e_a.  One-forms, two-forms
+and the tensor square of the one-forms are all ``Form``s: coefficient
+functions on the left of a fixed basis (e_a, the degree-two basis, or
+e_a (x) e_b), and every constant-matrix map on the coefficients, the wedge
+quotient among them, is ``Form.apply``.  Degree-two and higher
 relations come from the braiding e_a (x) e_b -> e_{aba^-1} (x) e_a via
 braided integers and factorials; exterior dimensions are the ranks of the
 braided factorials, computed exactly in small degree and certified modulo
@@ -85,7 +89,7 @@ class GroupFunction:
         return cls((ZERO,) * order)
 
     def is_zero(self) -> bool:
-        return all(not v for v in self.values)
+        return not any(self.values)
 
     def is_constant(self) -> bool:
         return all(v == self.values[0] for v in self.values)
@@ -134,94 +138,90 @@ def partial(c: ClassCalculus, a: Union[int, str], f: GroupFunction) -> GroupFunc
 
 
 # ---------------------------------------------------------------------------
-# one-forms and two-forms
+# forms: one-forms, two-forms and the tensor square
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class OneForm:
-    """sum_a f_a e_a with the coefficient functions kept on the left."""
+class Form:
+    """sum_i f_i b_i over a fixed left basis, the coefficient functions on the left.
+
+    The basis b_i is e_a for one-forms, the degree-two basis of
+    ``omega2_basis`` for two-forms, and e_a (x) e_b at index a * n + b for
+    the tensor square of the one-forms.
+    """
 
     coeffs: tuple[GroupFunction, ...]
+
+    @classmethod
+    def zero(cls, order: int, size: int) -> "Form":
+        return cls((GroupFunction.zero(order),) * size)
+
+    @classmethod
+    def constant(cls, order: int, values: Sequence[Scalar]) -> "Form":
+        return cls(tuple(GroupFunction.constant(order, v) for v in values))
+
+    def vector(self) -> list[Cyclotomic]:
+        """The coefficients flattened, basis index slowest, group point fastest."""
+        return [v for f in self.coeffs for v in f.values]
 
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.coeffs)
 
-    def __add__(self, other: "OneForm") -> "OneForm":
-        return OneForm(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+    def __add__(self, other: "Form") -> "Form":
+        return Form(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other: "OneForm") -> "OneForm":
-        return OneForm(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+    def __sub__(self, other: "Form") -> "Form":
+        return Form(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> "OneForm":
-        return OneForm(tuple(-a for a in self.coeffs))
+    def __neg__(self) -> "Form":
+        return Form(tuple(-a for a in self.coeffs))
 
-    def scale(self, s: Scalar) -> "OneForm":
+    def scale(self, s: Scalar) -> "Form":
         s = as_cyc(s)
-        return OneForm(tuple(f * s for f in self.coeffs))
+        return Form(tuple(f * s for f in self.coeffs))
 
-    def left_mul(self, f: GroupFunction) -> "OneForm":
-        return OneForm(tuple(f * g for g in self.coeffs))
+    def left_mul(self, f: GroupFunction) -> "Form":
+        return Form(tuple(f * g for g in self.coeffs))
 
+    def apply(self, mat: ExactMatrix) -> "Form":
+        """The left-linear map f_i -> sum_j mat[i][j] f_j, skipping zero columns.
 
-@dataclass(frozen=True)
-class TwoForm:
-    """Coefficients over the fixed degree-two basis of the class calculus."""
-
-    coeffs: tuple[GroupFunction, ...]
-
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for f in self.coeffs)
-
-    def __add__(self, other: "TwoForm") -> "TwoForm":
-        return TwoForm(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "TwoForm") -> "TwoForm":
-        return TwoForm(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "TwoForm":
-        return TwoForm(tuple(-a for a in self.coeffs))
-
-    def scale(self, s: Scalar) -> "TwoForm":
-        s = as_cyc(s)
-        return TwoForm(tuple(f * s for f in self.coeffs))
-
-    def left_mul(self, f: GroupFunction) -> "TwoForm":
-        return TwoForm(tuple(f * g for g in self.coeffs))
+        A form with no coefficients carries no group order; its image has
+        empty coefficient functions, which read as zero.
+        """
+        zero = GroupFunction.zero(len(self.coeffs[0].values) if self.coeffs else 0)
+        out = [zero] * mat.rows
+        for j, f in enumerate(self.coeffs):
+            if f.is_zero():
+                continue
+            for i, row in enumerate(mat.data):
+                if row[j]:
+                    out[i] = out[i] + f * row[j]
+        return Form(tuple(out))
 
 
-def zero_one_form(c: ClassCalculus) -> OneForm:
-    return OneForm(tuple(GroupFunction.zero(c.group.order) for _ in range(c.n)))
-
-
-def e_form(c: ClassCalculus, a: Union[int, str]) -> OneForm:
+def e_form(c: ClassCalculus, a: Union[int, str]) -> Form:
     """The basis one-form attached to a class element."""
     pos = c.position(a) if isinstance(a, str) else a
-    order = c.group.order
-    return OneForm(
-        tuple(
-            GroupFunction.constant(order) if i == pos else GroupFunction.zero(order)
-            for i in range(c.n)
-        )
-    )
+    return Form.constant(c.group.order, [ONE if i == pos else ZERO for i in range(c.n)])
 
 
-def theta(c: ClassCalculus) -> OneForm:
+def theta(c: ClassCalculus) -> Form:
     """The sum of all basis one-forms; generates d by graded commutator."""
-    order = c.group.order
-    return OneForm(tuple(GroupFunction.constant(order) for _ in range(c.n)))
+    return Form.constant(c.group.order, [ONE] * c.n)
 
 
-def one_form_right_mul(c: ClassCalculus, w: OneForm, f: GroupFunction) -> OneForm:
+def one_form_right_mul(c: ClassCalculus, w: Form, f: GroupFunction) -> Form:
     """w * f, moved into left presentation via e_a f = R_a(f) e_a."""
-    return OneForm(
+    return Form(
         tuple(g * right_translate(c, i, f) for i, g in enumerate(w.coeffs))
     )
 
 
-def right_to_left(c: ClassCalculus, right_coeffs: Sequence[GroupFunction]) -> OneForm:
+def right_to_left(c: ClassCalculus, right_coeffs: Sequence[GroupFunction]) -> Form:
     """Rewrite sum_b e_b h_b as sum_b R_b(h_b) e_b."""
-    return OneForm(
+    return Form(
         tuple(right_translate(c, i, h) for i, h in enumerate(right_coeffs))
     )
 
@@ -248,15 +248,6 @@ class BraidData:
         for col, row in enumerate(self.perm):
             m.data[row][col] = ONE
         return m
-
-    def order(self) -> int:
-        k = 1
-        cur = list(self.perm)
-        ident = list(range(len(self.perm)))
-        while cur != ident:
-            cur = [self.perm[i] for i in cur]
-            k += 1
-        return k
 
 
 @lru_cache(maxsize=None)
@@ -366,42 +357,39 @@ def basis_pair_labels(c: ClassCalculus) -> list[str]:
     return [f"e_{labels[a]}^e_{labels[b]}" for a, b in basis.pairs]
 
 
-def zero_two_form(c: ClassCalculus) -> TwoForm:
-    dim = omega2_basis(c).dim
-    return TwoForm(tuple(GroupFunction.zero(c.group.order) for _ in range(dim)))
+def zero_two_form(c: ClassCalculus) -> Form:
+    return Form.zero(c.group.order, omega2_basis(c).dim)
 
 
-def reduce_tensor_pair(c: ClassCalculus, a: int, b: int) -> list[Cyclotomic]:
-    """Coordinates of e_a (x) e_b over the degree-two basis."""
-    basis = omega2_basis(c)
-    col = a * c.n + b
-    return [basis.reduction.data[i][col] for i in range(basis.dim)]
-
-
-def wedge(c: ClassCalculus, u: OneForm, v: OneForm) -> TwoForm:
-    """(f e_a) ^ (h e_b) = f R_a(h) [e_a e_b], reduced to the fixed basis."""
-    basis = omega2_basis(c)
-    order = c.group.order
-    out = [GroupFunction.zero(order) for _ in range(basis.dim)]
-    for i, f in enumerate(u.coeffs):
+def tensor_of_forms(c: ClassCalculus, u: Form, v: Form) -> Form:
+    """u (x) v, moving v's coefficients left: f e_a (x) h e_b = f R_a(h) e_a (x) e_b."""
+    zero = GroupFunction.zero(c.group.order)
+    live = [not h.is_zero() for h in v.coeffs]
+    coeffs: list[GroupFunction] = []
+    for a, f in enumerate(u.coeffs):
         if f.is_zero():
-            continue
-        for j, h in enumerate(v.coeffs):
-            if h.is_zero():
-                continue
-            prod = f * right_translate(c, i, h)
-            col = i * c.n + j
-            for beta in range(basis.dim):
-                r = basis.reduction.data[beta][col]
-                if r:
-                    out[beta] = out[beta] + prod * r
-    return TwoForm(tuple(out))
+            coeffs.extend([zero] * len(live))
+        else:
+            coeffs.extend(
+                f * right_translate(c, a, h) if ok else zero for h, ok in zip(v.coeffs, live)
+            )
+    return Form(tuple(coeffs))
 
 
-def two_form_right_mul(c: ClassCalculus, w: TwoForm, f: GroupFunction) -> TwoForm:
+def wedge_tensor(c: ClassCalculus, t: Form) -> Form:
+    """Image of a tensor under the wedge quotient map, over the degree-two basis."""
+    return t.apply(omega2_basis(c).reduction)
+
+
+def wedge(c: ClassCalculus, u: Form, v: Form) -> Form:
+    """(f e_a) ^ (h e_b) = f R_a(h) [e_a e_b], reduced to the fixed basis."""
+    return wedge_tensor(c, tensor_of_forms(c, u, v))
+
+
+def two_form_right_mul(c: ClassCalculus, w: Form, f: GroupFunction) -> Form:
     """w * f: the function moves left through both legs of each basis wedge."""
     basis = omega2_basis(c)
-    return TwoForm(
+    return Form(
         tuple(
             g * translate_by_element(c.group, basis.prod_elem[beta], f)
             for beta, g in enumerate(w.coeffs)
@@ -414,13 +402,13 @@ def two_form_right_mul(c: ClassCalculus, w: TwoForm, f: GroupFunction) -> TwoFor
 # ---------------------------------------------------------------------------
 
 
-def d0(c: ClassCalculus, f: GroupFunction) -> OneForm:
+def d0(c: ClassCalculus, f: GroupFunction) -> Form:
     """d f = sum_a (R_a - id)(f) e_a."""
-    return OneForm(tuple(partial(c, a, f) for a in range(c.n)))
+    return Form(tuple(partial(c, a, f) for a in range(c.n)))
 
 
 @lru_cache(maxsize=None)
-def de_basis(c: ClassCalculus) -> tuple[TwoForm, ...]:
+def de_basis(c: ClassCalculus) -> tuple[Form, ...]:
     """d e_a = theta ^ e_a + e_a ^ theta for each class position."""
     th = theta(c)
     out = []
@@ -430,7 +418,7 @@ def de_basis(c: ClassCalculus) -> tuple[TwoForm, ...]:
     return tuple(out)
 
 
-def d1(c: ClassCalculus, w: OneForm) -> TwoForm:
+def d1(c: ClassCalculus, w: Form) -> Form:
     """d(f e_a) = (d f) ^ e_a + f d e_a, extended additively."""
     des = de_basis(c)
     out = zero_two_form(c)

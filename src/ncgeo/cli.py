@@ -45,8 +45,8 @@ from . import dirac as _dirac
 from . import riemann as _riemann
 from .calculus import (
     DEFAULT_DEGREE_CAP,
+    Form,
     GroupFunction,
-    OneForm,
     basis_pair_labels,
     braiding,
     degree2_relations,
@@ -82,27 +82,11 @@ def _cyc_json(x: Cyclotomic):
     return x.to_json()
 
 
-def _fn_json(group: FiniteGroup, f: GroupFunction) -> dict:
+def _form_json(group: FiniteGroup, labels: Sequence[str], form: Form) -> dict:
+    """The nonzero coefficients by basis label, each by its nonzero values."""
     return {
-        group.names[g]: _cyc_json(v)
-        for g, v in enumerate(f.values)
-        if v
-    }
-
-
-def _one_form_json(c: ClassCalculus, w: OneForm) -> dict:
-    return {
-        f"e_{c.labels[a]}": _fn_json(c.group, f)
-        for a, f in enumerate(w.coeffs)
-        if not f.is_zero()
-    }
-
-
-def _two_form_json(c: ClassCalculus, w) -> dict:
-    labels = basis_pair_labels(c)
-    return {
-        labels[beta]: _fn_json(c.group, f)
-        for beta, f in enumerate(w.coeffs)
+        label: {group.names[g]: _cyc_json(v) for g, v in enumerate(f.values) if v}
+        for label, f in zip(labels, form.coeffs)
         if not f.is_zero()
     }
 
@@ -112,9 +96,10 @@ def _matrix_json(m: linalg.ExactMatrix) -> list:
 
 
 def _connection_json(c: ClassCalculus, conn: _riemann.Connection) -> dict:
+    labels = [f"e_{label}" for label in c.labels]
     return {
         "comps": {
-            f"A_{c.labels[b]}": _one_form_json(c, w)
+            f"A_{c.labels[b]}": _form_json(c.group, labels, w)
             for b, w in enumerate(conn.comps)
         }
     }
@@ -293,7 +278,7 @@ def _cmd_metric(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, list]:
                 if metric.eta.data[conj[a]][conj[b]] != metric.eta.data[a][b]:
                     invariant = False
     certs.append(_check("eta_conjugation_invariant", invariant))
-    wedge_zero = _riemann.wedge_tensor(
+    wedge_zero = _calculus.wedge_tensor(
         c, _riemann.metric_tensor(c, metric)
     ).is_zero()
     certs.append(_check("metric_tensor_wedges_to_zero", wedge_zero))
@@ -386,11 +371,12 @@ def _cmd_curvature(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, list
     curv = _riemann.curvature_2forms(c, conn)
     des = _calculus.de_basis(c)
     matches = all((curv[a] - des[a]).is_zero() for a in range(c.n))
+    labels = basis_pair_labels(c)
     results = {
         "mu": _cyc_json(mu),
         "connection": "levi-civita",
         "curvature": {
-            f"F_{c.labels[a]}": _two_form_json(c, curv[a]) for a in range(c.n)
+            f"F_{c.labels[a]}": _form_json(group, labels, curv[a]) for a in range(c.n)
         },
         "equals_d_of_basis_forms": matches,
         "nonzero": any(not f.is_zero() for f in curv),
@@ -406,20 +392,14 @@ def _cmd_ricci(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, list]:
     lifts = {"i": _riemann.lift_i(c), "iprime": _riemann.lift_iprime(c)}
     if ns.lift != "both":
         lifts = {ns.lift: lifts[ns.lift]}
+    labels = [f"e_{a}(x)e_{b}" for a in c.labels for b in c.labels]
     entries = {}
     certs = []
     for name, lift in lifts.items():
         ric = _riemann.ricci(c, conn, lift)
         entries[name] = {
             "is_zero": ric.is_zero(),
-            "entries": {
-                f"e_{c.labels[a]}(x)e_{c.labels[b]}": _fn_json(
-                    group, ric.entry(a, b)
-                )
-                for a in range(c.n)
-                for b in range(c.n)
-                if not ric.entry(a, b).is_zero()
-            },
+            "entries": _form_json(group, labels, ric),
         }
         certs.append(_check(f"ricci_vanishes_lift_{name}", ric.is_zero()))
     results = {"mu": _cyc_json(mu), "connection": "levi-civita", "ricci": entries}
@@ -661,7 +641,7 @@ def _cmd_flat_u1(ns, group: FiniteGroup, c: ClassCalculus) -> tuple[dict, list]:
                     for _ in range(group.order)
                 )
             )
-            alpha = OneForm(
+            alpha = Form(
                 tuple(
                     GroupFunction(
                         tuple(

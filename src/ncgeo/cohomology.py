@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cyclotomic import Cyclotomic, Scalar, as_cyc
+from .cyclotomic import Scalar, as_cyc
 from .groups import (
     ClassCalculus,
     FiniteGroup,
     GroupSpecError,
-    TABLE_III,
     build_group,
     class_calculus,
     classify_class_products,
@@ -27,9 +26,8 @@ from .groups import (
 from . import linalg
 from .linalg import ExactMatrix
 from .calculus import (
+    Form,
     GroupFunction,
-    OneForm,
-    TwoForm,
     braiding,
     d0,
     d1,
@@ -46,36 +44,12 @@ from .calculus import (
 # ---------------------------------------------------------------------------
 
 
-def one_form_to_vector(c: ClassCalculus, w: OneForm) -> list[Cyclotomic]:
-    out: list[Cyclotomic] = []
-    for f in w.coeffs:
-        out.extend(f.values)
-    return out
-
-
-def vector_to_one_form(c: ClassCalculus, vec: Sequence[Cyclotomic]) -> OneForm:
-    order = c.group.order
-    return OneForm(
-        tuple(
-            GroupFunction(tuple(vec[a * order + g] for g in range(order)))
-            for a in range(c.n)
-        )
-    )
-
-
-def two_form_to_vector(c: ClassCalculus, w: TwoForm) -> list[Cyclotomic]:
-    out: list[Cyclotomic] = []
-    for f in w.coeffs:
-        out.extend(f.values)
-    return out
-
-
 def d0_matrix(c: ClassCalculus) -> ExactMatrix:
     """The differential on functions, as an (n |G|) x |G| matrix."""
     order = c.group.order
     cols = []
     for h in range(order):
-        cols.append(one_form_to_vector(c, d0(c, GroupFunction.delta(order, h))))
+        cols.append(d0(c, GroupFunction.delta(order, h)).vector())
     return ExactMatrix.from_rows(cols).transpose()
 
 
@@ -88,7 +62,7 @@ def d1_matrix(c: ClassCalculus) -> ExactMatrix:
         for g in range(order):
             coeffs = [zero] * c.n
             coeffs[a] = GroupFunction.delta(order, g)
-            cols.append(two_form_to_vector(c, d1(c, OneForm(tuple(coeffs)))))
+            cols.append(d1(c, Form(tuple(coeffs))).vector())
     return ExactMatrix.from_rows(cols).transpose()
 
 
@@ -98,7 +72,7 @@ def de_rham_h1(c: ClassCalculus) -> dict:
     mat1 = d1_matrix(c)
     rank0 = linalg.rank(mat0)
     ker1 = mat1.cols - linalg.rank(mat1)
-    th_vec = one_form_to_vector(c, theta(c))
+    th_vec = theta(c).vector()
     th_closed = all(not v for v in mat1.matvec(th_vec))
     th_exact = linalg.solve_affine(mat0, th_vec) is not None
     h1 = ker1 - rank0
@@ -119,12 +93,12 @@ def de_rham_h1(c: ClassCalculus) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def u1_curvature(c: ClassCalculus, alpha: OneForm) -> TwoForm:
+def u1_curvature(c: ClassCalculus, alpha: Form) -> Form:
     """F(alpha) = d alpha + alpha ^ alpha."""
     return d1(c, alpha) + wedge(c, alpha, alpha)
 
 
-def gauge_transform(c: ClassCalculus, u: GroupFunction, alpha: OneForm) -> OneForm:
+def gauge_transform(c: ClassCalculus, u: GroupFunction, alpha: Form) -> Form:
     """alpha -> u alpha u^-1 + u d(u^-1), for a unit function u."""
     uinv = u.pointwise_inverse()
     coeffs = []
@@ -132,13 +106,12 @@ def gauge_transform(c: ClassCalculus, u: GroupFunction, alpha: OneForm) -> OneFo
         moved = u * alpha.coeffs[a] * right_translate(c, a, uinv)
         inhom = u * (right_translate(c, a, uinv) - uinv)
         coeffs.append(moved + inhom)
-    return OneForm(tuple(coeffs))
+    return Form(tuple(coeffs))
 
 
-def conjugate_two_form(c: ClassCalculus, u: GroupFunction, w: TwoForm) -> TwoForm:
+def conjugate_two_form(c: ClassCalculus, u: GroupFunction, w: Form) -> Form:
     """u w u^-1: the inverse translates past both legs of each basis wedge."""
-    uinv = u.pointwise_inverse()
-    return TwoForm(tuple(u * f for f in two_form_right_mul(c, w, uinv).coeffs))
+    return two_form_right_mul(c, w, u.pointwise_inverse()).left_mul(u)
 
 
 @dataclass(frozen=True)
@@ -148,7 +121,7 @@ class FlatFamily:
     kind: str  # "axis" or "diagonal"
     axis: str | None  # class label for axis families
 
-    def member(self, c: ClassCalculus, lam: Scalar) -> OneForm:
+    def member(self, c: ClassCalculus, lam: Scalar) -> Form:
         lam = as_cyc(lam)
         th = theta(c)
         if self.kind == "diagonal":
@@ -163,14 +136,11 @@ def constant_flat_connections(c: ClassCalculus) -> list[FlatFamily]:
     return out
 
 
-def constant_one_form(c: ClassCalculus, coeffs: Sequence[Scalar]) -> OneForm:
-    order = c.group.order
-    return OneForm(
-        tuple(GroupFunction.constant(order, as_cyc(v)) for v in coeffs)
-    )
+def constant_one_form(c: ClassCalculus, coeffs: Sequence[Scalar]) -> Form:
+    return Form.constant(c.group.order, coeffs)
 
 
-def is_flat_family_member(c: ClassCalculus, alpha: OneForm) -> bool:
+def is_flat_family_member(c: ClassCalculus, alpha: Form) -> bool:
     """Whether a constant connection lies on one of the flat lines."""
     consts = []
     for f in alpha.coeffs:

@@ -44,16 +44,6 @@ class Cyclotomic:
     def from_int(cls, n: int) -> "Cyclotomic":
         return _small_int(n)
 
-    @classmethod
-    def omega_power(cls, k: int) -> "Cyclotomic":
-        """Return omega**k (1, omega, or -1-omega)."""
-        k %= 3
-        if k == 0:
-            return ONE
-        if k == 1:
-            return OMEGA
-        return OMEGA2
-
     # -- components --------------------------------------------------------
 
     def triple(self) -> tuple[int, int, int]:

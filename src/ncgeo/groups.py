@@ -321,14 +321,6 @@ class ClassCalculus:
         conj = g.conjugate(g.inv(self.elements[i]), self.elements[j])
         return self.elements.index(conj)
 
-    def product_position(self, i: int, j: int) -> int | None:
-        """Class position of a_i * a_j when the product stays in the class."""
-        prod = self.group.mult(self.elements[i], self.elements[j])
-        try:
-            return self.elements.index(prod)
-        except ValueError:
-            return None
-
 
 def _class_of(group: FiniteGroup, g: int) -> list[int]:
     return sorted({group.conjugate(h, g) for h in range(group.order)})

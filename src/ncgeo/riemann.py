@@ -1,15 +1,17 @@
 """Invariant metrics, connections, torsion, curvature and Ricci flatness.
 
-Connections are families A_a of one-forms indexed by the class.  Torsion
+Every one-form, two-form and element of the tensor square here is a
+``calculus.Form`` over its fixed basis.  Connections are families A_a of
+one-forms indexed by the class.  Torsion
 acts pointwise on the components, so its solution space is assembled from
 one small affine block per group point; the cotorsion condition couples
 points through right translations and is solved by substituting the
 torsion-free parametrization.  Cotorsion and Ricci curvature commute with
 left translations, so their systems on that family are built from the
-identity block alone.  Ricci curvature uses a lift of two-forms
-into the tensor square: the canonical splitting (complement of the
-relation kernel along its orthogonal projector) or the simpler
-id - braiding lift.
+identity block alone.  Ricci curvature lifts two-forms into the tensor
+square by ``Form.apply`` with an n^2 x dim lift matrix: the canonical
+splitting (complement of the relation kernel along its orthogonal
+projector) or the simpler id - braiding lift.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from .groups import ClassCalculus
 from . import linalg
 from .linalg import AffineSpace, ExactMatrix
 from .calculus import (
+    Form,
     GroupFunction,
-    OneForm,
-    TwoForm,
     braiding,
     d0,
     d1,
@@ -37,79 +38,6 @@ from .calculus import (
     wedge,
     zero_two_form,
 )
-
-
-# ---------------------------------------------------------------------------
-# tensor square of the one-form module
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TensorSquare:
-    """sum_{a,b} f_{ab} e_a (x) e_b with all coefficients on the left."""
-
-    n: int
-    coeffs: tuple[GroupFunction, ...]  # index a * n + b
-
-    @classmethod
-    def zero(cls, c: ClassCalculus) -> "TensorSquare":
-        order = c.group.order
-        return cls(c.n, tuple(GroupFunction.zero(order) for _ in range(c.n * c.n)))
-
-    def entry(self, a: int, b: int) -> GroupFunction:
-        return self.coeffs[a * self.n + b]
-
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for f in self.coeffs)
-
-    def __add__(self, other: "TensorSquare") -> "TensorSquare":
-        return TensorSquare(
-            self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "TensorSquare") -> "TensorSquare":
-        return TensorSquare(
-            self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> "TensorSquare":
-        return TensorSquare(self.n, tuple(-a for a in self.coeffs))
-
-    def scale(self, s: Scalar) -> "TensorSquare":
-        s = as_cyc(s)
-        return TensorSquare(self.n, tuple(f * s for f in self.coeffs))
-
-
-def tensor_of_forms(c: ClassCalculus, u: OneForm, v: OneForm) -> TensorSquare:
-    """u (x) v, moving v's coefficients left: f e_a (x) h e_b = f R_a(h) e_a (x) e_b."""
-    from .calculus import right_translate
-
-    order = c.group.order
-    coeffs = []
-    for a in range(c.n):
-        fa = u.coeffs[a]
-        for b in range(c.n):
-            hb = v.coeffs[b]
-            if fa.is_zero() or hb.is_zero():
-                coeffs.append(GroupFunction.zero(order))
-            else:
-                coeffs.append(fa * right_translate(c, a, hb))
-    return TensorSquare(c.n, tuple(coeffs))
-
-
-def wedge_tensor(c: ClassCalculus, t: TensorSquare) -> TwoForm:
-    """Image of a tensor under the wedge quotient map."""
-    basis = omega2_basis(c)
-    order = c.group.order
-    out = [GroupFunction.zero(order) for _ in range(basis.dim)]
-    for col, f in enumerate(t.coeffs):
-        if f.is_zero():
-            continue
-        for beta in range(basis.dim):
-            r = basis.reduction.data[beta][col]
-            if r:
-                out[beta] = out[beta] + f * r
-    return TwoForm(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +112,9 @@ def metric_from_mu(c: ClassCalculus, mu: Scalar) -> Metric:
     return Metric(eta=eta, eta_inv=ExactMatrix(n, n, inv_data), mu=mu)
 
 
-def metric_tensor(c: ClassCalculus, metric: Metric) -> TensorSquare:
+def metric_tensor(c: ClassCalculus, metric: Metric) -> Form:
     """g = sum_{ab} eta_{ab} e_a (x) e_b with constant coefficients."""
-    order = c.group.order
-    coeffs = []
-    for a in range(c.n):
-        for b in range(c.n):
-            coeffs.append(GroupFunction.constant(order, metric.eta.data[a][b]))
-    return TensorSquare(c.n, tuple(coeffs))
+    return Form.constant(c.group.order, [v for row in metric.eta.data for v in row])
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +126,9 @@ def metric_tensor(c: ClassCalculus, metric: Metric) -> TensorSquare:
 class Connection:
     """One one-form A_a per class position."""
 
-    comps: tuple[OneForm, ...]
+    comps: tuple[Form, ...]
 
-    def sum(self) -> OneForm:
+    def sum(self) -> Form:
         total = self.comps[0]
         for w in self.comps[1:]:
             total = total + w
@@ -228,7 +151,7 @@ def connection_from_vector(
         for d in range(n):
             values = tuple(vec[vector_index(c, g, b, d)] for g in range(order))
             coeffs.append(GroupFunction(values))
-        comps.append(OneForm(tuple(coeffs)))
+        comps.append(Form(tuple(coeffs)))
     return Connection(tuple(comps))
 
 
@@ -244,7 +167,7 @@ def connection_to_vector(c: ClassCalculus, conn: Connection) -> list[Cyclotomic]
     return vec
 
 
-def torsion(c: ClassCalculus, conn: Connection) -> list[TwoForm]:
+def torsion(c: ClassCalculus, conn: Connection) -> list[Form]:
     """Torsion two-forms: d e_a + sum_b A_b ^ (e_{b^-1 a b} - e_a)."""
     des = de_basis(c)
     out = []
@@ -258,28 +181,20 @@ def torsion(c: ClassCalculus, conn: Connection) -> list[TwoForm]:
     return out
 
 
-def dual_basis_form(c: ClassCalculus, metric: Metric, a: int) -> OneForm:
-    """e*^a = sum_b eta^{ba} e_b (constant coefficients)."""
-    order = c.group.order
-    return OneForm(
-        tuple(
-            GroupFunction.constant(order, metric.eta.data[b][a])
-            for b in range(c.n)
-        )
-    )
+def cotorsion(c: ClassCalculus, conn: Connection, metric: Metric) -> list[Form]:
+    """Cotorsion two-forms: d e*^a + sum_b (e*^{b a b^-1} - e*^a) ^ A_b.
 
-
-def cotorsion(c: ClassCalculus, conn: Connection, metric: Metric) -> list[TwoForm]:
-    """Cotorsion two-forms: d e*^a + sum_b (e*^{b a b^-1} - e*^a) ^ A_b."""
+    The dual basis form e*^a = sum_b eta^{ba} e_b has constant coefficients.
+    """
     des = de_basis(c)
+    star = [Form.constant(c.group.order, metric.eta.column(a)) for a in range(c.n)]
     out = []
     for a in range(c.n):
         total = zero_two_form(c)
         for b in range(c.n):
             total = total + des[b].scale(metric.eta.data[b][a])
-        star_a = dual_basis_form(c, metric, a)
         for b in range(c.n):
-            diff = dual_basis_form(c, metric, c.ad(b, a)) - star_a
+            diff = star[c.ad(b, a)] - star[a]
             total = total + wedge(c, diff, conn.comps[b])
         out.append(total)
     return out
@@ -288,10 +203,6 @@ def cotorsion(c: ClassCalculus, conn: Connection, metric: Metric) -> list[TwoFor
 # ---------------------------------------------------------------------------
 # affine solvers
 # ---------------------------------------------------------------------------
-
-
-def _constant_value(f: GroupFunction) -> Cyclotomic:
-    return f.values[0]
 
 
 def _torsion_point_block(c: ClassCalculus) -> tuple[ExactMatrix, list[Cyclotomic]]:
@@ -309,10 +220,10 @@ def _torsion_point_block(c: ClassCalculus) -> tuple[ExactMatrix, list[Cyclotomic
             diff = e_form(c, c.ad_inv(b, a)) - ea
             for d in range(n):
                 w = wedge(c, e_form(c, d), diff)
-                cols.append([_constant_value(f) for f in w.coeffs])
+                cols.append([f.values[0] for f in w.coeffs])
         for beta in range(basis.dim):
             rows.append([col[beta] for col in cols])
-            rhs.append(-_constant_value(des[a].coeffs[beta]))
+            rhs.append(-des[a].coeffs[beta].values[0])
     return ExactMatrix.from_rows(rows), rhs
 
 
@@ -445,14 +356,6 @@ def _solve_on_family(
     return AffineSpace(particular=tuple(particular), basis=tuple(basis_vecs))
 
 
-def _twoforms_to_vector(tfs: Sequence[TwoForm]) -> list[Cyclotomic]:
-    out: list[Cyclotomic] = []
-    for tf in tfs:
-        for f in tf.coeffs:
-            out.extend(f.values)
-    return out
-
-
 def solve_torsion_cotorsion_free(
     c: ClassCalculus, metric: Metric
 ) -> AffineSpace | None:
@@ -463,7 +366,7 @@ def solve_torsion_cotorsion_free(
 
     def evaluate(vec: list[Cyclotomic]) -> list[Cyclotomic]:
         conn = connection_from_vector(c, vec)
-        return _twoforms_to_vector(cotorsion(c, conn, metric))
+        return [v for t in cotorsion(c, conn, metric) for v in t.vector()]
 
     return _solve_on_family(c, family, evaluate)
 
@@ -477,7 +380,7 @@ def is_regular(c: ClassCalculus, conn: Connection) -> bool:
     """Products A_a ^ A_b grouped by a*b vanish outside identity and class."""
     group = c.group
     allowed = {group.identity} | set(c.elements)
-    buckets: dict[int, TwoForm] = {}
+    buckets: dict[int, Form] = {}
     for a in range(c.n):
         for b in range(c.n):
             g = group.mult(c.elements[a], c.elements[b])
@@ -488,7 +391,7 @@ def is_regular(c: ClassCalculus, conn: Connection) -> bool:
     return all(w.is_zero() for w in buckets.values())
 
 
-def curvature_2forms(c: ClassCalculus, conn: Connection) -> list[TwoForm]:
+def curvature_2forms(c: ClassCalculus, conn: Connection) -> list[Form]:
     """F_a = d A_a + sum_{cd=a} A_c ^ A_d - sum_c (A_c ^ A_a + A_a ^ A_c)."""
     group = c.group
     out = []
@@ -507,8 +410,8 @@ def curvature_2forms(c: ClassCalculus, conn: Connection) -> list[TwoForm]:
 
 
 def covariant_derivative(
-    c: ClassCalculus, conn: Connection, alpha: OneForm
-) -> TensorSquare:
+    c: ClassCalculus, conn: Connection, alpha: Form
+) -> Form:
     """nabla alpha = sum_a d(alpha_a) (x) e_a - alpha_a sum_b A_b (x) (e_{b^-1 a b} - e_a)."""
     n = c.n
     order = c.group.order
@@ -526,10 +429,10 @@ def covariant_derivative(
                 contrib = fa * conn.comps[b].coeffs[d]
                 coeffs[d * n + target] = coeffs[d * n + target] - contrib
                 coeffs[d * n + a] = coeffs[d * n + a] + contrib
-    return TensorSquare(n, tuple(coeffs))
+    return Form(tuple(coeffs))
 
 
-def riemann(c: ClassCalculus, conn: Connection) -> list[list[TwoForm]]:
+def riemann(c: ClassCalculus, conn: Connection) -> list[list[Form]]:
     """riemann(e_a) = sum_d W_d (x) e_d; returns W[a][d] as two-forms."""
     curv = curvature_2forms(c, conn)
     total = zero_two_form(c)
@@ -567,10 +470,7 @@ def lift_i(c: ClassCalculus) -> ExactMatrix:
         gram_inv = linalg.invert(gram)
         proj = bmat @ gram_inv @ bmat.transpose()
         proj_complement = ExactMatrix.identity(size) - proj
-    cols = []
-    for a, b in basis.pairs:
-        cols.append(proj_complement.column(a * n + b))
-    return ExactMatrix.from_rows(cols).transpose()
+    return proj_complement.submatrix(range(size), [a * n + b for a, b in basis.pairs])
 
 
 def lift_iprime(c: ClassCalculus) -> ExactMatrix:
@@ -580,30 +480,12 @@ def lift_iprime(c: ClassCalculus) -> ExactMatrix:
     basis = omega2_basis(c)
     psi = braiding(c).matrix()
     op = ExactMatrix.identity(size) - psi
-    cols = []
-    for a, b in basis.pairs:
-        cols.append(op.column(a * n + b))
-    return ExactMatrix.from_rows(cols).transpose()
-
-
-def apply_lift(c: ClassCalculus, lift: ExactMatrix, w: TwoForm) -> TensorSquare:
-    """Lift a two-form into the tensor square (left-linear over functions)."""
-    n = c.n
-    order = c.group.order
-    coeffs = []
-    for idx in range(n * n):
-        total = GroupFunction.zero(order)
-        for beta, f in enumerate(w.coeffs):
-            s = lift.data[idx][beta]
-            if s and not f.is_zero():
-                total = total + f * s
-        coeffs.append(total)
-    return TensorSquare(n, tuple(coeffs))
+    return op.submatrix(range(size), [a * n + b for a, b in basis.pairs])
 
 
 def ricci(
     c: ClassCalculus, conn: Connection, lift: ExactMatrix | None = None
-) -> TensorSquare:
+) -> Form:
     """Contract the first leg of the lifted curvature against the input.
 
     Ricci_{b,d} = sum_c (phi_c^{conj_c(d), b} - phi_c^{d, b}) where
@@ -614,22 +496,15 @@ def ricci(
     n = c.n
     order = c.group.order
     curv = curvature_2forms(c, conn)
-    phi = [apply_lift(c, lift, f) for f in curv]
+    phi = [f.apply(lift) for f in curv]
     coeffs = [GroupFunction.zero(order) for _ in range(n * n)]
     for cc in range(n):
         for d in range(n):
             up = c.ad(cc, d)
             for b in range(n):
-                contrib = phi[cc].entry(up, b) - phi[cc].entry(d, b)
+                contrib = phi[cc].coeffs[up * n + b] - phi[cc].coeffs[d * n + b]
                 coeffs[b * n + d] = coeffs[b * n + d] + contrib
-    return TensorSquare(n, tuple(coeffs))
-
-
-def _tensorsquare_to_vector(t: TensorSquare) -> list[Cyclotomic]:
-    out: list[Cyclotomic] = []
-    for f in t.coeffs:
-        out.extend(f.values)
-    return out
+    return Form(tuple(coeffs))
 
 
 class NonlinearCurvatureError(RuntimeError):
@@ -678,7 +553,7 @@ def solve_ricci_flat(
 
     def evaluate(vec: list[Cyclotomic]) -> list[Cyclotomic]:
         conn = connection_from_vector(c, vec)
-        return _tensorsquare_to_vector(ricci(c, conn, lift))
+        return ricci(c, conn, lift).vector()
 
     return _solve_on_family(c, family, evaluate)
 

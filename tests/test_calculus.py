@@ -10,8 +10,8 @@ from ncgeo import (
     CertificationError,
     Cyclotomic,
     ExactMatrix,
+    Form,
     GroupFunction,
-    OneForm,
     ScaleCapError,
     basis_pair_labels,
     braided_factorial,
@@ -66,7 +66,7 @@ def functions(order):
 def one_forms(c):
     return st.lists(
         functions(c.group.order), min_size=c.n, max_size=c.n
-    ).map(lambda fs: OneForm(tuple(fs)))
+    ).map(lambda fs: Form(tuple(fs)))
 
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,39 @@ def test_stdout_is_byte_identical_to_pinned_digest(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
 
 
+# SL(2,3) class 0121: the Levi-Civita connection is torsion-, cotorsion- and
+# Ricci-free there but fails the regularity check, so both commands print
+# their report and exit 3.  Whether regularity should instead be a refusal
+# or a result is still open; this pins today's outcome.
+SL2Z3_REGULARITY_FAILS = {
+    "levi-civita": (
+        "6ae9a3200e1ea78f211aba1bd954ab5690a41a366924d445f7756d23b695459c",
+        {"torsion_vanishes": "ok", "cotorsion_vanishes": "ok", "regular": "failed"},
+    ),
+    "ricci-flat": (
+        "f7940331bd01de1b7a618d7670e2e2b54ce48113a84e89fa2a726ae1412a0bef",
+        {
+            "torsion_vanishes": "ok",
+            "ricci_vanishes_lift_i": "ok",
+            "ricci_vanishes_lift_iprime": "ok",
+            "cotorsion_vanishes": "ok",
+            "regular": "failed",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SL2Z3_REGULARITY_FAILS))
+def test_sl2z3_0121_regularity_fails_with_exit_3(capsys, command):
+    digest, statuses = SL2Z3_REGULARITY_FAILS[command]
+    code, out, err = _capture(capsys, [command, "--group", "sl2z3", "--class", "0121"])
+    assert code == 3
+    assert err == ""
+    certs = json.loads(out)["certifications"]
+    assert {c["check_name"]: c["status"] for c in certs} == statuses
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "argv", [["dirac", "--spectrum"], ["laplacian"]], ids=["dirac", "laplacian"]
 )

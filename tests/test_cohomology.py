@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from ncgeo import (
     Cyclotomic,
+    Form,
     GroupFunction,
     GroupSpecError,
-    OneForm,
     conjugate_calculus_check,
     constant_flat_connections,
     constant_one_form,
@@ -26,7 +26,6 @@ from ncgeo.cohomology import (
     conjugate_two_form,
     d0_matrix,
     d1_matrix,
-    one_form_to_vector,
 )
 from ncgeo.groups import class_calculus
 
@@ -43,7 +42,7 @@ def one_forms(c):
         ),
         min_size=c.n,
         max_size=c.n,
-    ).map(lambda fs: OneForm(tuple(fs)))
+    ).map(lambda fs: Form(tuple(fs)))
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +81,7 @@ def test_theta_spans_the_quotient(a4_c):
 
     d0m = d0_matrix(a4_c)
     cols = [d0m.column(j) for j in range(d0m.cols)]
-    theta_vec = one_form_to_vector(a4_c, theta(a4_c))
+    theta_vec = theta(a4_c).vector()
     base = rank(ExactMatrix.from_rows(cols))
     extended = rank(ExactMatrix.from_rows(cols + [theta_vec]))
     assert extended == base + 1
@@ -151,7 +150,7 @@ def test_gauge_covariance_twenty_seeded_pairs(a4_c):
                 for _ in range(order)
             ]
         )
-        alpha = OneForm(
+        alpha = Form(
             tuple(
                 GroupFunction.from_values(
                     [

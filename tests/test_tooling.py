@@ -1,0 +1,53 @@
+"""Names that tooling outside the package looks up must exist.
+
+The benchmark's tracer (``perfbench/tracing.py``) wraps library functions by
+name, and ``from ncgeo import *`` reads ``ncgeo.__all__``; a renamed or
+removed function would otherwise only fail when those run.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import ncgeo
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    """perfbench/tracing.py loaded without writing a bytecode cache beside it."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def test_every_exported_name_resolves():
+    assert len(set(ncgeo.__all__)) == len(ncgeo.__all__)
+    missing = [name for name in ncgeo.__all__ if not hasattr(ncgeo, name)]
+    assert missing == []
+    namespace = {}
+    exec("from ncgeo import *", namespace)
+    assert set(ncgeo.__all__) <= set(namespace)
+
+
+def test_every_traced_function_resolves(tracing):
+    for layer, names in tracing.SPANNED.items():
+        module = importlib.import_module(f"ncgeo.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"ncgeo.{layer}.{name}"
+
+
+def test_every_cached_function_has_cache_info(tracing):
+    calculus = importlib.import_module("ncgeo.calculus")
+    for name in tracing.CACHED:
+        assert hasattr(getattr(calculus, name, None), "cache_info"), name
