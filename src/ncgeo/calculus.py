@@ -22,11 +22,13 @@ no sparse product is formed; the digest that fixes the primes reads those
 arrays.  numpy is imported only by these exterior ranks.  The quadratic
 cover, where only the degree-two relations are
 imposed, is exact on a word basis: degree m is spanned by a basis word of
-degree m - 1 times a letter, at most ``QUADRATIC_SIZE_LIMIT`` of them.
+degree m - 1 times a letter, at most ``QUADRATIC_SIZE_LIMIT`` of them, and
+its relation rows are reduced by the one exact kernel, ``linalg._eliminate``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,10 +46,8 @@ if TYPE_CHECKING:
 #: Largest degree the antisymmetrizer builders accept by default.
 DEFAULT_DEGREE_CAP = 6
 
-#: Exact elimination is used when the tensor space is at most this large.
-EXACT_SIZE_LIMIT = 1024
-
-#: Default policy: exact below, modular above.
+#: Exterior ranks are exact when the tensor space is at most this large,
+#: modular above.
 AUTO_EXACT_LIMIT = 256
 
 #: Largest spanning set (n times the previous quadratic dimension) accepted.
@@ -699,22 +699,14 @@ def _sparse_digest(mat: linalg.Csr, extra: bytes) -> bytes:
     )
 
 
-def exterior_dimension(
-    c: ClassCalculus,
-    m: int,
-    method: str = "auto",
-    cap: int = DEFAULT_DEGREE_CAP,
-) -> int:
+def exterior_dimension(c: ClassCalculus, m: int, cap: int = DEFAULT_DEGREE_CAP) -> int:
     """Dimension of the degree-m exterior component (rank of A_m)."""
-    dim, _ = exterior_dimension_info(c, m, method=method, cap=cap)
+    dim, _ = exterior_dimension_info(c, m, cap=cap)
     return dim
 
 
 def exterior_dimension_info(
-    c: ClassCalculus,
-    m: int,
-    method: str = "auto",
-    cap: int = DEFAULT_DEGREE_CAP,
+    c: ClassCalculus, m: int, cap: int = DEFAULT_DEGREE_CAP
 ) -> tuple[int, dict]:
     """Dimension plus a record of how it was computed (method, primes)."""
     if m < 0:
@@ -723,21 +715,11 @@ def exterior_dimension_info(
         return 1, {"method": "exact"}
     if m == 1:
         return c.n, {"method": "exact"}
-    size = c.n**m
-    if method == "auto":
-        method = "exact" if size <= AUTO_EXACT_LIMIT else "modular"
-    if method not in ("exact", "modular"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "exact" and size > EXACT_SIZE_LIMIT:
-        raise ScaleCapError(
-            f"exact elimination refused beyond {EXACT_SIZE_LIMIT} columns",
-            {"degree": m, "matrix_side": size, "allowed": EXACT_SIZE_LIMIT},
-        )
     b = braiding(c)
     _check_cap(b, m, cap)
     mat = _factorial_sparse(b, m)
     blocks = _orbit_blocks(c, m, mat)
-    if method == "exact":
+    if c.n**m <= AUTO_EXACT_LIMIT:
         return linalg.exact_rank_blocks(blocks), {"method": "exact"}
     digest = _sparse_digest(mat, b"exterior")
     rank_certified, primes = linalg.certified_rank_blocks(blocks, digest)
@@ -750,80 +732,58 @@ class _QuadraticTower:
     Degree m is spanned by the words u.a, u a basis word of degree m - 1,
     numbered u * n + a.  The relation rows are w (x) r, for w a basis word
     of degree m - 2 and r a degree-two relation, each w.a written in its
-    normal form of degree m - 1.  The spanning words that are not pivots
-    of the rows' reduced echelon form are the basis.  ``forms[m]`` holds
-    the normal form of every spanning word of degree m over that basis and
-    ``prods[m]`` the group product of every basis word.
+    normal form of degree m - 1.  One ``linalg._eliminate`` call brings
+    them to reduced echelon form; the spanning words that are not pivots
+    are the basis.  ``forms[m]`` holds the normal form of every spanning
+    word of degree m over that basis and ``dims[m]`` the size of the basis.
     """
 
     def __init__(self, c: ClassCalculus):
         self.calculus = c
         self.relations = []  # each scaled to integers: the span is unchanged
         for vec in degree2_relations(c):
-            scaled, omega_parts = linalg.integer_row(vec)
-            if any(omega_parts):
+            row = linalg.integer_row(vec)
+            if any(b for _, b in row.values()):
                 raise linalg.CertificationError("relation vector is not rational")
-            rel = [(q // c.n, q % c.n, x) for q, x in enumerate(scaled) if x]
-            # pivots are kept reduced within their word product only
-            if len({c.group.mult(c.elements[a], c.elements[b]) for a, b, _ in rel}) != 1:
-                raise linalg.CertificationError("relation vector mixes word-product blocks")
-            self.relations.append(rel)
-        self.prods = [[c.group.identity], list(c.elements)]
+            self.relations.append([(q // c.n, q % c.n, x) for q, (x, _) in row.items()])
+        self.dims = [1, c.n]
         self.forms = [[], [{a: 1} for a in range(c.n)]]
 
     def dimension(self, m: int) -> int:
-        while len(self.prods) <= m:
+        while len(self.dims) <= m:
             self._extend()
-        return len(self.prods[m])
+        return self.dims[m]
 
     def _extend(self) -> None:
-        c = self.calculus
-        n, m = c.n, len(self.prods)
-        size = n * len(self.prods[m - 1])
+        n, m = self.calculus.n, len(self.dims)
+        size = n * self.dims[m - 1]
         if size > QUADRATIC_SIZE_LIMIT:
             raise ScaleCapError(
                 f"quadratic dimension refused beyond {QUADRATIC_SIZE_LIMIT} spanning words",
                 {"degree": m, "spanning_set": size, "allowed": QUADRATIC_SIZE_LIMIT},
             )
-        grade = [c.group.mult(g, e) for g in self.prods[m - 1] for e in c.elements]
         below = self.forms[m - 1]
-        pivots: dict[int, dict] = {}  # pivot word -> its normal form
-        by_grade: dict[int, list[int]] = {}
-        for w in range(len(self.prods[m - 2])):
+        rows = []
+        for w in range(self.dims[m - 2]):
             for rel in self.relations:
                 row: dict = {}
                 for a, b, x in rel:
                     for u, y in below[w * n + a].items():
                         row[u * n + b] = row.get(u * n + b, 0) + x * y
-                for col in [col for col in row if col in pivots]:
-                    x = row.pop(col)
-                    for f, y in pivots[col].items():
-                        row[f] = row.get(f, 0) + x * y
-                row = {col: x for col, x in row.items() if x}
-                if not row:
-                    continue
-                p = min(row)
-                s = -1 / Fraction(row.pop(p))
-                # integral values stay ints, whose arithmetic is much faster
-                form = {f: v.numerator if v.denominator == 1 else v
-                        for f, v in ((f, y * s) for f, y in row.items())}
-                # keep every earlier pivot's normal form free of the new pivot
-                for q in by_grade.setdefault(grade[p], []):
-                    other = pivots[q]
-                    y = other.pop(p, 0)
-                    if y:
-                        for f, z in form.items():
-                            other[f] = other.get(f, 0) + y * z
-                by_grade[grade[p]].append(p)
-                pivots[p] = form
+                scale = math.lcm(*(y.denominator for y in row.values()))
+                rows.append({col: (y.numerator * (scale // y.denominator), 0)
+                             for col, y in row.items() if y})
+        pivots = linalg._eliminate(rows, True)
         basis = [col for col in range(size) if col not in pivots]
         index = {col: i for i, col in enumerate(basis)}
-        self.forms.append([
-            {index[f]: x for f, x in pivots[col].items()} if col in pivots
-            else {index[col]: 1}
-            for col in range(size)
-        ])
-        self.prods.append([grade[col] for col in basis])
+        forms = [{index[col]: 1} if col in index else {} for col in range(size)]
+        for p, row in pivots.items():
+            d = row[p][0]
+            # integral values stay ints, whose arithmetic is much faster
+            forms[p] = {index[f]: -x // d if x % d == 0 else Fraction(-x, d)
+                        for f, (x, _) in row.items() if f != p}
+        self.forms.append(forms)
+        self.dims.append(len(basis))
 
 
 @lru_cache(maxsize=None)

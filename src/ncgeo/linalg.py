@@ -1,15 +1,17 @@
-"""Dense exact linear algebra over Q(omega), plus a modular fast path.
+"""Exact linear algebra over Q(omega), plus a modular fast path.
 
-All exact elimination is one fraction-free loop over Z[omega]: each row's
-denominators are cleared once (``integer_row``), rows are combined as
-p*row - f*pivot_row and divided by the integer gcd of their entries.  The
-exact rank is the pivot count of a forward pass; nullspace, solve_affine
-and invert read the reduced row echelon form (``rref``), whose pivot rows
-are divided by their pivots once, through the norm.  The RREF is unique,
-so solution bases are byte-stable.  Large integer matrices
-(antisymmetrizers at degrees 5-6), kept as numpy arrays in canonical CSR
-order (``Csr``), are shrunk block by block (``reduce_block``) and go
-through rank mod p for two deterministically
+All exact elimination is one fraction-free loop over Z[omega] on sparse
+rows (``_eliminate``): each row's denominators are cleared once
+(``integer_row``), a row loses its entries in the pivot columns as
+p*row - f*pivot_row and is divided by the integer gcd of its entries, and
+what is left becomes a pivot row, scaled so that its pivot is a rational
+integer.  The exact rank is the pivot count of a forward pass; nullspace,
+solve_affine and invert read the reduced row echelon form (``rref``),
+whose pivot rows are divided by their pivots once.  The RREF is unique,
+so solution bases are byte-stable.  The quadratic tower of ``calculus`` runs on the same loop.
+Large integer matrices (antisymmetrizers at degrees 5-6), kept as numpy
+arrays in canonical CSR order (``Csr``), are shrunk block by block
+(``reduce_block``) and go through rank mod p for two deterministically
 chosen primes > 2**30 congruent to 1 mod 3; agreement of the two ranks is
 the certification contract.  The block rankers take (block, weight) pairs,
 so a block that stands for a whole orbit of similar blocks, checked equal
@@ -203,65 +205,89 @@ class AffineSpace:
 # exact elimination over Z[omega]
 # ---------------------------------------------------------------------------
 
-#: a row of Z[omega] entries a[j] + b[j]*omega, as (a, b)
-IntRow = tuple[list[int], list[int]]
+#: a row of Z[omega] entries a + b*omega, as column -> (a, b), nonzero only
+SparseRow = dict[int, tuple[int, int]]
 
 
-def integer_row(row: Sequence[Cyclotomic]) -> IntRow:
+def integer_row(row: Sequence[Cyclotomic]) -> SparseRow:
     """The row times the lcm of its denominators, split into a + b*omega parts."""
     triples = [v.triple() for v in row]
     lcm = math.lcm(*(d for _, _, d in triples))
-    return (
-        [a * (lcm // d) for a, _, d in triples],
-        [b * (lcm // d) for _, b, d in triples],
-    )
+    return {
+        j: (a * (lcm // d), b * (lcm // d)) for j, (a, b, d) in enumerate(triples) if a or b
+    }
 
 
-def _eliminate(rows: list[IntRow], ncols: int, reduce: bool) -> list[int]:
-    """Fraction-free elimination over Z[omega], in place; returns the pivot columns.
+def _times(x: SparseRow, a: int, b: int) -> SparseRow:
+    """The row times a + b*omega."""
+    q = a - b
+    # (a + b*w)(u + v*w) = (au - bv) + (bu + av - bv)w
+    return {c: (a * u - b * v, b * u + q * v) for c, (u, v) in x.items()}
 
-    Pivots are taken column by column from the first row that has one.  Each
-    row with a nonzero entry f in the pivot column, below the pivot row (and
-    above it too when ``reduce``), becomes p*row - f*pivot_row and is divided
-    by the integer gcd of its entries.  The pivot rows end up first.
-    """
-    nrows = len(rows)
-    pivots: list[int] = []
-    pr = 0
-    for col in range(ncols):
-        if pr == nrows:
-            break
-        for r in range(pr, nrows):
-            if rows[r][0][col] or rows[r][1][col]:
-                break
+
+def _primitive(x: SparseRow) -> SparseRow:
+    """The row divided by the integer gcd of its entries."""
+    g = math.gcd(*(e for entry in x.values() for e in entry))
+    if g > 1:
+        return {c: (a // g, b // g) for c, (a, b) in x.items()}
+    return x
+
+
+def _cancel(x: SparseRow, y: SparseRow, col: int) -> SparseRow:
+    """p*x - f*y for p = y[col] and f = x[col], divided by the integer gcd of its entries."""
+    out = _times(x, *y[col])
+    fa, fb = x[col]
+    fq = fa - fb
+    for c, (s, t) in y.items():
+        u, v = out.get(c, (0, 0))
+        a, b = u - fa * s + fb * t, v - fb * s - fq * t
+        if a or b:
+            out[c] = (a, b)
         else:
+            del out[c]
+    return _primitive(out)
+
+
+def _eliminate(rows: Iterable[SparseRow], reduce: bool) -> dict[int, SparseRow]:
+    """Fraction-free elimination over Z[omega]; returns the rows by pivot column.
+
+    Rows are taken one at a time.  A row loses its entries in the pivot
+    columns found so far, smallest first, through ``_cancel``, until it has
+    none; what is left, if anything, becomes a pivot row on its smallest
+    column.  With ``reduce`` every earlier pivot row loses the new pivot
+    column too, so the pivot rows span the row space in reduced echelon
+    form, up to the scaling of each row.  Zero rows and repeated rows
+    reduce to nothing.
+
+    A new pivot row is multiplied by the conjugate of its pivot, so every
+    pivot is a rational integer.  Then a factor of Z[omega] that the
+    entries of a row share turns into its norm, an integer that the gcd
+    division removes; with irrational pivots such factors pile up, and
+    the entries grow to millions of bits within a few hundred updates.
+    """
+    pivots: dict[int, SparseRow] = {}
+    for x in rows:
+        while hits := sorted(c for c in x if c in pivots):
+            for col in hits:
+                if col in x:
+                    x = _cancel(x, pivots[col], col)
+        if not x:
             continue
-        rows[pr], rows[r] = rows[r], rows[pr]
-        ya, yb = rows[pr]
-        pa, pb = ya[col], yb[col]
-        pq = pa - pb
-        for r in range(0 if reduce else pr + 1, nrows):
-            xa, xb = rows[r]
-            fa, fb = xa[col], xb[col]
-            if r == pr or not (fa or fb):
-                continue
-            # p*x - f*y with (a + b*w)(c + e*w) = (ac - be) + (ae + bc - be)w
-            fq = fa - fb
-            na = [pa * u - pb * v - fa * s + fb * t for u, v, s, t in zip(xa, xb, ya, yb)]
-            nb = [pb * u + pq * v - fb * s - fq * t for u, v, s, t in zip(xa, xb, ya, yb)]
-            g = math.gcd(*na, *nb)
-            if g > 1:
-                na = [v // g for v in na]
-                nb = [v // g for v in nb]
-            rows[r] = (na, nb)
-        pivots.append(col)
-        pr += 1
+        p = min(x)
+        pa, pb = x[p]
+        if pb:
+            x = _primitive(_times(x, pa - pb, -pb))
+        if reduce:
+            for q, z in pivots.items():
+                if p in z:
+                    pivots[q] = _cancel(z, x, p)
+        pivots[p] = x
     return pivots
 
 
 def rank(m: ExactMatrix) -> int:
     """Rank over Q(omega): the pivot count of a forward elimination."""
-    return len(_eliminate([integer_row(row) for row in m.data], m.cols, False))
+    return len(_eliminate(map(integer_row, m.data), False))
 
 
 def exact_rank_blocks(blocks: Iterable) -> int:
@@ -272,22 +298,9 @@ def exact_rank_blocks(blocks: Iterable) -> int:
     total = 0
     for block, weight in blocks:
         peeled, core = reduce_block(block)
-        ncols = core.shape[1]
-        rows = [(row, [0] * ncols) for row in core.tolist()]
-        total += weight * (peeled + len(_eliminate(rows, ncols, False)))
+        rows = ({j: (v, 0) for j, v in enumerate(row) if v} for row in core.tolist())
+        total += weight * (peeled + len(_eliminate(rows, False)))
     return total
-
-
-def _distinct_rows(rows: Iterable[Sequence[Cyclotomic]]) -> list[list[Cyclotomic]]:
-    """The nonzero rows, each once.  The row space, hence the RREF, is unchanged."""
-    seen: set[tuple[Cyclotomic, ...]] = set()
-    out = []
-    for row in rows:
-        key = tuple(row)
-        if key not in seen and any(key):
-            seen.add(key)
-            out.append(list(key))
-    return out
 
 
 def rref(m: ExactMatrix) -> tuple[list[list[Cyclotomic]], list[int]]:
@@ -296,16 +309,18 @@ def rref(m: ExactMatrix) -> tuple[list[list[Cyclotomic]], list[int]]:
     The form is unique for the row space, so it does not depend on the
     order, repetition or scaling of the rows of m.
     """
-    rows = [integer_row(row) for row in _distinct_rows(m.data)]
-    pivots = _eliminate(rows, m.cols, True)
+    reduced = _eliminate(map(integer_row, m.data), True)
+    pivots = sorted(reduced)
     make = Cyclotomic.from_triple
     out = []
-    for (xa, xb), col in zip(rows, pivots):
-        # x / p = x * conj(p) / norm(p), conj(a + b*w) = (a - b) - b*w
-        pa, pb = xa[col], xb[col]
-        pq = pa - pb
-        n = pa * pq + pb * pb
-        out.append([make(u * pq + v * pb, v * pa - u * pb, n) for u, v in zip(xa, xb)])
+    for col in pivots:
+        x = reduced[col]
+        p = x[col][0]  # a nonzero integer: pivots are rational
+        s = 1 if p > 0 else -1
+        row = [ZERO] * m.cols
+        for c, (u, v) in x.items():
+            row[c] = make(s * u, s * v, s * p)
+        out.append(row)
     return out, pivots
 
 
@@ -397,18 +412,6 @@ def rank_mod_p(a: np.ndarray, p: int) -> int:
     return pr
 
 
-def _omega_residue(p: int) -> int:
-    """Smallest nontrivial cube root of unity mod p (requires p = 1 mod 3)."""
-    if p % 3 != 1:
-        raise ValueError(f"prime {p} is not 1 mod 3; omega has no image")
-    e = (p - 1) // 3
-    for g in range(2, p):
-        r = pow(g, e, p)
-        if r != 1:
-            return r
-    raise ValueError("no cube root found")  # pragma: no cover
-
-
 #: Miller-Rabin with bases 2, 3, 5, 7 decides primality below this bound,
 #: the least strong pseudoprime to all four bases.
 MILLER_RABIN_LIMIT = 3_215_031_751
@@ -438,35 +441,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def modular_rank(m: ExactMatrix, p: int) -> int:
-    """Rank of an integer (or Z[omega]) matrix mod p; lower bound on rank."""
-    import numpy as np
-
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    needs_omega = False
-    for row in m.data:
-        for v in row:
-            _, b, d = v.triple()
-            if d != 1:
-                raise ValueError(f"non-integer entry {v}")
-            if b:
-                needs_omega = True
-    if needs_omega:
-        r = _omega_residue(p)
-        arr = np.array(
-            [[(a + b * r) % p for a, b, _ in (v.triple() for v in row)]
-             for row in m.data],
-            dtype=np.int64,
-        )
-    else:
-        arr = np.array([[v.triple()[0] % p for v in row] for row in m.data],
-                       dtype=np.int64)
-    if arr.size == 0:
-        return 0
-    return rank_mod_p(arr, p)
 
 
 def deterministic_primes(digest: bytes, count: int = 2) -> tuple[int, ...]:

@@ -224,7 +224,7 @@ def _torsion_point_block(c: ClassCalculus) -> tuple[ExactMatrix, list[Cyclotomic
         for beta in range(basis.dim):
             rows.append([col[beta] for col in cols])
             rhs.append(-des[a].coeffs[beta].values[0])
-    return ExactMatrix.from_rows(rows), rhs
+    return ExactMatrix(len(rows), n * n, rows), rhs
 
 
 @lru_cache(maxsize=None)

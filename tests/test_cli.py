@@ -294,6 +294,8 @@ STDOUT_SHA256 = {
     "connections --mu 3/7": "0d4f5d8109279764438a302b507599baddb367135142e27888d4669912d257dd",
     "ricci-flat": "3380fad1179a77778db846a1ea29493ef7d89a3e3351b30704a51cfdf62a9d4f",
     "dirac --spectrum": "94978948969e2aa2a8af9b19cadf6ae4536c87e4013bb92d02bd625fb235548b",
+    "dirac --mu 3/7 --spectrum":
+        "a24bacb8832132951b9cb7af1556f686ed070203545194c6083c5bbbc738b5e3",
     "laplacian --mu 3/7": "87b3983e1a1dad90b33657816d561402c328a78a0269b7128ae4775da1f4e8ff",
     "cohomology": "6503a9db18dc1821b606906e1f4db1963e075c186a627c633e514cbd3ce48038",
     "connections --group sl2z3 --class 0121 --mu 1/7":
@@ -339,6 +341,24 @@ def test_sl2z3_0121_regularity_fails_with_exit_3(capsys, command):
     certs = json.loads(out)["certifications"]
     assert {c["check_name"]: c["status"] for c in certs} == statuses
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SL(2,3) class 2002 is central: on a one-element class Omega^2 = 0, so the
+# torsion system has no rows but still n^2 unknowns.
+def test_central_class_gives_a_structured_outcome(capsys):
+    where = ["--group", "sl2z3", "--class", "2002"]
+    code, out, err = _capture(capsys, ["connections", *where])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert {c["check_name"]: c["status"] for c in report["certifications"]} == {
+        "torsion_zero_on_particular": "ok",
+        "cotorsion_zero_on_particular": "ok",
+        "torsion_and_cotorsion_zero_on_member": "ok",
+    }
+    assert report["results"]["torsion_free"]["dimension"] == 24
+    code, out, err = _capture(capsys, ["ricci-flat", *where])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "component sum of a torsion-free solution is nonzero"}
 
 
 @pytest.mark.parametrize(

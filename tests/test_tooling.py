@@ -1,26 +1,30 @@
-"""Names that tooling outside the package looks up must exist.
+"""What tooling outside the package relies on must hold.
 
 The benchmark's tracer (``perfbench/tracing.py``) wraps library functions by
 name, and ``from ncgeo import *`` reads ``ncgeo.__all__``; a renamed or
-removed function would otherwise only fail when those run.
+removed function would otherwise only fail when those run.  The benchmark
+also pins the stdout of its fixed CLI commands (``perfbench/reference.json``),
+so a report change shows here rather than only at the benchmark gate.
 """
 
+import hashlib
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 import ncgeo
+from ncgeo.cli import run
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def tracing():
-    """perfbench/tracing.py loaded without writing a bytecode cache beside it."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    """perfbench/<name>.py loaded without writing a bytecode cache beside it."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     saved = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
@@ -29,6 +33,11 @@ def tracing():
     finally:
         sys.dont_write_bytecode = saved
     return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _load("tracing")
 
 
 def test_every_exported_name_resolves():
@@ -51,3 +60,13 @@ def test_every_cached_function_has_cache_info(tracing):
     calculus = importlib.import_module("ncgeo.calculus")
     for name in tracing.CACHED:
         assert hasattr(getattr(calculus, name, None), "cache_info"), name
+
+
+def test_benchmark_reference_digests_match(capsys):
+    workloads = _load("workloads")
+    want = json.loads((PERFBENCH / "reference.json").read_text())["stdout_sha256"]
+    got = {}
+    for argv in workloads.CLI_FIXED:
+        assert run(list(argv)) == 0, argv
+        got[" ".join(argv)] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == want
