@@ -35,7 +35,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
 from .cyclotomic import ONE, ZERO, Cyclotomic, Scalar, as_cyc
-from .groups import ClassCalculus, DiagnosticError, FiniteGroup
+from .groups import TABLE_III, ClassCalculus, DiagnosticError, FiniteGroup, class_frames
 from . import linalg
 from .linalg import ExactMatrix
 
@@ -290,21 +290,7 @@ class Omega2Basis:
 
 def tableiii_assignment(c: ClassCalculus) -> tuple[int, int, int, int] | None:
     """Class positions (t, x, y, z) realizing the third product table."""
-    from .groups import _is_witness, _match_tables, TABLE_III
-
-    if c.n != 4:
-        return None
-    for t_pos in range(4):
-        if not _is_witness(c.group, list(c.elements), c.elements[t_pos]):
-            continue
-        for x_pos in (p for p in range(4) if p != t_pos):
-            z_pos = c.ad(t_pos, x_pos)
-            y_pos = c.ad(t_pos, z_pos)
-            if len({t_pos, x_pos, y_pos, z_pos}) != 4:
-                continue
-            if _match_tables(c, t_pos, x_pos, y_pos, z_pos) == TABLE_III:
-                return (t_pos, x_pos, y_pos, z_pos)
-    return None
+    return next((frame for frame, verdict in class_frames(c) if verdict == TABLE_III), None)
 
 
 @lru_cache(maxsize=None)

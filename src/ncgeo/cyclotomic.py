@@ -221,9 +221,14 @@ class Cyclotomic:
 
     @classmethod
     def from_json(cls, data: Union[str, int, dict]) -> "Cyclotomic":
-        if isinstance(data, dict):
-            return cls(Fraction(data.get("re", 0)), Fraction(data.get("om", 0)))
-        return cls(Fraction(data))
+        """Parse an int, a rational string like "-1/4", or {"re", "om"} of those.
+
+        Anything else raises ValueError: floats, decimal strings such as "0.1",
+        booleans, nulls, lists and objects with other keys.
+        """
+        if isinstance(data, dict) and set(data) <= {"re", "om"}:
+            return cls(_exact_rational(data.get("re", 0)), _exact_rational(data.get("om", 0)))
+        return cls(_exact_rational(data))
 
 
 _new = object.__new__
@@ -249,6 +254,18 @@ def _make(a: int, b: int, d: int) -> Cyclotomic:
         b //= g
         d //= g
     return _raw((a, b, d))
+
+
+def _exact_rational(data: object) -> Fraction:
+    """An int or a string like "-1/4" as a Fraction; ValueError otherwise."""
+    if type(data) is int:
+        return Fraction(data)
+    if isinstance(data, str) and not any(ch in data for ch in ".eE"):
+        try:
+            return Fraction(data)
+        except ZeroDivisionError:
+            pass
+    raise ValueError(f"not an exact rational: {data!r}")
 
 
 def _rational_hash(n: int, d: int) -> int:

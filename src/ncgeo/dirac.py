@@ -1,19 +1,22 @@
 """Dirac operator, Laplacian and spectra for the four-element class on a4.
 
 Spinors are W-valued functions on the group (W the three-dimensional
-irreducible representation), flattened component-major: index i*|G| + g.
-The Dirac operator combines the difference operators of the calculus with
-gamma matrices built from W and the metric; its spectrum and a full exact
-eigenbasis are produced and certified by nullity counts, never by
-numerics.
+irreducible representation), flattened component-major: index i*|G| + g,
+so the spinor space is W (x) C(G) and every operator on it is a sum of
+Kronecker products of a 3 x 3 matrix on W with a |G| x |G| matrix on
+functions.  The Dirac operator pairs the gamma matrices, built from W and
+the metric, with the difference operators R_a - 1 of the calculus and the
+connection coefficients; its spectrum and a full exact eigenbasis are
+produced and certified by nullity counts, never by numerics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
-from .cyclotomic import ONE, OMEGA, ZERO, Cyclotomic, Scalar
+from .cyclotomic import ONE, OMEGA, ZERO, Cyclotomic, Scalar, as_cyc
 from .groups import ClassCalculus, FiniteGroup, GroupSpecError
 from . import linalg
 from .linalg import ExactMatrix
@@ -40,8 +43,12 @@ def _require_a4(group: FiniteGroup) -> None:
         )
 
 
+@lru_cache(maxsize=None)
 def builtin_reps(group: FiniteGroup) -> dict[str, Representation]:
-    """The four irreducible representations of the a4 builtin group."""
+    """The four irreducible representations of the a4 builtin group.
+
+    Cached per group: callers share the returned matrices and must not mutate them.
+    """
     _require_a4(group)
     order = group.order
     e = group.identity
@@ -53,23 +60,26 @@ def builtin_reps(group: FiniteGroup) -> dict[str, Representation]:
             3, 3, [[Cyclotomic.from_int(x) for x in row] for row in entries]
         )
 
-    seed = {
+    klein = {
         e: ExactMatrix.identity(3),
-        t: mk([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
         u: mk([[-1, 0, 0], [0, -1, 0], [0, 0, 1]]),
         v: mk([[-1, 0, 0], [0, 1, 0], [0, 0, -1]]),
         w: mk([[1, 0, 0], [0, -1, 0], [0, 0, -1]]),
     }
-    tri = [ExactMatrix.identity(3), seed[t], seed[t] @ seed[t]]
-    w_mats: list[ExactMatrix | None] = [None] * order
+    tmat = mk([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    tri = [ExactMatrix.identity(3), tmat, tmat @ tmat]
+    # g = s t^k with s in the Klein subgroup; k is g's coset
+    coset: list[int] = []
+    w_mats: list[ExactMatrix] = []
     for g in range(order):
         for k in range(3):
-            s = group.mult(g, group.inv(group.power(t, k)))
-            if s in (e, u, v, w):
-                w_mats[g] = seed[s] @ tri[k]
+            s = group.mult(g, group.power(t, -k))
+            if s in klein:
                 break
-        if w_mats[g] is None:
+        else:
             raise GroupSpecError("group element escapes the coset factorization", {})
+        coset.append(k)
+        w_mats.append(klein[s] @ tri[k])
 
     def char_rep(name: str, value: Callable[[int], Cyclotomic]) -> Representation:
         return Representation(
@@ -78,12 +88,6 @@ def builtin_reps(group: FiniteGroup) -> dict[str, Representation]:
             matrices=tuple(ExactMatrix(1, 1, [[value(g)]]) for g in range(order)),
         )
 
-    coset = [0] * order
-    for g in range(order):
-        for k in range(3):
-            if group.mult(g, group.inv(group.power(t, k))) in (e, u, v, w):
-                coset[g] = k
-                break
     omega_pow = [Cyclotomic(1), OMEGA, OMEGA * OMEGA]
     return {
         "trivial": char_rep("trivial", lambda g: Cyclotomic(1)),
@@ -91,10 +95,6 @@ def builtin_reps(group: FiniteGroup) -> dict[str, Representation]:
         "rho_bar": char_rep("rho_bar", lambda g: omega_pow[(3 - coset[g]) % 3]),
         "W": Representation(name="W", dim=3, matrices=tuple(w_mats)),
     }
-
-
-def _w_rep(c: ClassCalculus) -> Representation:
-    return builtin_reps(c.group)["W"]
 
 
 def _check_metric(c: ClassCalculus, metric: Metric) -> Metric:
@@ -108,7 +108,7 @@ def _check_metric(c: ClassCalculus, metric: Metric) -> Metric:
 def casimir_action(c: ClassCalculus, metric: Metric | None = None) -> ExactMatrix:
     """sum_{ab} eta^{ab} rho_W(a - e) rho_W(b - e) on the spinor fibre."""
     metric = _check_metric(c, metric)
-    rep = _w_rep(c)
+    rep = builtin_reps(c.group)["W"]
     ident = ExactMatrix.identity(rep.dim)
     diffs = [rep(c.elements[a]) - ident for a in range(c.n)]
     total = ExactMatrix.zeros(rep.dim, rep.dim)
@@ -123,7 +123,7 @@ def casimir_action(c: ClassCalculus, metric: Metric | None = None) -> ExactMatri
 def gamma_matrices(c: ClassCalculus, metric: Metric | None = None) -> list[ExactMatrix]:
     """gamma_a = rho_W(a - e) + (n mu / (1 + n mu)) id."""
     metric = _check_metric(c, metric)
-    rep = _w_rep(c)
+    rep = builtin_reps(c.group)["W"]
     ident = ExactMatrix.identity(rep.dim)
     mu = metric.mu if metric.mu is not None else ZERO
     shift = mu * c.n * (1 + mu * c.n).inverse()
@@ -134,29 +134,21 @@ def gamma_matrices(c: ClassCalculus, metric: Metric | None = None) -> list[Exact
 
 def right_translation_blocks(c: ClassCalculus) -> dict[str, ExactMatrix]:
     """R_a as a |G| x |G| permutation matrix for each class element."""
-    order = c.group.order
-    out = {}
-    for pos, label in enumerate(c.labels):
-        m = ExactMatrix.zeros(order, order)
-        perm = c.right_perm[pos]
-        for g in range(order):
-            m.data[g][perm[g]] = ONE
-        out[label] = m
-    return out
+    return {
+        label: translation_combination(c, [int(b == pos) for b in range(c.n)])
+        for pos, label in enumerate(c.labels)
+    }
 
 
-def _partial_matrix(c: ClassCalculus, pos: int) -> ExactMatrix:
-    order = c.group.order
-    m = ExactMatrix.zeros(order, order)
-    perm = c.right_perm[pos]
-    for g in range(order):
-        m.data[g][perm[g]] = m.data[g][perm[g]] + ONE
-        m.data[g][g] = m.data[g][g] - ONE
-    return m
-
-
-def _spinor_index(dim: int, order: int, i: int, g: int) -> int:
-    return i * order + g
+def _add_kron(out: ExactMatrix, a: ExactMatrix, b: ExactMatrix) -> None:
+    """out += a (x) b in place, visiting the nonzero entries only."""
+    entries = [(k, l, v) for k, row in enumerate(b.data) for l, v in enumerate(row) if v]
+    for i, row in enumerate(a.data):
+        block = out.data[i * b.rows : (i + 1) * b.rows]
+        for j, x in enumerate(row):
+            if x:
+                for k, l, v in entries:
+                    block[k][j * b.cols + l] += x * v
 
 
 def dirac_operator(
@@ -164,53 +156,28 @@ def dirac_operator(
     metric: Metric | None = None,
     conn: Connection | None = None,
 ) -> ExactMatrix:
-    """D = sum_a gamma_a partial^a - sum_{a,b} A_a^b gamma_b rho_W(a^-1 - e)."""
+    """D = sum_a gamma_a (x) (R_a - 1) - sum_{a,b} gamma_b tau_a (x) A_a^b.
+
+    tau_a = rho_W(a^-1) - 1, and A_a^b acts on functions pointwise.
+    """
     metric = _check_metric(c, metric)
     if conn is None:
         conn = levi_civita(c)
-    rep = _w_rep(c)
+    rep = builtin_reps(c.group)["W"]
     order = c.group.order
-    n = c.n
-    dim = rep.dim
-    size = dim * order
     gammas = gamma_matrices(c, metric)
-    ident = ExactMatrix.identity(dim)
-    taus = [
-        rep(c.group.inv(c.elements[a])) - ident for a in range(n)
-    ]
-    out = ExactMatrix.zeros(size, size)
-    for a in range(n):
-        pmat = _partial_matrix(c, a)
-        gm = gammas[a]
-        for i in range(dim):
-            for j in range(dim):
-                gij = gm.data[i][j]
-                if not gij:
-                    continue
-                for g in range(order):
-                    for h in (c.right_perm[a][g], g):
-                        val = pmat.data[g][h]
-                        if val:
-                            r = _spinor_index(dim, order, i, g)
-                            s = _spinor_index(dim, order, j, h)
-                            out.data[r][s] = out.data[r][s] + gij * val
-    for a in range(n):
-        for b in range(n):
-            coeff_fn = conn.comps[a].coeffs[b]
-            if coeff_fn.is_zero():
-                continue
-            gt = gammas[b] @ taus[a]
-            for i in range(dim):
-                for j in range(dim):
-                    gij = gt.data[i][j]
-                    if not gij:
-                        continue
-                    for g in range(order):
-                        val = coeff_fn.values[g]
-                        if val:
-                            r = _spinor_index(dim, order, i, g)
-                            s = _spinor_index(dim, order, j, g)
-                            out.data[r][s] = out.data[r][s] - gij * val
+    out = ExactMatrix.zeros(rep.dim * order, rep.dim * order)
+    for gamma, rt in zip(gammas, right_translation_blocks(c).values()):
+        _add_kron(out, gamma, rt)
+    # the -1 of every R_a - 1 at once: -(sum_a gamma_a) (x) 1
+    _add_kron(out, -sum(gammas[1:], gammas[0]), ExactMatrix.identity(order))
+    for a, elem in enumerate(c.elements):
+        tau = rep(c.group.inv(elem)) - ExactMatrix.identity(rep.dim)
+        for b in range(c.n):
+            coeff = conn.comps[a].coeffs[b].values
+            if any(coeff):
+                diag = [[v if g == h else ZERO for h in range(order)] for g, v in enumerate(coeff)]
+                _add_kron(out, -(gammas[b] @ tau), ExactMatrix(order, order, diag))
     return out
 
 
@@ -218,7 +185,8 @@ def laplacian(c: ClassCalculus, metric: Metric | None = None) -> ExactMatrix:
     """Box = -sum_{ab} eta^{ab} partial^a partial^b on functions."""
     metric = _check_metric(c, metric)
     order = c.group.order
-    parts = [_partial_matrix(c, a) for a in range(c.n)]
+    ident = ExactMatrix.identity(order)
+    parts = [rt - ident for rt in right_translation_blocks(c).values()]
     total = ExactMatrix.zeros(order, order)
     for a in range(c.n):
         for b in range(c.n):
@@ -237,7 +205,7 @@ def verify_spectrum(
     seen: dict[Cyclotomic, int] = {}
     total = 0
     for lam in candidates:
-        lam = lam if isinstance(lam, Cyclotomic) else Cyclotomic(lam)
+        lam = as_cyc(lam)
         if lam in seen:
             continue
         shifted = m - ExactMatrix.identity(m.rows).scale(lam)
@@ -255,14 +223,6 @@ def verify_spectrum(
 # ---------------------------------------------------------------------------
 # exact eigenbasis at mu = 0
 # ---------------------------------------------------------------------------
-
-
-def _rep_entry_function(rep: Representation, k: int, j: int) -> list[Cyclotomic]:
-    return [rep(g).data[k][j] for g in range(len(rep.matrices))]
-
-
-def _apply_op(mat: ExactMatrix, vec: list[Cyclotomic]) -> list[Cyclotomic]:
-    return mat.matvec(vec)
 
 
 def translation_combination(
@@ -290,86 +250,48 @@ def dirac_eigenbasis(
     and the sign combinations D_1 = R_t - R_x - R_y + R_z,
     D_2 = R_t - R_x + R_y - R_z, D_3 = R_t + R_x - R_y - R_z.
     """
-    group = c.group
-    order = group.order
-    reps = builtin_reps(group)
-    wrep = reps["W"]
-    rho = [reps["rho"](g).data[0][0] for g in range(order)]
-    tpos = {lbl: i for i, lbl in enumerate(c.labels)}
-    sign_rows = {
-        1: [0, 0, 0, 0],
-        2: [0, 0, 0, 0],
-        3: [0, 0, 0, 0],
-    }
-    for lbl, signs in (("t", (1, 1, 1)), ("x", (-1, -1, 1)), ("y", (-1, 1, -1)), ("z", (1, -1, -1))):
-        p = tpos[lbl]
-        for d in (1, 2, 3):
-            sign_rows[d][p] = signs[d - 1]
-    d_ops = {d: translation_combination(c, sign_rows[d]) for d in (1, 2, 3)}
+    order = c.group.order
+    reps = builtin_reps(c.group)
+    rho = [m.data[0][0] for m in reps["rho"].matrices]
+    # entry[k][j] is the function g -> rho_W(g)_{kj}
+    entry = [[[m.data[k][j] for m in reps["W"].matrices] for j in range(3)] for k in range(3)]
+    signs = {"t": (1, 1, 1), "x": (-1, -1, 1), "y": (-1, 1, -1), "z": (1, -1, -1)}
+    d1, d2, d3 = (
+        translation_combination(c, [signs[label][d] for label in c.labels]) for d in range(3)
+    )
+    zero = [ZERO] * order
 
-    def col(k: int, j: int) -> list[Cyclotomic]:
-        return _rep_entry_function(wrep, k, j)
+    def place(slot: int, fn: list[Cyclotomic]) -> tuple[Cyclotomic, ...]:
+        return tuple(zero * slot + fn + zero * (2 - slot))
 
-    def stack(parts: Sequence[Sequence[Cyclotomic]]) -> tuple[Cyclotomic, ...]:
-        out: list[Cyclotomic] = []
-        for p in parts:
-            out.extend(p)
-        return tuple(out)
-
-    zero_fn = [ZERO] * order
     out: list[tuple[Cyclotomic, tuple[Cyclotomic, ...]]] = []
     # kernel: D_2 only survives on the first W column, D_3 on the second,
     # D_1 on the third; each slot admits exactly two of the three images
     for k in range(3):
-        r1 = _apply_op(d_ops[2], col(k, 0))
-        r2 = _apply_op(d_ops[3], col(k, 1))
-        r3 = _apply_op(d_ops[1], col(k, 2))
-        out.append((ZERO, stack([r1, zero_fn, zero_fn])))
-        out.append((ZERO, stack([zero_fn, r2, zero_fn])))
-        out.append((ZERO, stack([zero_fn, zero_fn, r3])))
-        out.append((ZERO, stack([r2, zero_fn, zero_fn])))
-        out.append((ZERO, stack([zero_fn, r3, zero_fn])))
-        out.append((ZERO, stack([zero_fn, zero_fn, r1])))
+        images = [d2.matvec(entry[k][0]), d3.matvec(entry[k][1]), d1.matvec(entry[k][2])]
+        out += [(ZERO, place(i, images[(i + shift) % 3])) for shift in (0, 1) for i in range(3)]
     # -4 omega^n: the coset character powers placed in each slot
     for npow in range(3):
-        fn = [ONE] * order
-        for _ in range(npow):
-            fn = [a * b for a, b in zip(fn, rho)]
-        lam = Cyclotomic.from_int(-4) * (OMEGA**npow)
-        out.append((lam, stack([fn, zero_fn, zero_fn])))
-        out.append((lam, stack([zero_fn, fn, zero_fn])))
-        out.append((lam, stack([zero_fn, zero_fn, fn])))
+        twist = [r**npow for r in rho]
+        out += [(Cyclotomic.from_int(-4) * OMEGA**npow, place(i, twist)) for i in range(3)]
     # +4 omega^n: stacked rows of W, twisted by character powers
     for npow in range(3):
-        lam = Cyclotomic.from_int(4) * (OMEGA**npow)
-        for k in range(3):
-            parts = []
-            for j in range(3):
-                base = col(k, j)
-                fn = list(base)
-                for _ in range(npow):
-                    fn = [a * b for a, b in zip(fn, rho)]
-                parts.append(fn)
-            out.append((lam, stack(parts)))
+        twist = [r**npow for r in rho]
+        out += [
+            (
+                Cyclotomic.from_int(4) * OMEGA**npow,
+                tuple(f * r for j in range(3) for f, r in zip(entry[k][j], twist)),
+            )
+            for k in range(3)
+        ]
     return out
 
 
 def chi_operator(c: ClassCalculus) -> ExactMatrix:
-    """Order-three symmetry: cyclic slot shift combined with translation by t."""
-    group = c.group
-    order = group.order
-    rt = ExactMatrix.zeros(order, order)
-    tpos = c.position("t")
-    perm = c.right_perm[tpos]
-    for g in range(order):
-        rt.data[g][perm[g]] = ONE
-    size = 3 * order
-    out = ExactMatrix.zeros(size, size)
-    for (bi, bj) in ((0, 2), (1, 0), (2, 1)):
-        for g in range(order):
-            for h in range(order):
-                if rt.data[g][h]:
-                    out.data[bi * order + g][bj * order + h] = rt.data[g][h]
+    """Order-three symmetry: the cyclic slot shift (x) translation by t."""
+    out = ExactMatrix.zeros(3 * c.group.order, 3 * c.group.order)
+    shift = ExactMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    _add_kron(out, shift, right_translation_blocks(c)["t"])
     return out
 
 
@@ -411,14 +333,8 @@ def chirality_gamma(c: ClassCalculus) -> ExactMatrix:
 def _fourier_matrix(group: FiniteGroup) -> ExactMatrix:
     reps = builtin_reps(group)
     order = group.order
-    cols: list[list[Cyclotomic]] = []
-    cols.append([ONE] * order)
-    cols.append([reps["rho"](g).data[0][0] for g in range(order)])
-    cols.append([reps["rho_bar"](g).data[0][0] for g in range(order)])
-    wrep = reps["W"]
-    for k in range(3):
-        for j in range(3):
-            cols.append([wrep(g).data[k][j] for g in range(order)])
+    cols = [[m.data[0][0] for m in reps[name].matrices] for name in ("trivial", "rho", "rho_bar")]
+    cols += [[m.data[k][j] for m in reps["W"].matrices] for k in range(3) for j in range(3)]
     mat = ExactMatrix.from_rows(cols).transpose()
     if linalg.rank(mat) != order:
         raise linalg.CertificationError("matrix-coefficient basis is not full rank")
@@ -445,9 +361,7 @@ def fourier_decompose(
     group: FiniteGroup, values: Sequence[Scalar]
 ) -> dict[str, Cyclotomic]:
     """Coordinates of a function over the matrix-coefficient basis."""
-    mat = _fourier_matrix(group)
-    vec = [v if isinstance(v, Cyclotomic) else Cyclotomic(v) for v in values]
-    sol = linalg.solve_affine(mat, vec)
+    sol = linalg.solve_affine(_fourier_matrix(group), [as_cyc(v) for v in values])
     if sol is None or sol.basis:
         raise linalg.CertificationError("matrix-coefficient basis failed to resolve")
     return dict(zip(FOURIER_LABELS, sol.particular))
@@ -457,13 +371,4 @@ def fourier_reconstruct(
     group: FiniteGroup, coeffs: dict[str, Scalar]
 ) -> list[Cyclotomic]:
     """Function values from matrix-coefficient coordinates."""
-    mat = _fourier_matrix(group)
-    vec = [
-        (
-            coeffs.get(lbl, 0)
-            if isinstance(coeffs.get(lbl, 0), Cyclotomic)
-            else Cyclotomic(coeffs.get(lbl, 0))
-        )
-        for lbl in FOURIER_LABELS
-    ]
-    return mat.matvec(vec)
+    return _fourier_matrix(group).matvec([as_cyc(coeffs.get(lbl, 0)) for lbl in FOURIER_LABELS])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 
 class DiagnosticError(Exception):
@@ -105,6 +105,8 @@ def axiom_violation(
 
 
 def _validate(names: Sequence[str], table: Sequence[Sequence[int]]) -> FiniteGroup:
+    if not isinstance(names, (list, tuple)) or not all(isinstance(x, str) for x in names):
+        raise GroupSpecError("element names must be a list of strings")
     n = len(names)
     if len(set(names)) != n:
         raise GroupSpecError("duplicate element names", {"names": list(names)})
@@ -281,11 +283,10 @@ def conjugacy_classes(group: FiniteGroup) -> list[list[int]]:
     seen: set[int] = set()
     classes = []
     for g in range(group.order):
-        if g in seen:
-            continue
-        orbit = sorted({group.conjugate(h, g) for h in range(group.order)})
-        seen.update(orbit)
-        classes.append(orbit)
+        if g not in seen:
+            orbit = _class_of(group, g)
+            seen.update(orbit)
+            classes.append(orbit)
     ident = next(c for c in classes if group.identity in c)
     rest = [c for c in classes if c is not ident]
     return [ident] + sorted(rest, key=lambda c: c[0])
@@ -323,6 +324,7 @@ class ClassCalculus:
 
 
 def _class_of(group: FiniteGroup, g: int) -> list[int]:
+    """The conjugacy class of g, as sorted group indices."""
     return sorted({group.conjugate(h, g) for h in range(group.order)})
 
 
@@ -380,13 +382,12 @@ def _is_witness(group: FiniteGroup, members: list[int], t: int) -> bool:
 
 def is_cyclic_class(c: ClassCalculus) -> tuple[bool, str | None]:
     """First witness (in class order) of the cyclicity condition, if any."""
-    for pos, g in enumerate(c.elements):
-        if _is_witness(c.group, list(c.elements), g):
-            return True, c.labels[pos]
-    return False, None
+    witnesses = cyclicity_witnesses(c)
+    return bool(witnesses), witnesses[0] if witnesses else None
 
 
 def cyclicity_witnesses(c: ClassCalculus) -> list[str]:
+    """Every class element whose adjoint action cycles the rest, in class order."""
     return [
         c.labels[pos]
         for pos, g in enumerate(c.elements)
@@ -444,23 +445,27 @@ def classify_class_products(c: ClassCalculus) -> str:
             "product-table classification needs a cyclic class of size 4",
             {"size": c.n, "cyclic": cyclic},
         )
-    group = c.group
-    found_ii = False
-    for t_pos in range(4):
-        if not _is_witness(group, list(c.elements), c.elements[t_pos]):
+    verdicts = {verdict for _, verdict in class_frames(c)}
+    return next((v for v in (TABLE_III, TABLE_II) if v in verdicts), OTHER)
+
+
+def class_frames(c: ClassCalculus) -> Iterator[tuple[tuple[int, int, int, int], str]]:
+    """Frames (t, x, y, z) of a four-element class, each with its table verdict.
+
+    t runs over the cyclicity witnesses and x over the rest, in class order;
+    z = Ad_t(x) and y = Ad_t(z), and frames that repeat a position are skipped.
+    A class of another size has no frames.
+    """
+    if c.n != 4:
+        return
+    for t in range(4):
+        if not _is_witness(c.group, list(c.elements), c.elements[t]):
             continue
-        others = [p for p in range(4) if p != t_pos]
-        for x_pos in others:
-            z_pos = c.ad(t_pos, x_pos)
-            y_pos = c.ad(t_pos, z_pos)
-            if sorted([x_pos, y_pos, z_pos]) != sorted(others):
-                continue
-            verdict = _match_tables(c, t_pos, x_pos, y_pos, z_pos)
-            if verdict == TABLE_III:
-                return TABLE_III
-            if verdict == TABLE_II:
-                found_ii = True
-    return TABLE_II if found_ii else OTHER
+        for x in range(4):
+            z = c.ad(t, x)
+            y = c.ad(t, z)
+            if len({t, x, y, z}) == 4:
+                yield (t, x, y, z), _match_tables(c, t, x, y, z)
 
 
 def _match_tables(c: ClassCalculus, t: int, x: int, y: int, z: int) -> str:

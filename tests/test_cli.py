@@ -47,15 +47,36 @@ def test_unknown_command_exits_64(capsys):
     assert "unknown command" in diag["error"]
 
 
-def test_bad_group_file_exits_65(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "payload, diagnostic",
+    [
+        (
+            {"names": ["e", "a"], "table": [[0, 1], [1, 1]]},
+            {"error": "row is not a permutation", "row": "a"},
+        ),
+        # a string is not a list of names, though it iterates like one
+        (
+            {"names": "ea", "table": [[0, 1], [1, 0]]},
+            {"error": "element names must be a list of strings"},
+        ),
+        (
+            {"names": [1, 2], "table": [[0, 1], [1, 0]]},
+            {"error": "element names must be a list of strings"},
+        ),
+        (
+            {"names": ["e", "e"], "table": [[0, 1], [1, 0]]},
+            {"error": "duplicate element names", "names": ["e", "e"]},
+        ),
+    ],
+    ids=["row", "string-names", "int-names", "duplicate-names"],
+)
+def test_bad_group_file_exits_65(tmp_path, capsys, payload, diagnostic):
     path = tmp_path / "bad.json"
-    path.write_text(
-        json.dumps({"names": ["e", "a"], "table": [[0, 1], [1, 1]]})
-    )
-    code, out, err = _capture(capsys, ["info", "--group", str(path)])
-    assert code == 65
-    diag = json.loads(err)
-    assert "row" in diag
+    path.write_text(json.dumps(payload))
+    for argv in (["info", "--group", str(path)], ["info", "--group", str(path), "--class", "a"]):
+        code, out, err = _capture(capsys, argv)
+        assert (code, out) == (65, "")
+        assert json.loads(err) == diagnostic
 
 
 def test_nonassociative_loop_names_violated_triple(tmp_path, capsys):
@@ -114,6 +135,17 @@ def test_extdims_over_cap_exits_2(capsys):
     assert diag["cap"] == 6
 
 
+def test_negative_max_degree_exits_2(capsys):
+    code, out, err = _capture(capsys, ["extdims", "--max-degree", "-1"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "argument --max-degree: invalid degree -1: must be at least 0"
+    }
+    code, out, err = _capture(capsys, ["extdims", "--max-degree", "x"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "argument --max-degree: invalid int value: 'x'"}
+
+
 def test_s4_123_quadratic_refusal_reports_spanning_set(capsys):
     argv = ["extdims", "--group", "s4", "--class", "(123)", "--quadratic"]
     report = _report(capsys, argv + ["--max-degree", "5"])
@@ -138,6 +170,36 @@ def test_metric_singular_parameter_reported(capsys):
     assert report["results"]["invertible"] is False
     assert report["results"]["eta_inverse"] is None
     assert report["results"]["invariant_space_dim"] == 2
+
+
+def test_fourier_input_accepts_exact_values(tmp_path, capsys):
+    values = [1, "1/2", {"re": "1/3", "om": 2}, 0, -3, "5", {"re": 1}, {"om": "-1/2"}, 7, "0", 2, 1]
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(values))
+    report = _report(capsys, ["fourier", "--input", str(path)])
+    assert report["results"]["function"][:3] == ["1", "1/2", {"re": "1/3", "om": "2"}]
+    assert report["certifications"] == [
+        {"check_name": "fourier_roundtrip_exact", "status": "ok"}
+    ]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [None, [1], 0.1, 2.0, True, "0.5", "1e3", "x", "1/0", {"re": None}, {"re": 1, "im": 2}],
+    ids=repr,
+)
+def test_fourier_input_refuses_inexact_values_by_index(tmp_path, capsys, bad):
+    values = [1] * 12
+    values[5] = bad
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(values))
+    code, out, err = _capture(capsys, ["fourier", "--input", str(path)])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "function values must be ints, rationals like -1/4 or {re, om} objects of those",
+        "index": 5,
+        "value": bad,
+    }
 
 
 def test_connections_solver_report(capsys):
@@ -300,6 +362,15 @@ STDOUT_SHA256 = {
     "cohomology": "6503a9db18dc1821b606906e1f4db1963e075c186a627c633e514cbd3ce48038",
     "connections --group sl2z3 --class 0121 --mu 1/7":
         "5f2feea3ba63edf9dc7d69b8caa04168c184414c3c24dff9b49fbe0a8a80e742",
+    "info": "8d5a75b2394709f4d76605526744239cf47d0ded5e71275db84676e329741c3e",
+    "levi-civita --mu 3/7": "3b9cb467479c497a858d4e102fcfb086ee7145a2d518e46679d625a179c33d14",
+    "curvature --mu 3/7": "2daf5342ec40b0193b2c78aa49c0a6059aa397c544122353efaceb0f87ba840c",
+    "ricci --lift i": "f60f5c6d134e658e0aad5ac3dcf8015882020b824d5b3575936e0df0e1664294",
+    "dirac --eigenbasis": "c80c918b14e9e75e27f85f99027f948d5e97cac9580edd591ad4bf79a3b94afe",
+    "fourier": "69f27b929a9d393455ce100623164ee2806d10d1c5af13398dae660589b1ee80",
+    "flat-u1 --check-families":
+        "dc6aed354e6743fd5919fe00ff97dca26d0a0e5b1ac26b5d06309749e8cf33aa",
+    "extdims --max-degree 4": "0eadd8e5e3dab97b9bc1d3bfde7906e18b5326a791f172e1201e07de1f954e73",
 }
 
 
@@ -308,6 +379,50 @@ def test_stdout_is_byte_identical_to_pinned_digest(capsys, command):
     code, out, err = _capture(capsys, command.split())
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
+
+
+# exit code and exact stderr diagnostic of refusals that print no report
+REFUSALS = {
+    "metric --mu 0.5": (
+        2,
+        {"error": "metric parameter must be an exact rational like -1/4", "value": "0.5"},
+    ),
+    "dirac --mu -1/4": (
+        2,
+        {"error": "metric is singular at this parameter", "mu": "-1/4", "singular_at": "-1/4"},
+    ),
+    "dirac --group s3": (
+        2,
+        {
+            "error": "the spinor construction needs the four-element class of a4",
+            "class_size": 3,
+            "group_order": 6,
+        },
+    ),
+    "ricci --lift x": (
+        2,
+        {"error": "argument --lift: invalid choice: 'x' (choose from 'i', 'iprime', 'both')"},
+    ),
+    "frobnicate": (
+        64,
+        {
+            "error": "unknown command 'frobnicate'",
+            "commands": [
+                "cohomology", "connections", "curvature", "dirac", "extdims", "flat-u1",
+                "fourier", "info", "laplacian", "levi-civita", "metric", "relations",
+                "ricci", "ricci-flat", "s4-check",
+            ],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REFUSALS))
+def test_refusal_prints_its_diagnostic_and_exit_code(capsys, command):
+    want_code, want_diag = REFUSALS[command]
+    code, out, err = _capture(capsys, command.split())
+    assert (code, out) == (want_code, "")
+    assert err == json.dumps(want_diag, sort_keys=True) + "\n"
 
 
 # SL(2,3) class 0121: the Levi-Civita connection is torsion-, cotorsion- and

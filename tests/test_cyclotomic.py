@@ -80,6 +80,16 @@ def test_json_shapes():
     assert cyc(5).to_json() == "5"
     assert cyc(1, -2).to_json() == {"re": "1", "om": "-2"}
     assert Cyclotomic.from_json("7/2") == cyc(Fraction(7, 2))
+    assert Cyclotomic.from_json(-3) == cyc(-3)
+    assert Cyclotomic.from_json({"om": "-1/2"}) == cyc(0, Fraction(-1, 2))
+
+
+@pytest.mark.parametrize(
+    "data", [0.5, True, None, [1], "0.1", "1e2", "1/0", "x", {"re": 1.5}, {"re": 1, "im": 0}]
+)
+def test_from_json_refuses_inexact_input(data):
+    with pytest.raises(ValueError):
+        Cyclotomic.from_json(data)
 
 
 @given(cycs, cycs)

@@ -149,6 +149,22 @@ def test_a4_classification_is_third_table(a4_c):
     assert classify_class_products(a4_c) == TABLE_III
 
 
+def test_class_frames_drive_classification_and_the_degree_two_basis(a4, a4_c, sl2z3):
+    from ncgeo.calculus import tableiii_assignment
+    from ncgeo.groups import class_frames
+
+    frames = list(class_frames(a4_c))
+    # frames are distinct and each names four distinct class positions
+    assert len(frames) == len({f for f, _ in frames}) > 0
+    assert all(len(set(f)) == 4 for f, _ in frames)
+    first_iii = next(f for f, verdict in frames if verdict == TABLE_III)
+    assert tableiii_assignment(a4_c) == first_iii == (0, 1, 2, 3)
+    c = class_calculus(sl2z3, "0121")
+    assert {verdict for _, verdict in class_frames(c)} == {TABLE_II}
+    assert tableiii_assignment(c) is None
+    assert list(class_frames(class_calculus(build_group("s3"), "(12)"))) == []
+
+
 def test_a4_triple_products_are_constant(a4, a4_c):
     pos = {lbl: a4_c.elements[i] for i, lbl in enumerate(a4_c.labels)}
     triples = [
