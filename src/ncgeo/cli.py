@@ -509,7 +509,7 @@ def _cmd_flat_u1(ns, c, mu) -> tuple[dict, list]:
         ]
     }
     if not ns.check_families:
-        return results, [{"check_name": "families_enumerated", "status": "ok"}]
+        return results, [_check("families_enumerated", cohomology.flat_families_complete(c))]
     params = [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(5, 3)]
     all_flat = all(
         cohomology.u1_curvature(c, fam.member(c, lam)).is_zero()

@@ -154,6 +154,46 @@ def is_flat_family_member(c: ClassCalculus, alpha: Form) -> bool:
     return all(v == shifted[0] for v in shifted)
 
 
+def flat_families_complete(c: ClassCalculus) -> bool:
+    """Whether the flat lines hold every flat constant connection (sound, conservative).
+
+    With beta = alpha + theta = sum x_a e_a, F(alpha) = beta ^ beta, zero
+    exactly when x_a x_b is constant on every braiding orbit of pairs.  A flat
+    x has closed support (an orbit meeting S x S lies in S x S): if every pair
+    closes to the class, two nonzero entries force full support, where
+    x_m x_r = x_m x_s in one orbit gives x_r = x_s; those must merge all.
+    """
+    n = c.n
+    perm = braiding(c).perm
+    orbits = []
+    for i in range(n * n):
+        cycle = [i]
+        while perm[cycle[-1]] != i:
+            cycle.append(perm[cycle[-1]])
+        if min(cycle) == i:
+            orbits.append([divmod(j, n) for j in cycle])
+    for a in range(n):
+        for b in range(a):
+            support, size = {a, b}, 0
+            while size < len(support):
+                size = len(support)
+                for members in orbits:
+                    if any(p in support and q in support for p, q in members):
+                        support.update(v for pair in members for v in pair)
+            if size < n:
+                return False
+    root = list(range(n))
+    for members in orbits:
+        for p, q in members:
+            for r, s in members:
+                # a shared entry cancels: x_p x_q = x_r x_s with p = r gives x_q = x_s
+                for m, u, k, v in ((p, q, r, s), (p, q, s, r), (q, p, r, s), (q, p, s, r)):
+                    if m == k:
+                        old, new = root[v], root[u]
+                        root = [new if w == old else w for w in root]
+    return len(set(root)) == 1
+
+
 # ---------------------------------------------------------------------------
 # cross-checks on other groups
 # ---------------------------------------------------------------------------

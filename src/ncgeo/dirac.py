@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .cyclotomic import ONE, OMEGA, ZERO, Cyclotomic, Scalar, as_cyc
-from .groups import ClassCalculus, FiniteGroup, GroupSpecError
+from .groups import ClassCalculus, DiagnosticError, FiniteGroup, GroupSpecError
 from . import linalg
 from .linalg import ExactMatrix
 from .riemann import Connection, Metric, levi_civita, metric_from_mu
@@ -248,10 +248,15 @@ def dirac_eigenbasis(
 
     Built from the entry functions rho_{kj} of W, the coset character rho,
     and the sign combinations D_1 = R_t - R_x - R_y + R_z,
-    D_2 = R_t - R_x + R_y - R_z, D_3 = R_t + R_x - R_y - R_z.
+    D_2 = R_t - R_x + R_y - R_z, D_3 = R_t + R_x - R_y - R_z.  Refused on
+    any class but that of t.
     """
     order = c.group.order
     reps = builtin_reps(c.group)
+    if c.group.index("t") not in c.elements:
+        raise DiagnosticError(
+            "the exact eigenbasis is built for the class of t", {"class": list(c.labels)}
+        )
     rho = [m.data[0][0] for m in reps["rho"].matrices]
     # entry[k][j] is the function g -> rho_W(g)_{kj}
     entry = [[[m.data[k][j] for m in reps["W"].matrices] for j in range(3)] for k in range(3)]

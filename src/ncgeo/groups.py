@@ -110,11 +110,15 @@ def _validate(names: Sequence[str], table: Sequence[Sequence[int]]) -> FiniteGro
     n = len(names)
     if len(set(names)) != n:
         raise GroupSpecError("duplicate element names", {"names": list(names)})
+    rows = (list, tuple)
+    if not isinstance(table, rows) or not all(isinstance(row, rows) for row in table):
+        raise GroupSpecError("table must be a list of lists of integers")
     if len(table) != n or any(len(row) != n for row in table):
         raise GroupSpecError("table is not |G| x |G|", {"order": n})
     for i, row in enumerate(table):
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
+            # bool is a subclass of int, but true is not an element index
+            if type(v) is not int or not 0 <= v < n:
                 raise GroupSpecError(
                     "table entry out of range",
                     {"row": names[i], "col": names[j], "value": v},

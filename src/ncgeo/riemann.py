@@ -2,16 +2,16 @@
 
 Every one-form, two-form and element of the tensor square here is a
 ``calculus.Form`` over its fixed basis.  Connections are families A_a of
-one-forms indexed by the class.  Torsion
-acts pointwise on the components, so its solution space is assembled from
-one small affine block per group point; the cotorsion condition couples
-points through right translations and is solved by substituting the
-torsion-free parametrization.  Cotorsion and Ricci curvature commute with
-left translations, so their systems on that family are built from the
-identity block alone.  Ricci curvature lifts two-forms into the tensor
-square by ``Form.apply`` with an n^2 x dim lift matrix: the canonical
-splitting (complement of the relation kernel along its orthogonal
-projector) or the simpler id - braiding lift.
+one-forms indexed by the class.  Torsion acts pointwise on the components,
+so the torsion-free family is one small affine point space of values placed
+at every group point, and the solvers carry that point space, not its
+|G|-fold spread.  The cotorsion condition couples points through right
+translations and is solved on the family.  Cotorsion and Ricci curvature
+commute with left translations, so their systems on the family are built
+from the identity block alone.  Ricci curvature lifts two-forms into the
+tensor square by ``Form.apply`` with an n^2 x dim lift matrix: the
+canonical splitting (complement of the relation kernel along its
+orthogonal projector) or the simpler id - braiding lift.
 """
 
 from __future__ import annotations
@@ -228,32 +228,27 @@ def _torsion_point_block(c: ClassCalculus) -> tuple[ExactMatrix, list[Cyclotomic
 
 
 @lru_cache(maxsize=None)
+def _torsion_point_space(c: ClassCalculus) -> AffineSpace | None:
+    """Torsion-free values at one point: n^2 unknowns A_b^d, k directions."""
+    return linalg.solve_affine(*_torsion_point_block(c))
+
+
+@lru_cache(maxsize=None)
 def solve_torsion_free(c: ClassCalculus) -> AffineSpace | None:
     """All torsion-free connections, as an affine space of flat vectors.
 
-    One block of basis vectors per group point, in point order.
+    The point space placed at every group point: basis vector g k + j is
+    point direction j in block g and zero elsewhere.
     """
-    n = c.n
-    order = c.group.order
-    block, rhs = _torsion_point_block(c)
-    sol = linalg.solve_affine(block, rhs)
-    if sol is None:
+    point = _torsion_point_space(c)
+    if point is None:
         return None
-    total = order * n * n
-    particular = [ZERO] * total
-    for g in range(order):
-        for b in range(n):
-            for d in range(n):
-                particular[vector_index(c, g, b, d)] = sol.particular[b * n + d]
-    basis_vecs = []
-    for g in range(order):
-        for vec in sol.basis:
-            full = [ZERO] * total
-            for b in range(n):
-                for d in range(n):
-                    full[vector_index(c, g, b, d)] = vec[b * n + d]
-            basis_vecs.append(tuple(full))
-    return AffineSpace(particular=tuple(particular), basis=tuple(basis_vecs))
+    order = c.group.order
+    zero = (ZERO,) * len(point.particular)
+    basis = tuple(
+        zero * g + vec + zero * (order - g - 1) for g in range(order) for vec in point.basis
+    )
+    return AffineSpace(particular=point.particular * order, basis=basis)
 
 
 def _combine(
@@ -271,57 +266,30 @@ def _combine(
     return out
 
 
-def _point_block(
-    c: ClassCalculus, family: AffineSpace
-) -> tuple[tuple[Cyclotomic, ...], ...]:
-    """The family's basis vectors supported at the identity.
-
-    The basis must be one block of vectors per group point, in point order,
-    each block the identity block moved to its own point; that is the layout
-    solve_torsion_free builds.  Raises ValueError otherwise.
-    """
-    group = c.group
-    order = group.order
-    size = c.n * c.n
-    if len(family.basis) % order:
-        raise ValueError("family basis is not one block per group point")
-    k = len(family.basis) // order
-    e = group.identity
-    block = family.basis[e * k : (e + 1) * k]
-    local = [vec[e * size : (e + 1) * size] for vec in block]
-    for g in range(order):
-        before = (ZERO,) * (g * size)
-        after = (ZERO,) * ((order - g - 1) * size)
-        for vec, loc in zip(family.basis[g * k : (g + 1) * k], local):
-            if vec != before + loc + after:
-                raise ValueError(
-                    "family basis block is not the identity block moved to its point"
-                )
-    return block
-
-
 def _family_columns(
-    c: ClassCalculus,
-    family: AffineSpace,
-    evaluate,
+    c: ClassCalculus, point: AffineSpace, evaluate
 ) -> tuple[list[Cyclotomic], list[list[Cyclotomic]]]:
-    """base = evaluate(particular), and evaluate(particular + v) - base per basis v.
+    """base = evaluate(particular), and evaluate(particular + v) - base per
+    direction v of the point space placed at each group point.
 
     evaluate must be affine on the family and commute with left translations
     (constant-coefficient forms and lifts, right translations), and return
     components x |G| values with the point index fastest.  It is evaluated
-    at the particular point and on the identity block only: the column of
-    the block vector at g is the identity column with each point index h
-    read at g^-1 h.
+    at the particular point and along the identity block only: the column of
+    direction j at g is the identity column with each point index h read at
+    g^-1 h.
     """
     group = c.group
     order = group.order
-    block = _point_block(c, family)
-    base = evaluate(list(family.particular))
+    size = len(point.particular)
+    start = list(point.particular * order)
+    base = evaluate(start)
+    e = group.identity * size
     local = []
-    for vec in block:
-        shifted = evaluate(_combine(family.particular, [vec], [ONE]))
-        local.append([s - b for s, b in zip(shifted, base)])
+    for vec in point.basis:
+        shifted = list(start)
+        shifted[e : e + size] = _combine(point.particular, [vec], [ONE])
+        local.append([s - b for s, b in zip(evaluate(shifted), base)])
     comps = len(base) // order
     columns = []
     for g in range(order):
@@ -334,13 +302,9 @@ def _family_columns(
     return base, columns
 
 
-def _solve_on_family(
-    c: ClassCalculus,
-    family: AffineSpace,
-    evaluate,
-) -> AffineSpace | None:
-    """Solve evaluate(x) = 0 on a torsion-free family (see _family_columns)."""
-    base, columns = _family_columns(c, family, evaluate)
+def _solve_on_family(c: ClassCalculus, point: AffineSpace, evaluate) -> AffineSpace | None:
+    """Solve evaluate(x) = 0 on the torsion-free family (see _family_columns)."""
+    base, columns = _family_columns(c, point, evaluate)
     if columns:
         mat = ExactMatrix.from_rows(columns).transpose()
     else:
@@ -348,27 +312,34 @@ def _solve_on_family(
     sol = linalg.solve_affine(mat, [-v for v in base])
     if sol is None:
         return None
-    particular = _combine(family.particular, family.basis, sol.particular)
-    basis_vecs = []
-    for yvec in sol.basis:
-        zero = [ZERO] * len(family.particular)
-        basis_vecs.append(tuple(_combine(zero, family.basis, yvec)))
-    return AffineSpace(particular=tuple(particular), basis=tuple(basis_vecs))
+    k = len(point.basis)
+    zero = (ZERO,) * len(point.particular)
+
+    def assemble(start: Sequence[Cyclotomic], y: Sequence[Cyclotomic]) -> tuple:
+        # block g is start + sum_j y[g k + j] v_j
+        return tuple(
+            v
+            for g in range(c.group.order)
+            for v in _combine(start, point.basis, y[g * k : (g + 1) * k])
+        )
+
+    basis = tuple(assemble(zero, y) for y in sol.basis)
+    return AffineSpace(particular=assemble(point.particular, sol.particular), basis=basis)
 
 
 def solve_torsion_cotorsion_free(
     c: ClassCalculus, metric: Metric
 ) -> AffineSpace | None:
     """Connections with vanishing torsion and cotorsion (an affine space)."""
-    family = solve_torsion_free(c)
-    if family is None:
+    point = _torsion_point_space(c)
+    if point is None:
         return None
 
     def evaluate(vec: list[Cyclotomic]) -> list[Cyclotomic]:
         conn = connection_from_vector(c, vec)
         return [v for t in cotorsion(c, conn, metric) for v in t.vector()]
 
-    return _solve_on_family(c, family, evaluate)
+    return _solve_on_family(c, point, evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +482,7 @@ class NonlinearCurvatureError(RuntimeError):
     """The quadratic curvature terms do not drop out on the torsion-free family."""
 
 
-def _check_linear_curvature(c: ClassCalculus, family: AffineSpace) -> None:
+def _check_linear_curvature(c: ClassCalculus, point: AffineSpace) -> None:
     group = c.group
     class_set = set(c.elements)
     for i in range(c.n):
@@ -520,19 +491,15 @@ def _check_linear_curvature(c: ClassCalculus, family: AffineSpace) -> None:
                 raise NonlinearCurvatureError(
                     "two class elements multiply back into the class"
                 )
+    # every member takes its values in the point space, so its k + 1
+    # vectors carry the component sums of the whole family
     n = c.n
-    order = c.group.order
-    vectors = [list(family.particular)] + [list(v) for v in family.basis]
-    for vec in vectors:
-        for g in range(order):
-            for d in range(n):
-                total = ZERO
-                for b in range(n):
-                    total = total + vec[vector_index(c, g, b, d)]
-                if total:
-                    raise NonlinearCurvatureError(
-                        "component sum of a torsion-free solution is nonzero"
-                    )
+    for vec in (point.particular,) + point.basis:
+        for d in range(n):
+            if sum((vec[b * n + d] for b in range(n)), ZERO):
+                raise NonlinearCurvatureError(
+                    "component sum of a torsion-free solution is nonzero"
+                )
 
 
 def solve_ricci_flat(
@@ -546,16 +513,16 @@ def solve_ricci_flat(
     """
     if lift is None:
         lift = lift_i(c)
-    family = solve_torsion_free(c)
-    if family is None:
+    point = _torsion_point_space(c)
+    if point is None:
         return None
-    _check_linear_curvature(c, family)
+    _check_linear_curvature(c, point)
 
     def evaluate(vec: list[Cyclotomic]) -> list[Cyclotomic]:
         conn = connection_from_vector(c, vec)
         return ricci(c, conn, lift).vector()
 
-    return _solve_on_family(c, family, evaluate)
+    return _solve_on_family(c, point, evaluate)
 
 
 def levi_civita(c: ClassCalculus, metric: Metric | None = None) -> Connection:

@@ -67,8 +67,20 @@ def test_unknown_command_exits_64(capsys):
             {"names": ["e", "e"], "table": [[0, 1], [1, 0]]},
             {"error": "duplicate element names", "names": ["e", "e"]},
         ),
+        (
+            {"names": ["e"], "table": 5},
+            {"error": "table must be a list of lists of integers"},
+        ),
+        (
+            {"names": ["e", "a"], "table": [[0, 1], 5]},
+            {"error": "table must be a list of lists of integers"},
+        ),
+        (
+            {"names": ["e", "a"], "table": [[0, True], [True, 0]]},
+            {"error": "table entry out of range", "row": "e", "col": "a", "value": True},
+        ),
     ],
-    ids=["row", "string-names", "int-names", "duplicate-names"],
+    ids=["row", "string-names", "int-names", "duplicate-names", "int-table", "int-row", "bool-entry"],
 )
 def test_bad_group_file_exits_65(tmp_path, capsys, payload, diagnostic):
     path = tmp_path / "bad.json"
@@ -397,6 +409,13 @@ REFUSALS = {
             "error": "the spinor construction needs the four-element class of a4",
             "class_size": 3,
             "group_order": 6,
+        },
+    ),
+    "dirac --class t2 --eigenbasis": (
+        2,
+        {
+            "error": "the exact eigenbasis is built for the class of t",
+            "class": ["t2", "ut2", "vt2", "wt2"],
         },
     ),
     "ricci --lift x": (

@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from ncgeo import (
@@ -22,12 +24,14 @@ from ncgeo import (
     u1_curvature,
     wedge,
 )
+from ncgeo.calculus import braiding
 from ncgeo.cohomology import (
     conjugate_two_form,
     d0_matrix,
     d1_matrix,
+    flat_families_complete,
 )
-from ncgeo.groups import class_calculus
+from ncgeo.groups import build_group, class_calculus
 
 small = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=3
@@ -123,6 +127,78 @@ def test_membership_rejects_other_forms(a4_c):
     )
     # the zero form is the diagonal member at parameter one
     assert is_flat_family_member(a4_c, constant_one_form(a4_c, [0, 0, 0, 0]))
+
+
+# whether the n + 1 lines hold every flat constant connection, by class
+FLAT_LINES_COMPLETE = {
+    ("a4", "t"): True,
+    ("a4", "t2"): True,
+    ("s3", "(12)"): True,
+    ("sl2z3", "0121"): True,
+    ("sl2z3", "0122"): True,
+    ("sl2z3", "0211"): True,
+    ("sl2z3", "1011"): True,
+    ("a4", "u"): False,
+    ("s3", "(123)"): False,
+    ("sl2z3", "0120"): False,
+    ("s4", "(34)"): False,
+    ("s4", "(123)"): False,
+    ("s4", "(1234)"): False,
+    ("s4", "(12)(34)"): False,
+}
+
+# flat constant connections off the lines, as x = alpha + 1 by element name
+OFF_LINE = {
+    ("a4", "u"): {"u": 1, "v": 4},
+    ("s3", "(123)"): {"(123)": 2, "(132)": 7},
+    ("sl2z3", "0120"): {"0120": 3, "0210": 1},
+    ("s4", "(34)"): {"(34)": 1, "(23)": 1, "(24)": 1},
+    ("s4", "(123)"): {"(234)": 2, "(243)": 5},
+}
+
+
+def _constant_connection(c, x):
+    names = [c.group.names[g] for g in c.elements]
+    return constant_one_form(c, [x.get(name, 0) - 1 for name in names])
+
+
+def _lines_hold_by_groebner(c):
+    """Oracle: x_a x_b (x_0 - x_j) vanishes on the flat set for all a < b and
+    j, i.e. 1 lies in the ideal of the orbit equations and 1 - y x_a x_b (x_0 - x_j)."""
+    n, perm = c.n, braiding(c).perm
+    xs, y = sympy.symbols(f"x0:{n}"), sympy.Symbol("y")
+    pair = [xs[i // n] * xs[i % n] for i in range(n * n)]
+    eqs = [pair[i] - pair[perm[i]] for i in range(n * n) if pair[i] != pair[perm[i]]]
+    return all(
+        sympy.groebner(eqs + [1 - y * xs[a] * xs[b] * (xs[0] - xs[j])], *xs, y).exprs == [1]
+        for a, b in itertools.combinations(range(n), 2)
+        for j in range(1, n)
+    )
+
+
+@pytest.mark.parametrize("group_name, element", sorted(FLAT_LINES_COMPLETE))
+def test_flat_lines_completeness_is_computed(group_name, element):
+    key = (group_name, element)
+    c = class_calculus(build_group(group_name), element)
+    complete = FLAT_LINES_COMPLETE[key]
+    assert flat_families_complete(c) is complete
+    if complete:
+        assert _lines_hold_by_groebner(c)
+    # proper supports S with S x S closed under the braiding: their
+    # indicators are flat and lie on no line
+    n, perm = c.n, braiding(c).perm
+    closed = []
+    for bits in range(1, 2**n - 1):
+        support = {a for a in range(n) if bits >> a & 1}
+        pairs = {a * n + b for a in support for b in support}
+        if len(support) > 1 and {perm[i] for i in pairs} == pairs:
+            closed.append({c.group.names[c.elements[a]]: 1 for a in support})
+    witnesses = closed + ([OFF_LINE[key]] if key in OFF_LINE else [])
+    for x in witnesses:
+        alpha = _constant_connection(c, x)
+        assert u1_curvature(c, alpha).is_zero()
+        assert not is_flat_family_member(c, alpha)
+    assert bool(witnesses) is not complete
 
 
 def test_minus_theta_is_flat(a4_c):

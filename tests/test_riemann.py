@@ -39,6 +39,7 @@ from ncgeo.groups import build_group, class_calculus
 from ncgeo.riemann import (
     _combine,
     _family_columns,
+    _torsion_point_space,
     connection_from_vector,
     connection_to_vector,
     is_regular,
@@ -314,7 +315,7 @@ def test_ricci_flat_connection_is_unique_and_canonical(a4_c):
     family = solve_torsion_free(a4_c)
     evaluate = _ricci_map(a4_c)
     base, columns = _whole_map_columns(family, evaluate)
-    assert _family_columns(a4_c, family, evaluate) == (base, columns)
+    assert _family_columns(a4_c, _torsion_point_space(a4_c), evaluate) == (base, columns)
     assert space == _whole_map_solve(family, base, columns)
     _assert_affine(a4_c, family, evaluate)
 
@@ -427,24 +428,11 @@ def test_cotorsion_assembly_matches_whole_map(group_name, element, mu):
     family = solve_torsion_free(c)
     evaluate = _cotorsion_map(c, metric)
     base, columns = _whole_map_columns(family, evaluate)
-    assert _family_columns(c, family, evaluate) == (base, columns)
+    assert _family_columns(c, _torsion_point_space(c), evaluate) == (base, columns)
     space = solve_torsion_cotorsion_free(c, metric)
     assert space == _whole_map_solve(family, base, columns)
     assert space.dimension == 9
     _assert_affine(c, family, evaluate)
-
-
-def test_family_layout_is_checked(a4_c):
-    family = solve_torsion_free(a4_c)
-    evaluate = _cotorsion_map(a4_c, metric_from_mu(a4_c, 0))
-    short = AffineSpace(family.particular, family.basis[:-1])
-    with pytest.raises(ValueError, match="one block per group point"):
-        _family_columns(a4_c, short, evaluate)
-    # swap two vectors of different points: each block is then off its point
-    basis = list(family.basis)
-    basis[0], basis[-1] = basis[-1], basis[0]
-    with pytest.raises(ValueError, match="identity block"):
-        _family_columns(a4_c, AffineSpace(family.particular, tuple(basis)), evaluate)
 
 
 def test_torsion_free_family_is_solved_once(a4_c):

@@ -1,5 +1,8 @@
 """What tooling outside the package relies on must hold.
 
+``scripts/reproduce.py`` recomputes the README's headline table end to end,
+so it runs here in a fresh process as it is run by hand.
+
 The benchmark's tracer (``perfbench/tracing.py``) wraps library functions by
 name, and ``from ncgeo import *`` reads ``ncgeo.__all__``; a renamed or
 removed function would otherwise only fail when those run.  The benchmark
@@ -11,6 +14,8 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -70,3 +75,16 @@ def test_benchmark_reference_digests_match(capsys):
         assert run(list(argv)) == 0, argv
         got[" ".join(argv)] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == want
+
+
+def test_reproduce_script_reproduces_every_row():
+    root = PERFBENCH.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce.py")],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "all rows reproduced exactly"
