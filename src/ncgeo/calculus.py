@@ -29,10 +29,9 @@ its relation rows are reduced by the one exact kernel, ``linalg._eliminate``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence, Union
 
 from .cyclotomic import ONE, ZERO, Cyclotomic, Scalar, as_cyc
 from .groups import TABLE_III, ClassCalculus, DiagnosticError, FiniteGroup, class_frames
@@ -66,8 +65,7 @@ class ScaleCapError(DiagnosticError, RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupFunction:
+class GroupFunction(NamedTuple):
     """An element of the function algebra, as values on group elements."""
 
     values: tuple[Cyclotomic, ...]
@@ -142,8 +140,7 @@ def partial(c: ClassCalculus, a: Union[int, str], f: GroupFunction) -> GroupFunc
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Form:
+class Form(NamedTuple):
     """sum_i f_i b_i over a fixed left basis, the coefficient functions on the left.
 
     The basis b_i is e_a for one-forms, the degree-two basis of
@@ -231,8 +228,7 @@ def right_to_left(c: ClassCalculus, right_coeffs: Sequence[GroupFunction]) -> Fo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BraidData:
+class BraidData(NamedTuple):
     """The braiding as a permutation of the n^2 tensor-basis pairs."""
 
     calculus: ClassCalculus
@@ -263,10 +259,27 @@ def braiding(c: ClassCalculus) -> BraidData:
 
 @lru_cache(maxsize=None)
 def degree2_relations(c: ClassCalculus) -> tuple[tuple[Cyclotomic, ...], ...]:
-    """Echelonized basis of ker(id - braiding): the degree-two relations."""
-    b = braiding(c)
-    m = ExactMatrix.identity(c.n * c.n) - b.matrix()
-    return tuple(tuple(v) for v in linalg.nullspace(m))
+    """Echelonized basis of ker(id - braiding): the degree-two relations.
+
+    The braiding permutes the tensor basis, so a vector is fixed exactly
+    when it is constant on every cycle of the permutation.  The basis is
+    the cycles' indicator vectors, ordered by each cycle's largest index,
+    which is the basis ``linalg.nullspace`` reads off the reduced form.
+    """
+    perm = braiding(c).perm
+    cycles: list[set[int]] = []
+    seen: set[int] = set()
+    for start in range(len(perm)):
+        cycle = set()
+        q = start
+        while q not in seen:
+            seen.add(q)
+            cycle.add(q)
+            q = perm[q]
+        if cycle:
+            cycles.append(cycle)
+    cycles.sort(key=max)
+    return tuple(tuple(ONE if q in cycle else ZERO for q in range(len(perm))) for cycle in cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +287,7 @@ def degree2_relations(c: ClassCalculus) -> tuple[tuple[Cyclotomic, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Omega2Basis:
+class Omega2Basis(NamedTuple):
     """A chosen complement of the relation space inside the tensor square."""
 
     pairs: tuple[tuple[int, int], ...]  # class-position pairs (a, b)

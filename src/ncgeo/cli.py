@@ -10,7 +10,9 @@ Every command prints one deterministic JSON report on stdout:
 the options it takes after ``--group`` and ``--class``, and whether it needs
 a conjugacy class.  ``run`` builds the parser from that row, loads the group,
 resolves the class and parses ``--mu``, then calls the handler, which returns
-the results and the certifications.
+the results and the certifications.  This module loads only ``cyclotomic``
+and ``groups``; each handler imports the layers it runs, so a command pays
+the start-up of its own code only.
 
 Exit codes: 0 success; 2 precondition violation (JSON diagnostic on
 stderr); 3 a certification failed (the report is still printed);
@@ -22,20 +24,29 @@ closed stdout before the report was written.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
-import random
 import sys
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .cyclotomic import Cyclotomic, OMEGA
 # perfbench and the tests reach these names through this module
-from .groups import DiagnosticError, GroupSpecError, axiom_violation, build_group, class_calculus
-from . import calculus, cohomology, dirac, groups, linalg, riemann
+from .groups import (
+    CertificationError,
+    DiagnosticError,
+    GroupSpecError,
+    axiom_violation,
+    build_group,
+    class_calculus,
+)
+from . import groups
+
+if TYPE_CHECKING:
+    from . import calculus, linalg, riemann
 
 ENGINE_VERSION = "0.1.0"
+DEFAULT_GROUP = "a4"
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -95,6 +106,8 @@ def _connection_json(c: groups.ClassCalculus, conn: riemann.Connection) -> dict:
 
 
 def _affine_connections_json(c: groups.ClassCalculus, space: linalg.AffineSpace) -> dict:
+    from . import riemann
+
     particular = riemann.connection_from_vector(c, list(space.particular))
     return {
         "dimension": space.dimension,
@@ -107,6 +120,8 @@ def _affine_connections_json(c: groups.ClassCalculus, space: linalg.AffineSpace)
 
 
 def _group_hash(group: groups.FiniteGroup) -> str:
+    import hashlib
+
     payload = json.dumps(
         {"names": list(group.names), "table": [list(r) for r in group.table]},
         sort_keys=True,
@@ -155,6 +170,8 @@ def _resolve_class(group: groups.FiniteGroup, label: str | None) -> groups.Class
 
 
 def _metric_or_die(c: groups.ClassCalculus, mu: Cyclotomic) -> riemann.Metric:
+    from . import riemann
+
     metric = riemann.metric_from_mu(c, mu)
     if not metric.is_invertible:
         raise PreconditionError(
@@ -194,6 +211,8 @@ def _cmd_info(ns, c, mu) -> tuple[dict, list]:
 
 
 def _cmd_extdims(ns, c, mu) -> tuple[dict, list]:
+    from . import calculus
+
     results = {}
     # the quadratic tower is the cheaper one, so its refusal comes first
     if ns.quadratic:
@@ -211,6 +230,8 @@ def _cmd_extdims(ns, c, mu) -> tuple[dict, list]:
 
 
 def _cmd_relations(ns, c, mu) -> tuple[dict, list]:
+    from . import calculus
+
     kernel = calculus.degree2_relations(c)
     n, labels = c.n, c.labels
     perm = calculus.braiding(c).perm
@@ -230,6 +251,8 @@ def _cmd_relations(ns, c, mu) -> tuple[dict, list]:
 
 
 def _cmd_metric(ns, c, mu) -> tuple[dict, list]:
+    from . import calculus, riemann
+
     space = riemann.invariant_bilinear_space(c)
     metric = riemann.metric_from_mu(c, mu)
     # re-check invariance of eta under conjugation by every group element
@@ -255,6 +278,8 @@ def _cmd_metric(ns, c, mu) -> tuple[dict, list]:
 
 
 def _cmd_connections(ns, c, mu) -> tuple[dict, list]:
+    from . import riemann
+
     metric = _metric_or_die(c, mu)
     tf = riemann.solve_torsion_free(c)
     if tf is None:
@@ -283,6 +308,8 @@ def _cmd_connections(ns, c, mu) -> tuple[dict, list]:
 
 
 def _cmd_levi_civita(ns, c, mu) -> tuple[dict, list]:
+    from . import riemann
+
     metric = _metric_or_die(c, mu)
     conn = riemann.levi_civita(c, metric)
     certs = [
@@ -305,6 +332,8 @@ def _cmd_levi_civita(ns, c, mu) -> tuple[dict, list]:
 
 
 def _cmd_curvature(ns, c, mu) -> tuple[dict, list]:
+    from . import calculus, riemann
+
     metric = _metric_or_die(c, mu)
     curv = riemann.curvature_2forms(c, riemann.levi_civita(c, metric))
     des = calculus.de_basis(c)
@@ -323,6 +352,8 @@ def _cmd_curvature(ns, c, mu) -> tuple[dict, list]:
 
 
 def _cmd_ricci(ns, c, mu) -> tuple[dict, list]:
+    from . import riemann
+
     metric = _metric_or_die(c, mu)
     conn = riemann.levi_civita(c, metric)
     lifts = {"i": riemann.lift_i(c), "iprime": riemann.lift_iprime(c)}
@@ -339,6 +370,8 @@ def _cmd_ricci(ns, c, mu) -> tuple[dict, list]:
 
 
 def _cmd_ricci_flat(ns, c, mu) -> tuple[dict, list]:
+    from . import riemann
+
     try:
         space = riemann.solve_ricci_flat(c)
     except riemann.NonlinearCurvatureError as ex:
@@ -382,6 +415,8 @@ def _dirac_candidates(c: groups.ClassCalculus, mu: Cyclotomic) -> list[Cyclotomi
 
 
 def _cmd_dirac(ns, c, mu) -> tuple[dict, list]:
+    from . import dirac, linalg
+
     metric = _metric_or_die(c, mu)
     _require_a4_class(c, "the spinor construction needs the four-element class of a4")
     D = dirac.dirac_operator(c, metric)
@@ -424,6 +459,8 @@ def _cmd_dirac(ns, c, mu) -> tuple[dict, list]:
 
 
 def _cmd_laplacian(ns, c, mu) -> tuple[dict, list]:
+    from . import dirac, linalg
+
     metric = _metric_or_die(c, mu)
     _require_a4_class(c, "the scalar Laplacian spectrum is built for the four-element class of a4")
     box = dirac.laplacian(c, metric)
@@ -449,6 +486,8 @@ def _cmd_laplacian(ns, c, mu) -> tuple[dict, list]:
 
 
 def _cmd_fourier(ns, c, mu) -> tuple[dict, list]:
+    from . import calculus, dirac
+
     group = c.group
     if ns.input is None:
         values = list(calculus.GroupFunction.delta(group.order, c.elements[0]).values)
@@ -482,6 +521,8 @@ def _cmd_fourier(ns, c, mu) -> tuple[dict, list]:
 
 
 def _cmd_cohomology(ns, c, mu) -> tuple[dict, list]:
+    from . import cohomology
+
     data = cohomology.de_rham_h1(c)
     results = {k: data[k] for k in ("h1_dim", "ker_d1", "im_d0", "representative")}
     certs = [
@@ -493,6 +534,8 @@ def _cmd_cohomology(ns, c, mu) -> tuple[dict, list]:
 
 
 def _cmd_flat_u1(ns, c, mu) -> tuple[dict, list]:
+    from . import calculus, cohomology
+
     families = cohomology.constant_flat_connections(c)
     results: dict = {
         "families": [
@@ -518,6 +561,8 @@ def _cmd_flat_u1(ns, c, mu) -> tuple[dict, list]:
     )
     results["checked_parameters"] = [str(p) for p in params]
     # deterministic gauge-covariance samples
+    import random
+
     rnd = random.Random(20260819)
 
     def sample(lo: int, hi: int, den: int) -> calculus.GroupFunction:
@@ -540,6 +585,13 @@ def _cmd_flat_u1(ns, c, mu) -> tuple[dict, list]:
 
 
 def _cmd_s4_check(ns, c, mu) -> tuple[dict, list]:
+    if ns.group != DEFAULT_GROUP or ns.class_element is not None:
+        raise PreconditionError(
+            "s4-check checks the builtin s4 and a4 only; it takes no --group or --class",
+            {"group": ns.group, "class": ns.class_element},
+        )
+    from . import cohomology
+
     cross = cohomology.s4_cross_relations_check()
     conj = cohomology.conjugate_calculus_check(class_calculus(build_group("a4"), "t"))
     results = {"cross_relations": cross, "conjugate_calculus_a4": conj}
@@ -572,7 +624,7 @@ _COMMON = (
     (
         "--group",
         {
-            "default": "a4",
+            "default": DEFAULT_GROUP,
             "help": "builtin group name or path to a JSON file with names and table",
         },
     ),
@@ -691,7 +743,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         results, certs = handler(ns, c, mu)
     except DiagnosticError as ex:
         return _fail(ex.diagnostic, EXIT_PRECONDITION)
-    except (ValueError, ZeroDivisionError, linalg.CertificationError) as ex:
+    except (ValueError, ZeroDivisionError, CertificationError) as ex:
         return _fail({"error": str(ex)}, EXIT_PRECONDITION)
     report = {
         "schema": "ncgeo/1",

@@ -10,8 +10,7 @@ transformations act by unit functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cyclotomic import Scalar, as_cyc
 from .groups import (
@@ -114,8 +113,7 @@ def conjugate_two_form(c: ClassCalculus, u: GroupFunction, w: Form) -> Form:
     return two_form_right_mul(c, w, u.pointwise_inverse()).left_mul(u)
 
 
-@dataclass(frozen=True)
-class FlatFamily:
+class FlatFamily(NamedTuple):
     """A line of constant connections with identically vanishing curvature."""
 
     kind: str  # "axis" or "diagonal"

@@ -12,9 +12,8 @@ produced and certified by nullity counts, never by numerics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .cyclotomic import ONE, OMEGA, ZERO, Cyclotomic, Scalar, as_cyc
 from .groups import ClassCalculus, DiagnosticError, FiniteGroup, GroupSpecError
@@ -23,8 +22,7 @@ from .linalg import ExactMatrix
 from .riemann import Connection, Metric, levi_civita, metric_from_mu
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(NamedTuple):
     """A matrix representation: one exact matrix per group element."""
 
     name: str

@@ -11,8 +11,7 @@ it is the geometric site every other module works over.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 
 class DiagnosticError(Exception):
@@ -27,8 +26,12 @@ class GroupSpecError(DiagnosticError, ValueError):
     """Raised for malformed group descriptions."""
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+# linalg exports it; it lives here so that the CLI catches it without loading linalg
+class CertificationError(RuntimeError):
+    """Two modular ranks disagreed; the certified value does not exist."""
+
+
+class FiniteGroup(NamedTuple):
     """A finite group: element names and the index multiplication table."""
 
     names: tuple[str, ...]
@@ -296,8 +299,7 @@ def conjugacy_classes(group: FiniteGroup) -> list[list[int]]:
     return [ident] + sorted(rest, key=lambda c: c[0])
 
 
-@dataclass(frozen=True)
-class ClassCalculus:
+class ClassCalculus(NamedTuple):
     """One nontrivial conjugacy class with its adjoint and right actions."""
 
     group: FiniteGroup

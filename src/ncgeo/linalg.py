@@ -20,20 +20,14 @@ by the caller, is ranked once.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import random
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .cyclotomic import ONE, ZERO, Cyclotomic, Scalar, as_cyc
+from .groups import CertificationError
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-class CertificationError(RuntimeError):
-    """Two modular ranks disagreed; the certified value does not exist."""
 
 
 class ExactMatrix:
@@ -167,12 +161,11 @@ class ExactMatrix:
         return all(not v for row in self.data for v in row)
 
 
-@dataclass(frozen=True)
-class AffineSpace:
+class AffineSpace(NamedTuple):
     """A solution set: particular point plus a basis of homogeneous directions."""
 
     particular: tuple[Cyclotomic, ...]
-    basis: tuple[tuple[Cyclotomic, ...], ...] = field(default_factory=tuple)
+    basis: tuple[tuple[Cyclotomic, ...], ...] = ()
 
     @property
     def dimension(self) -> int:
@@ -266,6 +259,9 @@ def _eliminate(rows: Iterable[SparseRow], reduce: bool) -> dict[int, SparseRow]:
     the entries grow to millions of bits within a few hundred updates.
     """
     pivots: dict[int, SparseRow] = {}
+    # with reduce: column -> pivot columns whose rows have held it; a row
+    # that has since lost the column is skipped
+    holders: dict[int, set[int]] = {}
     for x in rows:
         while hits := sorted(c for c in x if c in pivots):
             for col in hits:
@@ -278,9 +274,15 @@ def _eliminate(rows: Iterable[SparseRow], reduce: bool) -> dict[int, SparseRow]:
         if pb:
             x = _primitive(_times(x, pa - pb, -pb))
         if reduce:
-            for q, z in pivots.items():
-                if p in z:
-                    pivots[q] = _cancel(z, x, p)
+            # no row gains column p again, as every later row is cleared of it;
+            # a row that loses p gains columns of x only
+            touched = [q for q in holders.pop(p, ()) if p in pivots[q]]
+            for q in touched:
+                pivots[q] = _cancel(pivots[q], x, p)
+            touched.append(p)
+            for c in x:
+                if c != p:
+                    holders.setdefault(c, set()).update(touched)
         pivots[p] = x
     return pivots
 
@@ -445,6 +447,8 @@ def is_prime(n: int) -> bool:
 
 def deterministic_primes(digest: bytes, count: int = 2) -> tuple[int, ...]:
     """Distinct primes = 1 mod 3 in (2**30, 2**31), fixed by the digest."""
+    import random
+
     rng = random.Random(int.from_bytes(digest, "big"))
     found: list[int] = []
     while len(found) < count:
@@ -459,6 +463,8 @@ def deterministic_primes(digest: bytes, count: int = 2) -> tuple[int, ...]:
 
 def content_digest(*parts) -> bytes:
     """SHA-256 of the concatenated parts: bytes or C-contiguous arrays."""
+    import hashlib
+
     h = hashlib.sha256()
     for part in parts:
         h.update(part)

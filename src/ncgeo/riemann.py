@@ -16,10 +16,9 @@ orthogonal projector) or the simpler id - braiding lift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cyclotomic import ONE, ZERO, Cyclotomic, Scalar, as_cyc
 from .groups import ClassCalculus
@@ -79,8 +78,7 @@ def invariant_bilinear_space(c: ClassCalculus) -> list[ExactMatrix]:
     return out
 
 
-@dataclass(frozen=True)
-class Metric:
+class Metric(NamedTuple):
     """An invariant fibre metric eta together with its inverse if it has one."""
 
     eta: ExactMatrix
@@ -122,8 +120,7 @@ def metric_tensor(c: ClassCalculus, metric: Metric) -> Form:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Connection:
+class Connection(NamedTuple):
     """One one-form A_a per class position."""
 
     comps: tuple[Form, ...]

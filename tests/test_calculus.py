@@ -19,6 +19,7 @@ from ncgeo import (
     braiding,
     build_group,
     class_calculus,
+    conjugacy_classes,
     cyc,
     d0,
     d1,
@@ -166,6 +167,20 @@ def test_relation_count_equals_braiding_cycle_count(a4_c, s3_c):
                 seen.add(q)
                 q = perm[q]
         assert len(degree2_relations(c)) == cycles
+
+
+def test_degree2_relations_are_the_nullspace_of_id_minus_braiding():
+    # the cycle indicators must be the echelonized nullspace basis, in its order
+    groups = [build_group(name) for name in ("a4", "s3", "s4", "sl2z3", "klein")]
+    groups += [build_group(f"cyclic({k})") for k in (5, 6)]
+    for group in groups[:4]:
+        reverse = range(group.order - 1, 0, -1)
+        groups.append(build_group(_relabelled(group, reverse)))
+    for group in groups:
+        for cls in conjugacy_classes(group)[1:]:
+            c = class_calculus(group, cls[0])
+            m = ExactMatrix.identity(c.n * c.n) - braiding(c).matrix()
+            assert degree2_relations(c) == tuple(tuple(v) for v in linalg.nullspace(m))
 
 
 # ---------------------------------------------------------------------------

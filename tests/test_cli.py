@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -234,7 +235,7 @@ def test_levi_civita_report(capsys):
 
 
 def test_failed_certification_exits_3(capsys, monkeypatch):
-    riemann = sys.modules["ncgeo.riemann"]
+    riemann = importlib.import_module("ncgeo.riemann")
     monkeypatch.setattr(riemann, "is_regular", lambda c, conn: False)
     code, out, _ = _capture(capsys, ["levi-civita"])
     assert code == 3
@@ -287,7 +288,7 @@ def test_cohomology_report(capsys):
 
 
 def test_nonzero_d1_after_d0_fails_its_certification(capsys, monkeypatch):
-    cohomology = sys.modules["ncgeo.cohomology"]
+    cohomology = importlib.import_module("ncgeo.cohomology")
     full = cohomology.d1_matrix
 
     def perturbed(c):
@@ -303,7 +304,7 @@ def test_nonzero_d1_after_d0_fails_its_certification(capsys, monkeypatch):
 
 
 def test_failed_group_axioms_fail_info(capsys, monkeypatch):
-    cli = sys.modules["ncgeo.cli"]
+    cli = importlib.import_module("ncgeo.cli")
     broken = cli.GroupSpecError("associativity fails", {"triple": ["x", "y", "z"]})
     monkeypatch.setattr(cli, "axiom_violation", lambda names, table: broken)
     code, out, _ = _capture(capsys, ["info"])
@@ -418,6 +419,14 @@ REFUSALS = {
             "class": ["t2", "ut2", "vt2", "wt2"],
         },
     ),
+    "s4-check --group sl2z3 --class 2002": (
+        2,
+        {
+            "error": "s4-check checks the builtin s4 and a4 only; it takes no --group or --class",
+            "group": "sl2z3",
+            "class": "2002",
+        },
+    ),
     "ricci --lift x": (
         2,
         {"error": "argument --lift: invalid choice: 'x' (choose from 'i', 'iprime', 'both')"},
@@ -499,7 +508,7 @@ def test_central_class_gives_a_structured_outcome(capsys):
     "argv", [["dirac", "--spectrum"], ["laplacian"]], ids=["dirac", "laplacian"]
 )
 def test_short_spectrum_fails_its_certification(capsys, monkeypatch, argv):
-    dirac = sys.modules["ncgeo.dirac"]
+    dirac = importlib.import_module("ncgeo.dirac")
     full = dirac.verify_spectrum
 
     def short(m, candidates):

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -494,3 +495,41 @@ def test_numpy_loads_only_for_the_modular_exterior_ranks():
     # the braided factorials are plain numpy arrays: scipy is never loaded
     quadratic = _run_quietly(["extdims", "--quadratic"])
     assert _modules_loaded_after(quadratic, "numpy", "scipy") == "[True, False]"
+
+
+# each entry point loads only the layers its work runs
+LAYERS = ("cyclotomic", "groups", "linalg", "calculus", "riemann", "dirac", "cohomology", "cli")
+
+
+def _layers_loaded_after(statements, *layers):
+    return _modules_loaded_after(statements, *(f"ncgeo.{layer}" for layer in layers))
+
+
+def _perfbench_cli_setup():
+    """The set-up statement that perfbench/run.py times on the cli-a4 workload."""
+    run_py = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "run.py")
+    with open(run_py, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "CLI_SETUP":
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no CLI_SETUP")
+
+
+def test_package_import_loads_no_submodule():
+    assert _layers_loaded_after("import ncgeo", *LAYERS) == str([False] * len(LAYERS))
+
+
+def test_cli_import_loads_only_groups_and_cyclotomic():
+    heavy = ("ncgeo.calculus", "ncgeo.linalg", "ncgeo.riemann", "ncgeo.dirac",
+             "ncgeo.cohomology", "dataclasses", "hashlib")
+    for statements in ("import ncgeo.cli", _perfbench_cli_setup()):
+        assert _modules_loaded_after(statements, *heavy) == str([False] * len(heavy))
+    assert _layers_loaded_after("import ncgeo.cli", "cyclotomic", "groups") == "[True, True]"
+
+
+def test_each_command_loads_only_its_layers():
+    extdims = _run_quietly(["extdims"])
+    assert _layers_loaded_after(extdims, "riemann", "dirac", "cohomology") == "[False, False, False]"
+    connections = _run_quietly(["connections", "--mu", "3/7"])
+    assert _layers_loaded_after(connections, "riemann", "dirac", "cohomology") == "[True, False, False]"
