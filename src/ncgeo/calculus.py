@@ -18,8 +18,10 @@ check that the blocks of the orbit are similar under the induced word
 permutation.  The factorials are numpy arrays in canonical CSR order
 (``linalg.Csr``): A_m = (id (x) A_{m-1}) [m, -psi] is a signed sum of m
 column permutations of id (x) A_{m-1}, summed one row chunk at a time, so
-no sparse product is formed; the digest that fixes the primes reads those
-arrays.  numpy is imported only by these exterior ranks.  The quadratic
+no sparse product is formed, and its values, bounded by m!, are stored in
+the narrowest signed type that holds m!.  The digest that fixes the
+primes reads those arrays a chunk at a time, widened to int64.  numpy is
+imported only by these exterior ranks.  The quadratic
 cover, where only the degree-two relations are
 imposed, is exact on a word basis: degree m is spanned by a basis word of
 degree m - 1 times a letter, at most ``QUADRATIC_SIZE_LIMIT`` of them, and
@@ -493,7 +495,7 @@ def _bracket_sparse(b: BraidData, m: int) -> linalg.Csr:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _factorial_sparse(b: BraidData, m: int) -> linalg.Csr:
     """A_m = (id (x) A_{m-1}) [m, -psi], one first-letter row block at a time.
 
@@ -501,6 +503,13 @@ def _factorial_sparse(b: BraidData, m: int) -> linalg.Csr:
     id (x) A_{m-1} to ``_letter_moves(b, m)[k][c]``, so no sparse product is
     formed: each row block, in chunks of about ``_CHUNK`` products, is
     summed and sorted on its own and appended to the result.
+
+    A_m is a sum of m! signed permutation matrices, so no entry exceeds m!
+    in absolute value; the values are stored in the narrowest signed type
+    that holds m! (int8 up to degree 5, int16 up to degree 7), and a chunk
+    with an entry beyond m! raises ``CertificationError`` before it is
+    stored.  The cache keeps the last matrix built, which is the one the
+    next degree reads.
     """
     import numpy as np
 
@@ -510,27 +519,30 @@ def _factorial_sparse(b: BraidData, m: int) -> linalg.Csr:
     prev = _factorial_sparse(b, m - 1)
     moves = _letter_moves(b, m)
     width, size = n ** (m - 1), n**m
-    prev_rows = prev.row_indices()
     signs = (-1) ** np.arange(m, dtype=np.int64)[:, None]
+    limit = math.factorial(m)
     # rows of A_{m-1} cut so that a chunk has about _CHUNK products
-    cuts = np.searchsorted(prev.indptr, np.arange(0, prev.data.size, max(1, _CHUNK // m)), "right")
-    cuts = np.unique(np.concatenate(([0], cuts - 1, [width])))
+    spans = prev.row_spans(_CHUNK // m)
     # every product may survive; pages of np.empty that are never written are
     # never allocated, and the buffers shrink in place to the final count
     bound = n * m * prev.data.size
     indices = np.empty(bound, dtype=np.int32)
-    data = np.empty(bound, dtype=np.int64)
+    data = np.empty(bound, dtype=np.min_scalar_type(-limit))
     lengths = []
     filled = 0
     for a in range(n):
-        for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        for lo, hi in spans:
             s, e = prev.indptr[lo], prev.indptr[hi]
             chunk = linalg.csr_from_entries(
                 (hi - lo, size),
-                np.tile(prev_rows[s:e] - lo, m),
+                np.tile(prev.row_indices(lo, hi) - lo, m),
                 moves[:, a * width + prev.indices[s:e]].ravel(),
                 (signs * prev.data[s:e]).ravel(),
             )
+            if np.abs(chunk.data).max(initial=0) > limit:
+                raise linalg.CertificationError(
+                    f"an entry of the degree-{m} braided factorial exceeds {m}! = {limit}"
+                )
             lengths.append(np.diff(chunk.indptr))
             indices[filled : filled + chunk.data.size] = chunk.indices
             data[filled : filled + chunk.data.size] = chunk.data
@@ -594,31 +606,58 @@ def _grading_blocks(c: ClassCalculus, m: int) -> list[np.ndarray]:
     return [np.flatnonzero(grading == g) for g in sorted(set(grading.tolist()))]
 
 
-def _block_slices(mat: linalg.Csr, blocks: list[np.ndarray]) -> Iterator[linalg.Csr]:
-    """Per-block submatrices, in block order; verifies the matrix respects the blocks.
+def _row_entries(mat: linalg.Csr, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The given rows of mat, in order: their local indptr and the positions of their entries."""
+    import numpy as np
 
-    Every word lies in one block, so every entry is read once, in the block
-    of its row, where its column must lie too.
+    lengths = mat.indptr[rows + 1] - mat.indptr[rows]
+    indptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr, np.repeat(mat.indptr[rows] - indptr[:-1], lengths) + np.arange(indptr[-1])
+
+
+def _block_slices(mat: linalg.Csr, blocks: list[np.ndarray]) -> Iterator[linalg.Csr]:
+    """Per-block submatrices, in block order; verifies the blocks' rows stay in their block.
+
+    Each entry of a row of a block is read once, and its column must lie
+    in the same block.
     """
     import numpy as np
 
-    block_of = np.empty(mat.shape[0], dtype=np.int64)  # word -> its block
+    block_of = np.full(mat.shape[0], -1, dtype=np.int64)  # word -> its block
     place = np.empty(mat.shape[0], dtype=np.int32)  # word -> its place in the block
     for k, idx in enumerate(blocks):
         block_of[idx] = k
         place[idx] = np.arange(idx.size)
-    row_lengths = np.diff(mat.indptr)
     for k, idx in enumerate(blocks):
-        lengths = row_lengths[idx]
-        indptr = np.zeros(idx.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        entries = np.repeat(mat.indptr[idx] - indptr[:-1], lengths) + np.arange(indptr[-1])
+        indptr, entries = _row_entries(mat, idx)
         cols = mat.indices[entries]
         if (block_of[cols] != k).any():
             raise linalg.CertificationError(
                 "matrix does not respect the word-product block structure"
             )
         yield linalg.Csr((idx.size, idx.size), indptr, place[cols], mat.data[entries])
+
+
+def _check_twin(mat: linalg.Csr, rep: linalg.Csr, image: np.ndarray) -> None:
+    """Raise unless row image[r] of mat is row r of rep with every column q moved to image[q].
+
+    The rows are compared about ``_CHUNK`` entries at a time, each mapped
+    row sorted by its new columns.
+    """
+    import numpy as np
+
+    for lo, hi in rep.row_spans(_CHUNK):
+        s, e = rep.indptr[lo], rep.indptr[hi]
+        indptr, entries = _row_entries(mat, image[lo:hi])
+        cols = image[rep.indices[s:e]]
+        order = np.argsort(rep.row_indices(lo, hi) << 32 | cols)  # words are below 2**31
+        if not (
+            np.array_equal(indptr, rep.indptr[lo : hi + 1] - s)
+            and np.array_equal(cols[order], mat.indices[entries])
+            and np.array_equal(rep.data[s:e][order], mat.data[entries])
+        ):
+            raise linalg.CertificationError("conjugate grade blocks differ")
 
 
 def _orbit_blocks(
@@ -628,11 +667,11 @@ def _orbit_blocks(
 
     Conjugation by h commutes with the braiding, so A_m commutes with the
     word permutation that conjugates every letter by h, and that permutation
-    carries the block of grade g onto the block of grade h g h^-1.  Every
-    other block of an orbit is checked to equal the representative's block
-    under it, entry for entry, so its rank is the same in every field.  The
-    representative is the orbit's first block, so one pass over the blocks
-    keeps only the representatives.
+    carries the block of grade g onto the block of grade h g h^-1.  Only
+    the representative blocks, each orbit's first, are sliced; every row
+    of every other block is checked to equal the representative's row it
+    comes from under that permutation, entry for entry, so the block has
+    the representative's rank in every field and respects the grading.
     """
     import numpy as np
 
@@ -642,57 +681,55 @@ def _orbit_blocks(
     block_of = {grading[idx[0]]: k for k, idx in enumerate(blocks)}
     place = {e: pos for pos, e in enumerate(c.elements)}
     powers = c.n ** np.arange(m - 1, -1, -1)  # first letter most significant
-    where = np.full(c.n**m, -1)  # word -> its place in a block, or -1
-    twins: dict[int, tuple[int, np.ndarray | None]] = {}  # block -> (representative, word map)
-    weights = [0] * len(blocks)
+    word_block = np.empty(c.n**m, dtype=np.int64)  # word -> its block
+    for k, idx in enumerate(blocks):
+        word_block[idx] = k
+    twins: dict[int, tuple[int, np.ndarray]] = {}  # block -> (representative, word map)
+    weights: dict[int, int] = {}  # representative -> orbit size
     for k, idx in enumerate(blocks):
         if k in twins:
             continue
+        orbit = {k}
         for h in range(group.order):
             j = block_of[group.conjugate(h, grading[idx[0]])]
-            if j in twins:
+            if j in orbit:
                 continue
-            weights[k] += 1
-            if j == k:
-                twins[j] = (k, None)
-                continue
+            orbit.add(j)
             letter = np.array([place[group.conjugate(h, e)] for e in c.elements])
             image = (letter[idx[:, None] // powers % c.n] * powers).sum(axis=1)
-            where[blocks[j]] = np.arange(blocks[j].size)
-            pos = where[image]
-            where[blocks[j]] = -1
             # the letter map is a bijection, so the image has idx.size words
-            if blocks[j].size != idx.size or (pos < 0).any():
+            if blocks[j].size != idx.size or (word_block[image] != j).any():
                 raise linalg.CertificationError(
                     "conjugation does not map a grade block onto a grade block"
                 )
-            twins[j] = (k, pos)
-    reps: dict[int, linalg.Csr] = {}
-    for j, block in enumerate(_block_slices(mat, blocks)):
-        k, pos = twins[j]
-        if k == j:
-            reps[k] = block
-            continue
-        rep = reps[k]
-        moved = linalg.csr_from_entries(rep.shape, pos[rep.row_indices()], pos[rep.indices], rep.data)
-        # both are canonical, so equal matrices have equal indptr, indices and data
-        if not all(map(np.array_equal, moved[1:], block[1:])):
-            raise linalg.CertificationError("conjugate grade blocks differ")
-    return [(reps[k], weights[k]) for k in reps]
+            twins[j] = (k, image)
+        weights[k] = len(orbit)
+    reps = dict(zip(weights, _block_slices(mat, [blocks[k] for k in weights])))
+    for k, image in twins.values():
+        _check_twin(mat, reps[k], image)
+    return [(reps[k], weights[k]) for k in weights]
 
 
 def _sparse_digest(mat: linalg.Csr, extra: bytes) -> bytes:
     """SHA-256 of the shape, then the rows, columns and values in row-major order.
 
-    Each part is read as int64 bytes, the entries in canonical CSR order.
+    Each part is read as int64 bytes, the entries in canonical CSR order,
+    and hashed about ``_CHUNK`` entries at a time, so the matrix is never
+    widened whole.
     """
     import numpy as np
 
+    spans = mat.row_spans(_CHUNK)
+
+    def widened(part: np.ndarray) -> Iterator[np.ndarray]:
+        for lo, hi in spans:
+            yield part[mat.indptr[lo] : mat.indptr[hi]].astype(np.int64)
+
     return linalg.content_digest(
         np.asarray(mat.shape, dtype=np.int64).tobytes(),
-        mat.row_indices(),
-        mat.indices.astype(np.int64),
-        mat.data,
+        (mat.row_indices(lo, hi) for lo, hi in spans),
+        widened(mat.indices),
+        widened(mat.data),
         extra,
     )
 

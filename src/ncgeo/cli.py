@@ -221,10 +221,17 @@ def _cmd_extdims(ns, c, mu) -> tuple[dict, list]:
             for m in range(2, ns.max_degree + 1)
         ]
     cap = ns.max_degree if ns.unsupported_scale else calculus.DEFAULT_DEGREE_CAP
-    results["dims"] = calculus.exterior_profile(c, ns.max_degree, cap=cap)
+    dims = results["dims"] = calculus.exterior_profile(c, ns.max_degree, cap=cap)
+    # degree m is spanned by degree m - 1 times the n one-forms, and the
+    # exterior algebra is a quotient of the quadratic cover
+    quadratic = {q["degree"]: q["dim"] for q in results.get("quadratic_dims", ())}
     certs = [
-        {"check_name": f"extdims_degree_{d['degree']}_{d['method']}", "status": "ok"}
-        for d in results["dims"]
+        _check(
+            f"extdims_degree_{m}_{d['method']}",
+            d["dim"] <= (c.n * dims[m - 1]["dim"] if m else 1)
+            and d["dim"] <= quadratic.get(m, d["dim"]),
+        )
+        for m, d in enumerate(dims)
     ]
     return results, certs
 

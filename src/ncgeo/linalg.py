@@ -10,18 +10,20 @@ solve_affine and invert read the reduced row echelon form (``rref``),
 whose pivot rows are divided by their pivots once.  The RREF is unique,
 so solution bases are byte-stable.  The quadratic tower of ``calculus`` runs on the same loop.
 Large integer matrices (antisymmetrizers at degrees 5-6), kept as numpy
-arrays in canonical CSR order (``Csr``), are shrunk block by block
-(``reduce_block``) and go through rank mod p for two deterministically
-chosen primes > 2**30 congruent to 1 mod 3; agreement of the two ranks is
-the certification contract.  The block rankers take (block, weight) pairs,
-so a block that stands for a whole orbit of similar blocks, checked equal
-by the caller, is ranked once.
+arrays in canonical CSR order (``Csr``) with values in a narrow integer
+type, are shrunk block by block (``reduce_block``) and go through rank
+mod p for two deterministically chosen primes > 2**30 congruent to 1 mod
+3; agreement of the two ranks is the certification contract.
+``rank_mod_p`` reads the matrix a fixed number of rows at a time and keeps
+only its sparse pivot rows, so it never copies the matrix.  The block
+rankers take (block, weight) pairs, so a block that stands for a whole
+orbit of similar blocks, checked equal by the caller, is ranked once.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .cyclotomic import ONE, ZERO, Cyclotomic, Scalar, as_cyc
 from .groups import CertificationError
@@ -382,36 +384,60 @@ def invert(m: ExactMatrix) -> ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
+#: Rows of a matrix that ``rank_mod_p`` reduces together.
+_BATCH = 256
+
+
+def _clear(x: np.ndarray, col: int, cols: np.ndarray, vals: np.ndarray, p: int) -> None:
+    """Subtract from each row of x, in place, its entry in col times a pivot row.
+
+    The pivot row has the values ``vals`` in the columns ``cols`` and 1 in
+    col; only the rows with a nonzero entry in col change.
+    """
+    import numpy as np
+
+    hit = np.flatnonzero(x[:, col])
+    if hit.size:
+        ix = np.ix_(hit, cols)
+        x[ix] = (x[ix] - x[hit, col, None] * vals) % p
+
+
 def rank_mod_p(a: np.ndarray, p: int) -> int:
     """Rank of an integer matrix mod p (int64 elimination, 2 <= p < 2**31).
 
     Residues below 2**31 keep every product of two of them inside int64.
+    The rows are read ``_BATCH`` at a time into an int64 batch that is
+    reduced in place: first by the pivot rows found so far, in the order
+    they were found, then row by row, each nonzero row becoming a pivot row
+    that clears its pivot column from the rows after it.  A pivot row is
+    kept by its nonzero columns and values, its pivot scaled to 1; it was
+    itself reduced by every older pivot row, so it is zero in their
+    columns and no later reduction brings back an entry cleared before.
+    Besides the matrix, which is not copied, only one batch and the pivot
+    rows are held.
     """
     import numpy as np
 
     if not 2 <= p < 2**31:
         raise ValueError(f"modulus {p} is outside [2, 2**31)")
-    m = np.array(a, dtype=np.int64) % p
-    nrows, ncols = m.shape
-    pr = 0
-    for col in range(ncols):
-        if pr >= nrows:
+    a = np.asarray(a)
+    nrows, ncols = a.shape
+    pivots: list[tuple[int, np.ndarray, np.ndarray]] = []  # (column, columns, values)
+    for lo in range(0, nrows, _BATCH):
+        if len(pivots) == ncols:
             break
-        nz = np.nonzero(m[pr:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = pr + int(nz[0])
-        if piv != pr:
-            m[[pr, piv]] = m[[piv, pr]]
-        inv = pow(int(m[pr, col]), p - 2, p)
-        m[pr, col:] = (m[pr, col:] * inv) % p
-        factors = m[pr + 1 :, col]
-        nzr = np.nonzero(factors)[0]
-        if nzr.size:
-            sel = pr + 1 + nzr
-            m[sel, col:] = (m[sel, col:] - factors[nzr, None] * m[pr, col:]) % p
-        pr += 1
-    return pr
+        x = a[lo : lo + _BATCH].astype(np.int64)
+        x %= p
+        for col, cols, vals in pivots:
+            _clear(x, col, cols, vals, p)
+        for i in range(x.shape[0]):
+            cols = np.flatnonzero(x[i])
+            if cols.size:
+                col = int(cols[0])
+                vals = x[i, cols] * pow(int(x[i, col]), p - 2, p) % p
+                _clear(x[i + 1 :], col, cols, vals, p)
+                pivots.append((col, cols, vals))
+    return len(pivots)
 
 
 #: Miller-Rabin with bases 2, 3, 5, 7 decides primality below this bound,
@@ -462,12 +488,17 @@ def deterministic_primes(digest: bytes, count: int = 2) -> tuple[int, ...]:
 
 
 def content_digest(*parts) -> bytes:
-    """SHA-256 of the concatenated parts: bytes or C-contiguous arrays."""
+    """SHA-256 of the concatenated parts.
+
+    A part is bytes, a C-contiguous array, or an iterator of them, hashed
+    piece by piece.
+    """
     import hashlib
 
     h = hashlib.sha256()
     for part in parts:
-        h.update(part)
+        for piece in part if isinstance(part, Iterator) else (part,):
+            h.update(piece)
     return h.digest()
 
 
@@ -484,12 +515,12 @@ def _distinct_lines(
 
     if not lines.size:
         return lines, others, vals
-    order = np.lexsort((others, lines))
+    order = np.argsort(lines << 32 | others)  # indices are below 2**31
     lines, others, vals = lines[order], others[order], vals[order]
     bounds = np.flatnonzero(np.diff(lines)) + 1
     starts = np.concatenate(([0], bounds))
     ends = np.concatenate((bounds, [lines.size]))
-    signed = vals * np.repeat(np.sign(vals[starts]), ends - starts)
+    signed = vals * np.repeat(np.sign(vals[starts]).astype(np.int64), ends - starts)
     seen: set[bytes] = set()
     keep = np.zeros(lines.size, dtype=bool)
     for s, e in zip(starts.tolist(), ends.tolist()):
@@ -504,7 +535,11 @@ class Csr(NamedTuple):
     """A sparse integer matrix as numpy arrays in canonical CSR order.
 
     Row i holds the entries ``indptr[i]:indptr[i + 1]`` of ``indices``
-    (int32 columns, increasing) and ``data`` (int64 values, all nonzero).
+    (int32 columns, increasing) and ``data`` (values, all nonzero).  The
+    values are of any signed integer type: int64 as ``csr_from_entries``
+    sums them, or the narrowest type that a proven bound on them allows,
+    as in the braided factorials of ``calculus``; readers widen what they
+    compute with.
     """
 
     shape: tuple[int, int]
@@ -512,11 +547,24 @@ class Csr(NamedTuple):
     indices: np.ndarray
     data: np.ndarray
 
-    def row_indices(self) -> np.ndarray:
-        """The row of every entry."""
+    def row_indices(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+        """The row of every entry of rows lo to hi (all rows by default)."""
         import numpy as np
 
-        return np.repeat(np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr))
+        hi = self.shape[0] if hi is None else hi
+        return np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(self.indptr[lo : hi + 1]))
+
+    def row_spans(self, entries: int) -> list[tuple[int, int]]:
+        """Consecutive row ranges (lo, hi) that cover the rows, about ``entries`` entries each.
+
+        The rows are cut at the row of every ``entries``-th entry, so a
+        range holds at most one row more than that.
+        """
+        import numpy as np
+
+        cuts = np.searchsorted(self.indptr, np.arange(0, self.data.size, max(1, entries)), "right")
+        cuts = np.unique(np.concatenate(([0], cuts - 1, [self.shape[0]]))).tolist()
+        return list(zip(cuts[:-1], cuts[1:]))
 
 
 def csr_from_entries(shape: tuple[int, int], rows, cols, vals) -> Csr:
@@ -563,7 +611,8 @@ def reduce_block(block) -> tuple[int, np.ndarray]:
       field; the column is counted and deleted, repeatedly;
     * then zero rows and columns, and rows and columns equal to another one
       or to its negative, are dropped;
-    * the dense core is oriented to be at most as wide as it is tall.
+    * the dense core, of the block's value type, is oriented to be at most
+      as wide as it is tall.
     """
     import numpy as np
 
@@ -576,7 +625,7 @@ def reduce_block(block) -> tuple[int, np.ndarray]:
     nz = vals != 0
     rows = rows[nz].astype(np.int64)
     cols = cols[nz].astype(np.int64)
-    vals = vals[nz].astype(np.int64)
+    vals = vals[nz]
     peeled = 0
     while True:
         singleton = np.bincount(rows)[rows] == 1
@@ -592,7 +641,7 @@ def reduce_block(block) -> tuple[int, np.ndarray]:
     cols, rows, vals = _distinct_lines(cols, rows, vals)
     row_ids, ri = np.unique(rows, return_inverse=True)
     col_ids, ci = np.unique(cols, return_inverse=True)
-    core = np.zeros((row_ids.size, col_ids.size), dtype=np.int64)
+    core = np.zeros((row_ids.size, col_ids.size), dtype=vals.dtype)
     core[ri, ci] = vals
     if core.shape[1] > core.shape[0]:
         core = core.T

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +44,7 @@ from ncgeo.calculus import (
     _bracket_sparse,
     _factorial_sparse,
     _grading_blocks,
+    _orbit_blocks,
     _sparse_digest,
     _word_grading,
     one_form_right_mul,
@@ -50,7 +52,7 @@ from ncgeo.calculus import (
 )
 from ncgeo.linalg import csr_from_entries
 
-from helpers import to_int_array
+from helpers import rank_mod_p_oracle, to_int_array
 
 small = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=3
@@ -313,6 +315,32 @@ def test_unequal_conjugate_blocks_refuse_certification(s4, monkeypatch, capsys, 
     assert "blocks differ" in captured.err
 
 
+def test_conjugate_block_with_a_moved_entry_is_refused(s4):
+    c = class_calculus(s4, "(34)")
+    grading = _word_grading(c, 4)
+    idx = next(
+        idx for idx in reversed(_grading_blocks(c, 4))
+        if len({s4.conjugate(h, grading[idx[0]]) for h in range(s4.order)}) > 1
+    )
+    full = _factorial_sparse(braiding(c), 4)
+
+    def columns(row):
+        return full.indices[full.indptr[row] : full.indptr[row + 1]].tolist()
+
+    # a row with a column a whose next word b in the block is not a column
+    row, a, b = next(
+        (row, a, b) for row in idx.tolist() for a, b in zip(idx[:-1].tolist(), idx[1:].tolist())
+        if a in columns(row) and b not in columns(row)
+    )
+    v = full.data[full.indptr[row] + columns(row).index(a)]
+    moved = _with_entry(_with_entry(full, row, a, -v), row, b, v)
+    # the row keeps its length and its values in order: only a column differs
+    assert np.array_equal(moved.indptr, full.indptr)
+    assert np.array_equal(moved.data, full.data)
+    with pytest.raises(CertificationError, match="blocks differ"):
+        _orbit_blocks(c, 4, moved)
+
+
 def _lexsort_digest(shape, entries, extra):
     """Oracle for the prime digest: the entries sorted by (row, col)."""
     rows, cols, vals = (np.array(x, dtype=np.int64) for x in zip(*entries))
@@ -388,6 +416,50 @@ def test_numpy_factorials_equal_the_scipy_products(group, element, top):
     for m in range(1, top + 1):
         _assert_same_entries(_bracket_sparse(b, m), _scipy_bracket(b, m))
         _assert_same_entries(_factorial_sparse(b, m), _scipy_factorial(b, m))
+
+
+@pytest.mark.parametrize("group, element, top", [
+    ("a4", "t", 6), ("s4", "(34)", 5), ("s4", "(123)", 5),
+])
+def test_factorial_entries_lie_within_m_factorial(group, element, top):
+    b = braiding(class_calculus(build_group(group), element))
+    for m in range(2, top + 1):
+        mat = _factorial_sparse(b, m)
+        # the narrowest signed type that holds m!
+        assert mat.data.dtype == (np.int8 if m <= 5 else np.int16)
+        assert np.abs(mat.data.astype(np.int64)).max() <= math.factorial(m)
+
+
+def test_factorial_entry_beyond_m_factorial_is_refused(a4_c, monkeypatch):
+    b = braiding(a4_c)
+    prev = _factorial_sparse(b, 3)
+    data = prev.data.astype(np.int64)
+    data[0] = 10**6
+    monkeypatch.setattr(calculus, "_factorial_sparse", lambda _b, _m: prev._replace(data=data))
+    with pytest.raises(CertificationError):
+        _factorial_sparse.__wrapped__(b, 4)
+
+
+@pytest.mark.parametrize("group, element, top", [("a4", "t", 6), ("s4", "(34)", 5)])
+def test_factorial_cache_holds_only_the_last_degree(group, element, top):
+    c = class_calculus(build_group(group), element)
+    for m in range(top + 1):
+        exterior_dimension_info(c, m)
+    info = _factorial_sparse.cache_info()
+    assert info.currsize == 1
+    _factorial_sparse(braiding(c), top)  # the one the next degree reads
+    assert _factorial_sparse.cache_info().hits == info.hits + 1
+
+
+def test_rank_mod_p_on_the_s4_123_degree_five_cores(s4):
+    c = class_calculus(s4, "(123)")
+    blocks = _orbit_blocks(c, 5, _factorial_sparse(braiding(c), 5))
+    cores = [linalg.reduce_block(block)[1] for block, _ in blocks]
+    # the 879-wide core spans four row batches of rank_mod_p and has rank 127
+    assert [core.shape for core in cores] == [(276, 276), (879, 879), (448, 448)]
+    p = S4_TOWERS["(123)"][5][2][0]
+    ranks = [linalg.rank_mod_p(core, p) for core in cores]
+    assert ranks == [rank_mod_p_oracle(core.tolist(), p) for core in cores] == [64, 127, 76]
 
 
 def test_a4_quadratic_dimensions(a4_c):

@@ -303,6 +303,26 @@ def test_nonzero_d1_after_d0_fails_its_certification(capsys, monkeypatch):
     assert statuses["d1_after_d0_is_zero"] == "failed"
 
 
+@pytest.mark.parametrize("argv, degree, dim, failed", [
+    (["extdims"], 3, 45, True),  # above n d_2 = 4 * 8
+    (["extdims", "--quadratic"], 4, 13, True),  # within n d_3 = 44, above q_4 = 12
+    (["extdims"], 4, 13, False),  # no quadratic dimension to compare with
+])
+def test_extdims_dimension_beyond_its_bound_fails(capsys, monkeypatch, argv, degree, dim, failed):
+    calculus = importlib.import_module("ncgeo.calculus")
+    info = calculus.exterior_dimension_info
+
+    def wrong(c, m, cap):
+        got, record = info(c, m, cap=cap)
+        return (dim if m == degree else got), record
+
+    monkeypatch.setattr(calculus, "exterior_dimension_info", wrong)
+    code, out, _ = _capture(capsys, argv)
+    assert code == (3 if failed else 0)
+    statuses = [c["status"] for c in json.loads(out)["certifications"]]
+    assert statuses == ["failed" if failed and m == degree else "ok" for m in range(len(statuses))]
+
+
 def test_failed_group_axioms_fail_info(capsys, monkeypatch):
     cli = importlib.import_module("ncgeo.cli")
     broken = cli.GroupSpecError("associativity fails", {"triple": ["x", "y", "z"]})

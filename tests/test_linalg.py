@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncgeo import ONE, ZERO, Cyclotomic, ExactMatrix, cyc
 from ncgeo.linalg import (
+    _BATCH,
     MILLER_RABIN_LIMIT,
     AffineSpace,
     certified_rank_blocks,
@@ -29,7 +30,7 @@ from ncgeo.linalg import (
     solve_affine,
 )
 
-from helpers import to_int_array
+from helpers import rank_mod_p_oracle, to_int_array
 
 small_fracs = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=4
@@ -421,6 +422,39 @@ def test_rank_mod_p_refuses_moduli_outside_int64_range():
     for p in (-7, 0, 1, 2**31, 2**32 + 15):
         with pytest.raises(ValueError):
             rank_mod_p(a, p)
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """Products of two random integer factors, up to more than two row batches tall.
+
+    Some rows are zeroed, and the entries come in a signed type that holds them.
+    """
+    nrows = draw(st.integers(min_value=1, max_value=2 * _BATCH + 60))
+    ncols = draw(st.integers(min_value=1, max_value=24))
+    inner = draw(st.integers(min_value=0, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    a = rng.integers(-3, 4, (nrows, inner)) @ rng.integers(-3, 4, (inner, ncols))
+    a[rng.random(nrows) < 0.3] = 0
+    return a.astype(draw(st.sampled_from((np.int8, np.int16, np.int64))))
+
+
+@st.composite
+def large_residue_matrices(draw):
+    """Small matrices with entries just below 2**31, so products come near 2**62."""
+    nrows = draw(st.integers(min_value=1, max_value=8))
+    ncols = draw(st.integers(min_value=1, max_value=8))
+    entries = st.integers(min_value=2**31 - 40, max_value=2**31 - 1)
+    return np.array(draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                                  min_size=nrows, max_size=nrows)), dtype=np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(low_rank_matrices(), large_residue_matrices()),
+       st.sampled_from((2, 3, 7, 1750314619, 2**31 - 1)))
+def test_rank_mod_p_matches_pure_python_elimination(a, p):
+    assert rank_mod_p(a, p) == rank_mod_p_oracle(a.tolist(), p)
+    assert rank_mod_p(a.T, p) == rank_mod_p_oracle(a.T.tolist(), p)
 
 
 # base-2 strong pseudoprimes, Carmichael numbers, strong pseudoprimes to
