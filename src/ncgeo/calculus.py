@@ -508,8 +508,10 @@ def _factorial_sparse(b: BraidData, m: int) -> linalg.Csr:
     in absolute value; the values are stored in the narrowest signed type
     that holds m! (int8 up to degree 5, int16 up to degree 7), and a chunk
     with an entry beyond m! raises ``CertificationError`` before it is
-    stored.  The cache keeps the last matrix built, which is the one the
-    next degree reads.
+    stored.  The columns are int16 while n^m <= 2**15, int32 beyond; the
+    previous degree's columns are widened before they are offset.  The
+    cache keeps the last matrix built, which is the one the next degree
+    reads.
     """
     import numpy as np
 
@@ -526,7 +528,7 @@ def _factorial_sparse(b: BraidData, m: int) -> linalg.Csr:
     # every product may survive; pages of np.empty that are never written are
     # never allocated, and the buffers shrink in place to the final count
     bound = n * m * prev.data.size
-    indices = np.empty(bound, dtype=np.int32)
+    indices = np.empty(bound, dtype=np.int16 if size <= 2**15 else np.int32)
     data = np.empty(bound, dtype=np.min_scalar_type(-limit))
     lengths = []
     filled = 0
@@ -536,7 +538,7 @@ def _factorial_sparse(b: BraidData, m: int) -> linalg.Csr:
             chunk = linalg.csr_from_entries(
                 (hi - lo, size),
                 np.tile(prev.row_indices(lo, hi) - lo, m),
-                moves[:, a * width + prev.indices[s:e]].ravel(),
+                moves[:, np.add(prev.indices[s:e], a * width, dtype=np.int64)].ravel(),
                 (signs * prev.data[s:e]).ravel(),
             )
             if np.abs(chunk.data).max(initial=0) > limit:
@@ -624,8 +626,10 @@ def _block_slices(mat: linalg.Csr, blocks: list[np.ndarray]) -> Iterator[linalg.
     """
     import numpy as np
 
+    side = max((idx.size for idx in blocks), default=0)
     block_of = np.full(mat.shape[0], -1, dtype=np.int64)  # word -> its block
-    place = np.empty(mat.shape[0], dtype=np.int32)  # word -> its place in the block
+    # word -> its place in the block, the block's column
+    place = np.empty(mat.shape[0], dtype=np.int16 if side <= 2**15 else np.int32)
     for k, idx in enumerate(blocks):
         block_of[idx] = k
         place[idx] = np.arange(idx.size)

@@ -10,8 +10,8 @@ solve_affine and invert read the reduced row echelon form (``rref``),
 whose pivot rows are divided by their pivots once.  The RREF is unique,
 so solution bases are byte-stable.  The quadratic tower of ``calculus`` runs on the same loop.
 Large integer matrices (antisymmetrizers at degrees 5-6), kept as numpy
-arrays in canonical CSR order (``Csr``) with values in a narrow integer
-type, are shrunk block by block (``reduce_block``) and go through rank
+arrays in canonical CSR order (``Csr``) with columns and values in narrow
+integer types, are shrunk block by block (``reduce_block``) and go through rank
 mod p for two deterministically chosen primes > 2**30 congruent to 1 mod
 3; agreement of the two ranks is the certification contract.
 ``rank_mod_p`` reads the matrix a fixed number of rows at a time and keeps
@@ -385,7 +385,7 @@ def invert(m: ExactMatrix) -> ExactMatrix:
 
 
 #: Rows of a matrix that ``rank_mod_p`` reduces together.
-_BATCH = 256
+_BATCH = 64
 
 
 def _clear(x: np.ndarray, col: int, cols: np.ndarray, vals: np.ndarray, p: int) -> None:
@@ -398,8 +398,11 @@ def _clear(x: np.ndarray, col: int, cols: np.ndarray, vals: np.ndarray, p: int) 
 
     hit = np.flatnonzero(x[:, col])
     if hit.size:
-        ix = np.ix_(hit, cols)
-        x[ix] = (x[ix] - x[hit, col, None] * vals) % p
+        hit = hit[:, None]
+        update = x[hit, col] * vals
+        np.subtract(x[hit, cols], update, out=update)
+        update %= p
+        x[hit, cols] = update
 
 
 def rank_mod_p(a: np.ndarray, p: int) -> int:
@@ -410,11 +413,11 @@ def rank_mod_p(a: np.ndarray, p: int) -> int:
     reduced in place: first by the pivot rows found so far, in the order
     they were found, then row by row, each nonzero row becoming a pivot row
     that clears its pivot column from the rows after it.  A pivot row is
-    kept by its nonzero columns and values, its pivot scaled to 1; it was
-    itself reduced by every older pivot row, so it is zero in their
-    columns and no later reduction brings back an entry cleared before.
-    Besides the matrix, which is not copied, only one batch and the pivot
-    rows are held.
+    kept by its nonzero columns and values, both int32, its pivot scaled
+    to 1; it was itself reduced by every older pivot row, so it is zero in
+    their columns and no later reduction brings back an entry cleared
+    before.  Besides the matrix, which is not copied, only one batch, the
+    pivot rows and one update of at most a batch's size are held.
     """
     import numpy as np
 
@@ -431,10 +434,10 @@ def rank_mod_p(a: np.ndarray, p: int) -> int:
         for col, cols, vals in pivots:
             _clear(x, col, cols, vals, p)
         for i in range(x.shape[0]):
-            cols = np.flatnonzero(x[i])
+            cols = np.flatnonzero(x[i]).astype(np.int32)
             if cols.size:
                 col = int(cols[0])
-                vals = x[i, cols] * pow(int(x[i, col]), p - 2, p) % p
+                vals = (x[i, cols] * pow(int(x[i, col]), p - 2, p) % p).astype(np.int32)
                 _clear(x[i + 1 :], col, cols, vals, p)
                 pivots.append((col, cols, vals))
     return len(pivots)
@@ -508,19 +511,17 @@ def _distinct_lines(
     """Keep the entries of the first line of each class of equal-up-to-sign lines.
 
     A line is a row (or a column) of a matrix given by its nonzero entries
-    (line index, index along the line, value).  Lines are compared by exact
-    keys after scaling each by the sign of its first entry.
+    (line index, index along the line, value), ordered by line and then
+    along the line; negating a value must not wrap.  Lines are compared by
+    exact keys after scaling each by the sign of its first entry.
     """
     import numpy as np
 
     if not lines.size:
         return lines, others, vals
-    order = np.argsort(lines << 32 | others)  # indices are below 2**31
-    lines, others, vals = lines[order], others[order], vals[order]
-    bounds = np.flatnonzero(np.diff(lines)) + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [lines.size]))
-    signed = vals * np.repeat(np.sign(vals[starts]).astype(np.int64), ends - starts)
+    starts = np.flatnonzero(np.concatenate(([True], lines[1:] != lines[:-1])))
+    ends = np.append(starts[1:], lines.size)
+    signed = vals * np.repeat(np.sign(vals[starts]), ends - starts)
     seen: set[bytes] = set()
     keep = np.zeros(lines.size, dtype=bool)
     for s, e in zip(starts.tolist(), ends.tolist()):
@@ -528,6 +529,7 @@ def _distinct_lines(
         if key not in seen:
             seen.add(key)
             keep[s:e] = True
+    del signed
     return lines[keep], others[keep], vals[keep]
 
 
@@ -535,11 +537,14 @@ class Csr(NamedTuple):
     """A sparse integer matrix as numpy arrays in canonical CSR order.
 
     Row i holds the entries ``indptr[i]:indptr[i + 1]`` of ``indices``
-    (int32 columns, increasing) and ``data`` (values, all nonzero).  The
-    values are of any signed integer type: int64 as ``csr_from_entries``
-    sums them, or the narrowest type that a proven bound on them allows,
-    as in the braided factorials of ``calculus``; readers widen what they
-    compute with.
+    (columns, increasing) and ``data`` (values, all nonzero).  Columns are
+    int32 as ``csr_from_entries`` builds them, or int16 where the width is
+    at most 2**15, as in the braided factorials and grade blocks of
+    ``calculus``.  Values are of any signed integer type: int64 as
+    ``csr_from_entries`` sums them, or the narrowest type that a proven
+    bound on them allows.  Readers widen what they compute with: under
+    NumPy 2 an int16 array plus a Python int stays int16, and wraps or
+    raises past 32,767.
     """
 
     shape: tuple[int, int]
@@ -563,7 +568,8 @@ class Csr(NamedTuple):
         import numpy as np
 
         cuts = np.searchsorted(self.indptr, np.arange(0, self.data.size, max(1, entries)), "right")
-        cuts = np.unique(np.concatenate(([0], cuts - 1, [self.shape[0]]))).tolist()
+        cuts = np.concatenate(([0], cuts - 1, [self.shape[0]]))  # nondecreasing
+        cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))].tolist()
         return list(zip(cuts[:-1], cuts[1:]))
 
 
@@ -613,39 +619,66 @@ def reduce_block(block) -> tuple[int, np.ndarray]:
       or to its negative, are dropped;
     * the dense core, of the block's value type, is oriented to be at most
       as wide as it is tall.
+
+    The entries are held as int32 rows and the block's own column and
+    value types (a value type whose minimum occurs is widened, so that no
+    negation wraps), and every lookup by row or column goes through a
+    boolean or int32 table of the block's side.
     """
     import numpy as np
 
     if isinstance(block, Csr):
-        rows, cols, vals = block.row_indices(), block.indices, block.data
+        nrows, ncols = block.shape
+        rows = np.repeat(np.arange(nrows, dtype=np.int32), np.diff(block.indptr))
+        cols, vals = block.indices, block.data
     else:
         block = np.asarray(block)
-        rows, cols = np.nonzero(block)
+        nrows, ncols = block.shape
+        rows, cols = (x.astype(np.int32) for x in np.nonzero(block))
         vals = block[rows, cols]
-    nz = vals != 0
-    rows = rows[nz].astype(np.int64)
-    cols = cols[nz].astype(np.int64)
-    vals = vals[nz]
+    if vals.size and vals.min() == np.iinfo(vals.dtype).min:
+        vals = vals.astype(np.int64)
     peeled = 0
     while True:
-        singleton = np.bincount(rows)[rows] == 1
-        pivot_cols = np.unique(cols[singleton & (np.abs(vals) == 1)])
-        if not pivot_cols.size:
+        unit = (np.bincount(rows, minlength=nrows) == 1)[rows]
+        unit &= (vals == 1) | (vals == -1)
+        pivot = np.zeros(ncols, dtype=bool)
+        pivot[cols[unit]] = True
+        del unit
+        count = int(np.count_nonzero(pivot))
+        if not count:
             break
-        peeled += pivot_cols.size
-        keep = ~np.isin(cols, pivot_cols)
+        peeled += count
+        keep = ~pivot[cols]
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        del keep
     # dropping a column equal to +-another cannot make two rows equal up to
     # sign, nor the reverse, so one pass each way leaves no redundant line
     rows, cols, vals = _distinct_lines(rows, cols, vals)
+    # the entries are in row-major order; a stable sort by column makes
+    # them column-major, one array reordered at a time
+    order = np.argsort(cols, kind="stable")
+    rows = rows[order]
+    cols = cols[order]
+    vals = vals[order]
+    del order
     cols, rows, vals = _distinct_lines(cols, rows, vals)
-    row_ids, ri = np.unique(rows, return_inverse=True)
-    col_ids, ci = np.unique(cols, return_inverse=True)
-    core = np.zeros((row_ids.size, col_ids.size), dtype=vals.dtype)
+    (height, ri), (width, ci) = _renumber(rows, nrows), _renumber(cols, ncols)
+    core = np.zeros((height, width), dtype=vals.dtype)
     core[ri, ci] = vals
     if core.shape[1] > core.shape[0]:
         core = core.T
     return peeled, core
+
+
+def _renumber(index: np.ndarray, size: int) -> tuple[int, np.ndarray]:
+    """The count of distinct values of an index below size, and each entry's rank among them."""
+    import numpy as np
+
+    present = np.zeros(size, dtype=bool)
+    present[index] = True
+    after = np.cumsum(present, dtype=np.int32)  # distinct values up to each one
+    return int(after[-1]) if size else 0, after[index] - 1
 
 
 def certified_rank_blocks(

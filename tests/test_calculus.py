@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -419,7 +420,7 @@ def test_numpy_factorials_equal_the_scipy_products(group, element, top):
 
 
 @pytest.mark.parametrize("group, element, top", [
-    ("a4", "t", 6), ("s4", "(34)", 5), ("s4", "(123)", 5),
+    ("a4", "t", 6), ("s4", "(34)", 5), ("s4", "(123)", 5), ("s4", "(34)", 6),
 ])
 def test_factorial_entries_lie_within_m_factorial(group, element, top):
     b = braiding(class_calculus(build_group(group), element))
@@ -428,6 +429,9 @@ def test_factorial_entries_lie_within_m_factorial(group, element, top):
         # the narrowest signed type that holds m!
         assert mat.data.dtype == (np.int8 if m <= 5 else np.int16)
         assert np.abs(mat.data.astype(np.int64)).max() <= math.factorial(m)
+        # int16 columns up to 2**15 words; S4 (34) degree 6 (6**6 words) is
+        # built from int16 degree-5 columns offset by up to 5 * 6**5 > 2**15
+        assert mat.indices.dtype == (np.int16 if b.n**m <= 2**15 else np.int32)
 
 
 def test_factorial_entry_beyond_m_factorial_is_refused(a4_c, monkeypatch):
@@ -460,6 +464,28 @@ def test_rank_mod_p_on_the_s4_123_degree_five_cores(s4):
     p = S4_TOWERS["(123)"][5][2][0]
     ranks = [linalg.rank_mod_p(core, p) for core in cores]
     assert ranks == [rank_mod_p_oracle(core.tolist(), p) for core in cores] == [64, 127, 76]
+
+
+def test_s4_123_degree_five_blocks_reduce_and_rank_in_a_small_working_set(s4):
+    c = class_calculus(s4, "(123)")
+    blocks = _orbit_blocks(c, 5, _factorial_sparse(braiding(c), 5))
+    p = S4_TOWERS["(123)"][5][2][0]
+    for block, _ in blocks:
+        tracemalloc.start()
+        try:
+            _, core = linalg.reduce_block(block)
+            reduce_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            linalg.rank_mod_p(core, p)
+            rank_extra = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the block's entries take 7 bytes each (int32 row, int16 column,
+        # int8 value); the temporaries stay within 32 bytes per entry
+        assert reduce_peak <= 32 * block.data.size
+        if core.shape == (879, 879):
+            assert rank_extra <= 1.5e6
 
 
 def test_a4_quadratic_dimensions(a4_c):

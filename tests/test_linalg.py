@@ -394,6 +394,13 @@ def test_reduce_block_keeps_rank_and_leaves_no_redundant_line(block):
     assert np.array_equal(sparse_core, core)
 
 
+def test_reduce_block_keeps_lines_that_a_wrapped_negation_would_merge():
+    # negated in int8, (-1, -128) would read (1, -128), the first row
+    block = np.array([[1, -128], [-1, -128]], dtype=np.int8)
+    peeled, core = reduce_block(block)
+    assert peeled + rank_mod_p(core, 7) == 2
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(-3, 3)),
                 max_size=30))
@@ -529,6 +536,10 @@ def test_numpy_loads_only_for_the_modular_exterior_ranks():
     # the braided factorials are plain numpy arrays: scipy is never loaded
     quadratic = _run_quietly(["extdims", "--quadratic"])
     assert _modules_loaded_after(quadratic, "numpy", "scipy") == "[True, False]"
+    # nor numpy.ma, which a plain np.unique or np.isin would load
+    s4 = _run_quietly(["extdims", "--group", "s4", "--class", "(123)", "--max-degree", "5"])
+    for statements in (quadratic, s4):
+        assert _modules_loaded_after(statements, "numpy", "numpy.ma") == "[True, False]"
 
 
 # each entry point loads only the layers its work runs

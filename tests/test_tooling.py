@@ -8,6 +8,9 @@ name, and ``from ncgeo import *`` reads ``ncgeo.__all__``; a renamed or
 removed function would otherwise only fail when those run.  The benchmark
 also pins the stdout of its fixed CLI commands (``perfbench/reference.json``),
 so a report change shows here rather than only at the benchmark gate.
+Each committed ``BENCH_<workload>.json`` record must name a benchmark
+workload and the parent commit, and hold runs of both sides for every
+end-to-end metric.
 """
 
 import hashlib
@@ -15,6 +18,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +79,26 @@ def test_benchmark_reference_digests_match(capsys):
         assert run(list(argv)) == 0, argv
         got[" ".join(argv)] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == want
+
+
+def test_every_bench_record_holds_both_sides_of_every_metric():
+    root = PERFBENCH.parent
+    benchmark = json.loads((root / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in benchmark["workloads"]}
+    metrics = [m["name"] for m in benchmark["end_to_end"]]
+    records = sorted(root.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text())
+        assert path.name == f"BENCH_{record['workload']}.json"
+        assert record["workload"] in workloads
+        assert re.fullmatch(r"[0-9a-f]{7,40}", record["parent"]), path.name
+        seeds = record["end_to_end"]["seeds"]
+        assert len(set(seeds)) == len(seeds) >= 10, path.name
+        for name in metrics:
+            metric = record["end_to_end"]["metrics"][name]
+            for side in ("parent", "change"):
+                assert len(metric[side]["runs"]) == len(seeds), (path.name, name, side)
 
 
 def test_reproduce_script_reproduces_every_row():
