@@ -5,10 +5,13 @@ Functions on G form the base algebra; the one-form module has a left basis
 the differential d f = sum_a (R_a - id)(f) e_a.  One-forms, two-forms
 and the tensor square of the one-forms are all ``Form``s: coefficient
 functions on the left of a fixed basis (e_a, the degree-two basis, or
-e_a (x) e_b), and every constant-matrix map on the coefficients, the wedge
-quotient among them, is ``Form.apply``.  Degree-two and higher
-relations come from the braiding e_a (x) e_b -> e_{aba^-1} (x) e_a via
-braided integers and factorials; exterior dimensions are the ranks of the
+e_a (x) e_b), and a constant-matrix map on the coefficients is
+``Form.apply``.  The braiding e_a (x) e_b -> e_{aba^-1} (x) e_a permutes
+the tensor basis, so the degree-two relations are the indicator vectors
+of its cycles (``braid_cycles``), the degree-two basis leaves out one
+pair of every cycle, and the wedge quotient subtracts the coefficient of
+the left-out pair: none of them needs elimination.  Higher relations come
+from braided integers and factorials; exterior dimensions are the ranks of the
 braided factorials, computed exactly in small degree and certified modulo
 two large primes in degrees where the matrices reach 4096 x 4096.  The
 matrices split into blocks by word product, and conjugation by a group
@@ -36,7 +39,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence, Union
 
 from .cyclotomic import ONE, ZERO, Cyclotomic, Scalar, as_cyc
-from .groups import TABLE_III, ClassCalculus, DiagnosticError, FiniteGroup, class_frames
+from .groups import TABLE_III, ClassCalculus, DiagnosticError, FiniteGroup, class_frames, orbits
 from . import linalg
 from .linalg import ExactMatrix
 
@@ -240,13 +243,6 @@ class BraidData(NamedTuple):
     def n(self) -> int:
         return self.calculus.n
 
-    def matrix(self) -> ExactMatrix:
-        size = len(self.perm)
-        m = ExactMatrix.zeros(size, size)
-        for col, row in enumerate(self.perm):
-            m.data[row][col] = ONE
-        return m
-
 
 @lru_cache(maxsize=None)
 def braiding(c: ClassCalculus) -> BraidData:
@@ -260,41 +256,38 @@ def braiding(c: ClassCalculus) -> BraidData:
 
 
 @lru_cache(maxsize=None)
+def braid_cycles(c: ClassCalculus) -> tuple[tuple[int, ...], ...]:
+    """The braiding's cycles on the tensor indices a * n + b (see ``groups.orbits``)."""
+    return tuple(orbits([braiding(c).perm], c.n * c.n))
+
+
+@lru_cache(maxsize=None)
 def degree2_relations(c: ClassCalculus) -> tuple[tuple[Cyclotomic, ...], ...]:
     """Echelonized basis of ker(id - braiding): the degree-two relations.
 
-    The braiding permutes the tensor basis, so a vector is fixed exactly
-    when it is constant on every cycle of the permutation.  The basis is
-    the cycles' indicator vectors, ordered by each cycle's largest index,
-    which is the basis ``linalg.nullspace`` reads off the reduced form.
+    A vector is fixed by the permutation exactly when it is constant on
+    every cycle, so the basis is the indicators of ``braid_cycles``.
     """
-    perm = braiding(c).perm
-    cycles: list[set[int]] = []
-    seen: set[int] = set()
-    for start in range(len(perm)):
-        cycle = set()
-        q = start
-        while q not in seen:
-            seen.add(q)
-            cycle.add(q)
-            q = perm[q]
-        if cycle:
-            cycles.append(cycle)
-    cycles.sort(key=max)
-    return tuple(tuple(ONE if q in cycle else ZERO for q in range(len(perm))) for cycle in cycles)
+    size = c.n * c.n
+    cycles = map(set, braid_cycles(c))
+    return tuple(tuple(ONE if q in cycle else ZERO for q in range(size)) for cycle in cycles)
 
 
 # ---------------------------------------------------------------------------
-# the degree-two basis and reduction map
+# the degree-two basis and the wedge quotient
 # ---------------------------------------------------------------------------
 
 
 class Omega2Basis(NamedTuple):
-    """A chosen complement of the relation space inside the tensor square."""
+    """A complement of the relation space inside the tensor square.
+
+    The basis pairs leave out exactly one pair of every braiding cycle.  A
+    tensor t is sum_p r_p e_p plus a multiple of each cycle's indicator, and
+    the multiple is t at the cycle's left-out pair, so r_p = t[p] - t[left_out[p]].
+    """
 
     pairs: tuple[tuple[int, int], ...]  # class-position pairs (a, b)
-    reduction: ExactMatrix  # dim x n^2, tensor coords -> basis coords
-    kernel: tuple[tuple[Cyclotomic, ...], ...]
+    left_out: tuple[int, ...]  # tensor index of the pair each pair's cycle leaves out
     prod_elem: tuple[int, ...]  # group element a*b per basis pair
 
     @property
@@ -312,42 +305,28 @@ def omega2_basis(c: ClassCalculus) -> Omega2Basis:
     """Fixed basis of the degree-two component.
 
     For a four-element class with the third product table the basis is the
-    standard eight wedges (t,x),(t,y),(t,z),(x,t),(y,t),(x,y),(y,z),(x,z);
-    otherwise the complement of the relation kernel with lexicographic
-    pivots.
+    standard eight wedges (t,x),(t,y),(t,z),(x,t),(y,t),(x,y),(y,z),(x,z),
+    provided they leave out exactly one pair of every braiding cycle;
+    otherwise it is every pair but the least of each cycle, which are the
+    pivots of the relations' reduced form.
     """
     n = c.n
-    size = n * n
-    kernel = degree2_relations(c)
-    pairs: list[tuple[int, int]] | None = None
+    cycles = braid_cycles(c)
+    indices = sorted(q for cycle in cycles for q in cycle[1:])
     assign = tableiii_assignment(c)
     if assign is not None:
         t, x, y, z = assign
-        pairs = [(t, x), (t, y), (t, z), (x, t), (y, t), (x, y), (y, z), (x, z)]
-        if len(pairs) + len(kernel) != size:
-            pairs = None
-    if pairs is None:
-        _, pivots = linalg.rref(ExactMatrix(len(kernel), size, [list(v) for v in kernel]))
-        pivot_set = set(pivots)
-        pairs = [(q // n, q % n) for q in range(size) if q not in pivot_set]
-    # reduction = first len(pairs) rows of [basis | kernel]^-1
-    cols: list[list[Cyclotomic]] = []
-    for a, b in pairs:
-        col = [ZERO] * size
-        col[a * n + b] = ONE
-        cols.append(col)
-    cols.extend([list(v) for v in kernel])
-    full = ExactMatrix.from_rows(cols).transpose()
-    inv = linalg.invert(full)
-    reduction = ExactMatrix(len(pairs), size, [inv.data[i] for i in range(len(pairs))])
-    prod_elem = tuple(
-        c.group.mult(c.elements[a], c.elements[b]) for a, b in pairs
-    )
+        wedges = [(t, x), (t, y), (t, z), (x, t), (y, t), (x, y), (y, z), (x, z)]
+        frame = [a * n + b for a, b in wedges]
+        if all(len(set(cycle).difference(frame)) == 1 for cycle in cycles):
+            indices = frame
+    chosen = set(indices)
+    cycle_of = {q: cycle for cycle in cycles for q in cycle}
+    pairs = tuple(divmod(q, n) for q in indices)
     return Omega2Basis(
-        pairs=tuple(pairs),
-        reduction=reduction,
-        kernel=kernel,
-        prod_elem=prod_elem,
+        pairs=pairs,
+        left_out=tuple(next(r for r in cycle_of[q] if r not in chosen) for q in indices),
+        prod_elem=tuple(c.group.mult(c.elements[a], c.elements[b]) for a, b in pairs),
     )
 
 
@@ -377,8 +356,12 @@ def tensor_of_forms(c: ClassCalculus, u: Form, v: Form) -> Form:
 
 
 def wedge_tensor(c: ClassCalculus, t: Form) -> Form:
-    """Image of a tensor under the wedge quotient map, over the degree-two basis."""
-    return t.apply(omega2_basis(c).reduction)
+    """Image of a tensor under the wedge quotient map: t[p] - t[left out of p's cycle]."""
+    basis = omega2_basis(c)
+    n = c.n
+    return Form(
+        tuple(t.coeffs[a * n + b] - t.coeffs[q] for (a, b), q in zip(basis.pairs, basis.left_out))
+    )
 
 
 def wedge(c: ClassCalculus, u: Form, v: Form) -> Form:
@@ -779,12 +762,8 @@ class _QuadraticTower:
 
     def __init__(self, c: ClassCalculus):
         self.calculus = c
-        self.relations = []  # each scaled to integers: the span is unchanged
-        for vec in degree2_relations(c):
-            row = linalg.integer_row(vec)
-            if any(b for _, b in row.values()):
-                raise linalg.CertificationError("relation vector is not rational")
-            self.relations.append([(q // c.n, q % c.n, x) for q, (x, _) in row.items()])
+        # each relation is a cycle's indicator: a sum of pairs with coefficient 1
+        self.relations = [[divmod(q, c.n) for q in cycle] for cycle in braid_cycles(c)]
         self.dims = [1, c.n]
         self.forms = [[], [{a: 1} for a in range(c.n)]]
 
@@ -806,9 +785,9 @@ class _QuadraticTower:
         for w in range(self.dims[m - 2]):
             for rel in self.relations:
                 row: dict = {}
-                for a, b, x in rel:
+                for a, b in rel:
                     for u, y in below[w * n + a].items():
-                        row[u * n + b] = row.get(u * n + b, 0) + x * y
+                        row[u * n + b] = row.get(u * n + b, 0) + y
                 scale = math.lcm(*(y.denominator for y in row.values()))
                 rows.append({col: (y.numerator * (scale // y.denominator), 0)
                              for col, y in row.items() if y})

@@ -27,7 +27,7 @@ from .linalg import ExactMatrix
 from .calculus import (
     Form,
     GroupFunction,
-    braiding,
+    braid_cycles,
     d0,
     d1,
     e_form,
@@ -162,14 +162,7 @@ def flat_families_complete(c: ClassCalculus) -> bool:
     x_m x_r = x_m x_s in one orbit gives x_r = x_s; those must merge all.
     """
     n = c.n
-    perm = braiding(c).perm
-    orbits = []
-    for i in range(n * n):
-        cycle = [i]
-        while perm[cycle[-1]] != i:
-            cycle.append(perm[cycle[-1]])
-        if min(cycle) == i:
-            orbits.append([divmod(j, n) for j in cycle])
+    orbits = [[divmod(q, n) for q in cycle] for cycle in braid_cycles(c)]
     for a in range(n):
         for b in range(a):
             support, size = {a, b}, 0
@@ -198,17 +191,8 @@ def flat_families_complete(c: ClassCalculus) -> bool:
 
 
 def _braiding_fixes(c: ClassCalculus, terms: Sequence[tuple[int, int]]) -> bool:
-    """Whether sum of e_a (x) e_b over the terms is braiding-invariant."""
-    n = c.n
-    vec = [0] * (n * n)
-    for a, b in terms:
-        vec[a * n + b] += 1
-    perm = braiding(c).perm
-    out = [0] * (n * n)
-    for col, val in enumerate(vec):
-        if val:
-            out[perm[col]] += val
-    return out == vec
+    """Whether sum of e_a (x) e_b over the terms is braiding-invariant: constant on every cycle."""
+    return all(len({terms.count(divmod(q, c.n)) for q in cycle}) == 1 for cycle in braid_cycles(c))
 
 
 def s4_cross_relations_check(group: FiniteGroup | None = None) -> dict:

@@ -285,6 +285,30 @@ def build_group(spec: GroupSpec) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 
+def orbits(perms: Sequence[Sequence[int]], size: int) -> list[tuple[int, ...]]:
+    """Orbits of 0..size-1 under the permutations, each in ascending order.
+
+    The orbits are ordered by their largest element.  A vector is fixed by
+    every permutation exactly when it is constant on every orbit, and in
+    this order the orbits' indicator vectors are the basis that
+    ``linalg.nullspace`` reads off the reduced form of the fixing equations.
+    """
+    seen = [False] * size
+    out = []
+    for start in range(size):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for q in orbit:
+            for perm in perms:
+                if not seen[perm[q]]:
+                    seen[perm[q]] = True
+                    orbit.append(perm[q])
+        out.append(tuple(sorted(orbit)))
+    return sorted(out, key=lambda orbit: orbit[-1])
+
+
 def conjugacy_classes(group: FiniteGroup) -> list[list[int]]:
     """Conjugation orbits; the identity's orbit first, then by least element."""
     seen: set[int] = set()
@@ -323,10 +347,8 @@ class ClassCalculus(NamedTuple):
         return self.ad_table[i][j]
 
     def ad_inv(self, i: int, j: int) -> int:
-        """Class position of a_i^-1 a_j a_i."""
-        g = self.group
-        conj = g.conjugate(g.inv(self.elements[i]), self.elements[j])
-        return self.elements.index(conj)
+        """Class position of a_i^-1 a_j a_i: the inverse of row i of ``ad_table``."""
+        return self.ad_table[i].index(j)
 
 
 def _class_of(group: FiniteGroup, g: int) -> list[int]:

@@ -182,14 +182,16 @@ class AffineSpace(NamedTuple):
             c = as_cyc(c)
             if not c:
                 continue
-            out = [o + c * v for o, v in zip(out, vec)]
+            for i, v in enumerate(vec):
+                if v:
+                    out[i] = out[i] + c * v
         return out
 
     def contains(self, point: Sequence[Scalar]) -> bool:
         """Exact membership test: point - particular in span(basis)?"""
-        diff = [as_cyc(p) - q for p, q in zip(point, self.particular)]
-        if len(diff) != len(self.particular):
+        if len(point) != len(self.particular):
             raise ValueError("point length mismatch")
+        diff = [as_cyc(p) - q for p, q in zip(point, self.particular)]
         if not self.basis:
             return all(not v for v in diff)
         cols = ExactMatrix.from_rows([list(vec) for vec in self.basis]).transpose()

@@ -10,8 +10,11 @@ translations and is solved on the family.  Cotorsion and Ricci curvature
 commute with left translations, so their systems on the family are built
 from the identity block alone.  Ricci curvature lifts two-forms into the
 tensor square by ``Form.apply`` with an n^2 x dim lift matrix: the
-canonical splitting (complement of the relation kernel along its
-orthogonal projector) or the simpler id - braiding lift.
+canonical splitting (the identity minus each braiding cycle's average,
+which projects along the relation kernel) or the simpler id - braiding
+lift.  The invariant metrics are the indicator matrices of the orbits of
+simultaneous conjugation on pairs.  Both come from ``groups.orbits``,
+with no elimination.
 """
 
 from __future__ import annotations
@@ -21,12 +24,13 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .cyclotomic import ONE, ZERO, Cyclotomic, Scalar, as_cyc
-from .groups import ClassCalculus
+from .groups import ClassCalculus, orbits
 from . import linalg
 from .linalg import AffineSpace, ExactMatrix
 from .calculus import (
     Form,
     GroupFunction,
+    braid_cycles,
     braiding,
     d0,
     d1,
@@ -51,31 +55,21 @@ def _class_pos_conj(c: ClassCalculus, g: int) -> list[int]:
 
 
 def invariant_bilinear_space(c: ClassCalculus) -> list[ExactMatrix]:
-    """Basis of bilinear forms with eta(conj_g a, b) = eta(a, conj_{g^-1} b)."""
+    """Basis of bilinear forms with eta(conj_g a, b) = eta(a, conj_{g^-1} b).
+
+    These are the forms constant on every orbit of simultaneous conjugation
+    on pairs, so the basis is the orbits' indicator matrices.
+    """
     n = c.n
-    rows: list[list[Cyclotomic]] = []
-    for g in range(c.group.order):
-        conj = _class_pos_conj(c, g)
-        inv_conj = _class_pos_conj(c, c.group.inv(g))
-        for a in range(n):
-            for b in range(n):
-                row = [ZERO] * (n * n)
-                row[inv_conj[a] * n + b] = row[inv_conj[a] * n + b] + ONE
-                row[a * n + conj[b]] = row[a * n + conj[b]] - ONE
-                if any(row):
-                    rows.append(row)
-    if not rows:
-        basis_vecs = [
-            tuple(ONE if k == i else ZERO for k in range(n * n))
-            for i in range(n * n)
-        ]
-    else:
-        basis_vecs = linalg.nullspace(ExactMatrix.from_rows(rows))
-    out = []
-    for vec in basis_vecs:
-        data = [[vec[a * n + b] for b in range(n)] for a in range(n)]
-        out.append(ExactMatrix(n, n, data))
-    return out
+    conjs = [_class_pos_conj(c, g) for g in range(c.group.order)]
+    perms = [[p[a] * n + p[b] for a in range(n) for b in range(n)] for p in conjs]
+    space = []
+    for orbit in orbits(perms, n * n):
+        eta = ExactMatrix.zeros(n, n)
+        for q in orbit:
+            eta.data[q // n][q % n] = ONE
+        space.append(eta)
+    return space
 
 
 class Metric(NamedTuple):
@@ -248,21 +242,6 @@ def solve_torsion_free(c: ClassCalculus) -> AffineSpace | None:
     return AffineSpace(particular=point.particular * order, basis=basis)
 
 
-def _combine(
-    particular: Sequence[Cyclotomic],
-    basis: Sequence[Sequence[Cyclotomic]],
-    coeffs: Sequence[Cyclotomic],
-) -> list[Cyclotomic]:
-    out = list(particular)
-    for w, vec in zip(coeffs, basis):
-        if not w:
-            continue
-        for i, v in enumerate(vec):
-            if v:
-                out[i] = out[i] + w * v
-    return out
-
-
 def _family_columns(
     c: ClassCalculus, point: AffineSpace, evaluate
 ) -> tuple[list[Cyclotomic], list[list[Cyclotomic]]]:
@@ -285,7 +264,7 @@ def _family_columns(
     local = []
     for vec in point.basis:
         shifted = list(start)
-        shifted[e : e + size] = _combine(point.particular, [vec], [ONE])
+        shifted[e : e + size] = [p + v for p, v in zip(point.particular, vec)]
         local.append([s - b for s, b in zip(evaluate(shifted), base)])
     comps = len(base) // order
     columns = []
@@ -314,11 +293,8 @@ def _solve_on_family(c: ClassCalculus, point: AffineSpace, evaluate) -> AffineSp
 
     def assemble(start: Sequence[Cyclotomic], y: Sequence[Cyclotomic]) -> tuple:
         # block g is start + sum_j y[g k + j] v_j
-        return tuple(
-            v
-            for g in range(c.group.order)
-            for v in _combine(start, point.basis, y[g * k : (g + 1) * k])
-        )
+        block = AffineSpace(tuple(start), point.basis)
+        return tuple(v for g in range(c.group.order) for v in block.point(y[g * k : (g + 1) * k]))
 
     basis = tuple(assemble(zero, y) for y in sol.basis)
     return AffineSpace(particular=assemble(point.particular, sol.particular), basis=basis)
@@ -424,31 +400,35 @@ def riemann(c: ClassCalculus, conn: Connection) -> list[list[Form]]:
 def lift_i(c: ClassCalculus) -> ExactMatrix:
     """Canonical lift: complement of the relation kernel along its projector.
 
-    Columns are images in the tensor square of the degree-two basis wedges;
-    composing with the wedge quotient gives the identity.
+    The relations are the indicators of the braiding cycles, which are
+    orthogonal, so the projector onto their complement is the identity
+    minus each cycle's average.  Columns are its images of the degree-two
+    basis wedges; composing with the wedge quotient gives the identity.
     """
-    basis = omega2_basis(c)
     n = c.n
-    size = n * n
-    if not basis.kernel:
-        proj_complement = ExactMatrix.identity(size)
-    else:
-        bmat = ExactMatrix.from_rows([list(v) for v in basis.kernel]).transpose()
-        gram = bmat.transpose() @ bmat
-        gram_inv = linalg.invert(gram)
-        proj = bmat @ gram_inv @ bmat.transpose()
-        proj_complement = ExactMatrix.identity(size) - proj
-    return proj_complement.submatrix(range(size), [a * n + b for a, b in basis.pairs])
+    pairs = omega2_basis(c).pairs
+    cycle_of = {q: cycle for cycle in braid_cycles(c) for q in cycle}
+    lift = ExactMatrix.zeros(n * n, len(pairs))
+    for k, (a, b) in enumerate(pairs):
+        cycle = cycle_of[a * n + b]
+        share = Cyclotomic(Fraction(1, len(cycle)))
+        for q in cycle:
+            lift.data[q][k] = -share
+        lift.data[a * n + b][k] = ONE - share
+    return lift
 
 
 def lift_iprime(c: ClassCalculus) -> ExactMatrix:
-    """Simpler lift (id - braiding) on basis wedges; does not split the wedge."""
+    """Simpler lift (id - braiding) e_p = e_p - e_{psi(p)}; does not split the wedge."""
     n = c.n
-    size = n * n
-    basis = omega2_basis(c)
-    psi = braiding(c).matrix()
-    op = ExactMatrix.identity(size) - psi
-    return op.submatrix(range(size), [a * n + b for a, b in basis.pairs])
+    perm = braiding(c).perm
+    pairs = omega2_basis(c).pairs
+    lift = ExactMatrix.zeros(n * n, len(pairs))
+    for k, (a, b) in enumerate(pairs):
+        lift.data[a * n + b][k] = ONE
+        # a fixed pair is a cycle of its own, which the basis leaves out
+        lift.data[perm[a * n + b]][k] = -ONE
+    return lift
 
 
 def ricci(

@@ -30,6 +30,9 @@ from ncgeo import (
     e_form,
     exterior_dimension,
     exterior_dimension_info,
+    invariant_bilinear_space,
+    lift_i,
+    lift_iprime,
     omega2_basis,
     partial,
     quadratic_dimension,
@@ -50,10 +53,19 @@ from ncgeo.calculus import (
     _word_grading,
     one_form_right_mul,
     two_form_right_mul,
+    wedge_tensor,
 )
 from ncgeo.linalg import csr_from_entries
 
-from helpers import rank_mod_p_oracle, to_int_array
+from helpers import (
+    invariant_metrics_oracle,
+    lift_i_oracle,
+    lift_iprime_oracle,
+    omega2_oracle,
+    rank_mod_p_oracle,
+    relations_oracle,
+    to_int_array,
+)
 
 small = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=3
@@ -172,18 +184,59 @@ def test_relation_count_equals_braiding_cycle_count(a4_c, s3_c):
         assert len(degree2_relations(c)) == cycles
 
 
+def _relabelled(group, perm):
+    """The group with element i renamed to perm[i]; the identity stays at 0."""
+    perm = [0] + list(perm)
+    names = [""] * group.order
+    table = [[0] * group.order for _ in range(group.order)]
+    for i in range(group.order):
+        names[perm[i]] = group.names[i]
+        for j in range(group.order):
+            table[perm[i]][perm[j]] = perm[group.table[i][j]]
+    return {"names": names, "table": table}
+
+
+def _catalogue():
+    """The builtins with two cyclic groups, and the first four reverse-relabelled."""
+    names = ("a4", "s3", "s4", "sl2z3", "klein", "cyclic(5)", "cyclic(6)")
+    groups = {name: build_group(name) for name in names}
+    for name in names[:4]:
+        reverse = range(groups[name].order - 1, 0, -1)
+        groups[f"{name}-reversed"] = build_group(_relabelled(groups[name], reverse))
+    return groups
+
+
+CATALOGUE = _catalogue()
+CATALOGUE_CLASSES = [
+    (key, group.names[cls[0]])
+    for key, group in CATALOGUE.items()
+    for cls in conjugacy_classes(group)[1:]
+]
+
+
 def test_degree2_relations_are_the_nullspace_of_id_minus_braiding():
     # the cycle indicators must be the echelonized nullspace basis, in its order
-    groups = [build_group(name) for name in ("a4", "s3", "s4", "sl2z3", "klein")]
-    groups += [build_group(f"cyclic({k})") for k in (5, 6)]
-    for group in groups[:4]:
-        reverse = range(group.order - 1, 0, -1)
-        groups.append(build_group(_relabelled(group, reverse)))
-    for group in groups:
-        for cls in conjugacy_classes(group)[1:]:
-            c = class_calculus(group, cls[0])
-            m = ExactMatrix.identity(c.n * c.n) - braiding(c).matrix()
-            assert degree2_relations(c) == tuple(tuple(v) for v in linalg.nullspace(m))
+    for key, element in CATALOGUE_CLASSES:
+        c = class_calculus(CATALOGUE[key], element)
+        assert degree2_relations(c) == relations_oracle(c)
+
+
+@pytest.mark.parametrize(
+    "key, element", CATALOGUE_CLASSES, ids=[f"{key}-{element}" for key, element in CATALOGUE_CLASSES]
+)
+def test_degree_two_geometry_matches_the_elimination_oracles(key, element):
+    # the basis pairs, the wedge quotient, both lifts and the invariant
+    # metrics, read off orbits, equal what elimination gives
+    c = class_calculus(CATALOGUE[key], element)
+    pairs, reduction = omega2_oracle(c)
+    assert list(omega2_basis(c).pairs) == pairs
+    size, order = c.n * c.n, c.group.order
+    for q in range(size):
+        unit = Form.constant(order, [cyc(1) if r == q else cyc(0) for r in range(size)])
+        assert wedge_tensor(c, unit) == Form.constant(order, reduction.column(q))
+    assert lift_i(c) == lift_i_oracle(c, pairs)
+    assert lift_iprime(c) == lift_iprime_oracle(c, pairs)
+    assert invariant_bilinear_space(c) == invariant_metrics_oracle(c)
 
 
 # ---------------------------------------------------------------------------
@@ -548,18 +601,6 @@ def test_quadratic_tower_matches_dense_relation_rank(group_name, element, top):
         assert quadratic_dimension(c, m) == want
 
 
-def _relabelled(group, perm):
-    """The group with element i renamed to perm[i]; the identity stays at 0."""
-    perm = [0] + list(perm)
-    names = [""] * group.order
-    table = [[0] * group.order for _ in range(group.order)]
-    for i in range(group.order):
-        names[perm[i]] = group.names[i]
-        for j in range(group.order):
-            table[perm[i]][perm[j]] = perm[group.table[i][j]]
-    return {"names": names, "table": table}
-
-
 @settings(max_examples=10, deadline=None)
 @given(st.data())
 def test_quadratic_tower_is_relabelling_invariant(a4, s3, data):
@@ -813,10 +854,18 @@ def test_relation_span_is_diagonals_plus_triples(a4_c):
 
 
 def test_omega2_reduction_kills_kernel(a4_c, s3_c):
-    from ncgeo import ExactMatrix
-
     for c in (a4_c, s3_c):
-        basis = omega2_basis(c)
-        reduction = basis.reduction
-        for vec in basis.kernel:
-            assert all(not v for v in reduction.matvec(vec))
+        for vec in relations_oracle(c):
+            assert wedge_tensor(c, Form.constant(c.group.order, vec)).is_zero()
+
+
+def test_a_third_table_frame_that_is_no_complement_gives_the_least_pairs(a4_c, monkeypatch):
+    # with y and z swapped the eight frame wedges hold the whole cycle
+    # (t,x),(x,z),(z,t) and leave out two pairs of (x,y),(y,z),(z,x): they
+    # are no complement of the relations, so the basis is every pair but
+    # the pivots of the relations' reduced form
+    t, x, y, z = calculus.tableiii_assignment(a4_c)
+    monkeypatch.setattr(calculus, "tableiii_assignment", lambda c: (t, x, z, y))
+    basis = omega2_basis.__wrapped__(a4_c)
+    _, pivots = linalg.rref(ExactMatrix.from_rows(relations_oracle(a4_c)))
+    assert basis.pairs == tuple(divmod(q, 4) for q in range(16) if q not in pivots)

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -412,6 +413,134 @@ def test_stdout_is_byte_identical_to_pinned_digest(capsys, command):
     code, out, err = _capture(capsys, command.split())
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
+
+
+# SHA-256 of the empty string: the stream was not written
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# command line -> (exit code, SHA-256 of stdout, SHA-256 of stderr): as
+# above, with both streams and the exit code, over every A4 command and
+# option, other classes and groups, a failed certification and refusals
+GOLDEN = {
+    "info": (
+        0, "8d5a75b2394709f4d76605526744239cf47d0ded5e71275db84676e329741c3e", EMPTY
+    ),
+    "extdims": (
+        0, "d4e2b554796efdb0ea73d4383fc10585eeb2f21380d1dc3c2d505a5ee6b4087d", EMPTY
+    ),
+    "extdims --quadratic": (
+        0, "90f1028792f6c2a105965009335fd69751a18432a21f087b266ee22e2b2b5557", EMPTY
+    ),
+    "relations": (
+        0, "eae484a16bff626027f28502356f72c8ac16c4f2c7dc65e116198023f8c0a898", EMPTY
+    ),
+    "metric --mu 3/7": (
+        0, "4864327a6b926db20c74c7bac8c70e74255b690186b04239fe94ae93aea59963", EMPTY
+    ),
+    "metric --mu -1/4": (
+        0, "6055226d16d4dd62e3923938b29ff02e77977e7c6ffee60f665f2031547c3005", EMPTY
+    ),
+    "connections --mu 3/7": (
+        0, "0d4f5d8109279764438a302b507599baddb367135142e27888d4669912d257dd", EMPTY
+    ),
+    "levi-civita --mu 3/7": (
+        0, "3b9cb467479c497a858d4e102fcfb086ee7145a2d518e46679d625a179c33d14", EMPTY
+    ),
+    "curvature": (
+        0, "6ca49915fd5530747e49d90b8473a319085314578b1efea319b4c4a9f1fda476", EMPTY
+    ),
+    "ricci --lift both": (
+        0, "a5297f25b6a725962a05c3ce2c9a71565d7b926a9f3c64693c494b2fec2ca8d7", EMPTY
+    ),
+    "ricci --lift iprime": (
+        0, "c28e1928703951106fa2930cffded5705f587c50d5c6ec44205c9409557c0214", EMPTY
+    ),
+    "ricci-flat": (
+        0, "3380fad1179a77778db846a1ea29493ef7d89a3e3351b30704a51cfdf62a9d4f", EMPTY
+    ),
+    "dirac": (
+        0, "3e60ab64e4cfb33a1a05ec12cb39a57ef381df55e814b4c3a7fb27b0b184c201", EMPTY
+    ),
+    "dirac --spectrum": (
+        0, "94978948969e2aa2a8af9b19cadf6ae4536c87e4013bb92d02bd625fb235548b", EMPTY
+    ),
+    "dirac --eigenbasis": (
+        0, "c80c918b14e9e75e27f85f99027f948d5e97cac9580edd591ad4bf79a3b94afe", EMPTY
+    ),
+    "laplacian --mu 3/7": (
+        0, "87b3983e1a1dad90b33657816d561402c328a78a0269b7128ae4775da1f4e8ff", EMPTY
+    ),
+    "fourier": (
+        0, "69f27b929a9d393455ce100623164ee2806d10d1c5af13398dae660589b1ee80", EMPTY
+    ),
+    "cohomology": (
+        0, "6503a9db18dc1821b606906e1f4db1963e075c186a627c633e514cbd3ce48038", EMPTY
+    ),
+    "flat-u1": (
+        0, "51b84d4902dbdc031a6a57aee8ff3626718989b47439ab082449b993a84860bb", EMPTY
+    ),
+    "flat-u1 --check-families": (
+        0, "dc6aed354e6743fd5919fe00ff97dca26d0a0e5b1ac26b5d06309749e8cf33aa", EMPTY
+    ),
+    "s4-check": (
+        0, "188e40e91a57ba44b21a14dfd949f320218265bfff12c030f0e94c5d449b453b", EMPTY
+    ),
+    "curvature --class t2": (
+        0, "4840f98ac462eb90f35b7b6a47d298900230b51ef4aefdb5a83dd3cee9a7bee9", EMPTY
+    ),
+    "ricci --class t2": (
+        0, "325fc1ed9c5bdb1bcc5c94d4d7844af0afd619d3a2e6a6cb7e4fb28296039e50", EMPTY
+    ),
+    "relations --class u": (
+        0, "d9e923955197c6add92d7bba2ea33c7e474db95bcbb1893397c781ff969b4046", EMPTY
+    ),
+    "metric --class u": (
+        0, "49cc662491f54928956a5570522da34b68cd12fc6e8ced9da06b6de7d56252e1", EMPTY
+    ),
+    "connections --class u": (
+        0, "ff8b1d06cee60712b1b3ceef89858b02872418b26a159329ae97273fda5f7f16", EMPTY
+    ),
+    "cohomology --class u": (
+        0, "d85cc5f86a6a7db0688463de9d429536f170a232e2ec398a2a76dc1d834c7782", EMPTY
+    ),
+    "relations --group s3 --class (12)": (
+        0, "f03a6c709ee4903fa108a43a532de4faeab4d33975e02f3fc4bcf507e0fc3f5e", EMPTY
+    ),
+    "metric --group s3 --class (12)": (
+        0, "72091eab12d8e31b74a00a358f47274908460b5a01e2d41f6437516b9a918d44", EMPTY
+    ),
+    "connections --group s3 --class (12)": (
+        0, "b3ae3a40affa34171f540fba8750aaa7910c74d181ea1fa7e8471ac1de19b9cb", EMPTY
+    ),
+    "cohomology --group s3 --class (12)": (
+        0, "0fcd7050edc85908f94eb271954078987fb02becb58426b2138e9e578d3d65ee", EMPTY
+    ),
+    "relations --group s4 --class (123)": (
+        0, "144ac243d7b636fa17d6ebb58e3563c8910e4a51d693681fe3b3fcf963a04322", EMPTY
+    ),
+    "metric --group s4 --class (123)": (
+        0, "af0e10d6571d542db8d2515b77a0bf154d84ac77f12232bc8f8b2f9f63c5ba59", EMPTY
+    ),
+    "levi-civita --group sl2z3 --class 0121": (
+        3, "6ae9a3200e1ea78f211aba1bd954ab5690a41a366924d445f7756d23b695459c", EMPTY
+    ),
+    "curvature --group s4 --class (34)": (
+        2, EMPTY, "50a937919c883ce63cc9d44c3bba17cde6287d61ed004b03652c49264afa5741"
+    ),
+    "dirac --group s3 --class (12)": (
+        2, EMPTY, "dbe6d319e8b9c305ad054ea60ea4350ff8989919f359f7d9988d1efd3ec9ce6c"
+    ),
+    "connections --group sl2z3 --class 0120": (
+        2, EMPTY, "da2df99dd473b8018d5470e00c4662d48212122cf87b8f9ee01aede69f15467c"
+    ),
+}
+
+
+@pytest.mark.parametrize("line", sorted(GOLDEN))
+def test_reports_are_byte_identical_to_the_golden_digests(capsys, line):
+    code, out, err = _capture(capsys, shlex.split(line))
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    assert (code, digest(out), digest(err)) == GOLDEN[line]
 
 
 # exit code and exact stderr diagnostic of refusals that print no report

@@ -2,10 +2,12 @@
 
 ``reference_wedge`` is the direct double loop over basis pairs: the product
 f R_a(h) of each pair of coefficients, reduced column by column through the
-degree-two reduction matrix.  The library's wedge goes through the tensor
-square and ``Form.apply`` instead, so the two share only the reduction
-matrix.  The flat layout of ``Form.vector`` must be the column layout of the
-differential matrices that the cohomology is computed from.
+degree-two reduction matrix that elimination gives (``helpers.omega2_oracle``).
+The library's wedge goes through the tensor square and subtracts from each
+basis pair the coefficient of the pair its braiding cycle leaves out, so
+the two share no step past the tensor product's coefficients.  The flat
+layout of ``Form.vector`` must be the column layout of the differential
+matrices that the cohomology is computed from.
 """
 
 from fractions import Fraction
@@ -31,9 +33,12 @@ from ncgeo.calculus import omega2_basis, right_translate
 from ncgeo.cohomology import d0_matrix, d1_matrix
 from ncgeo.groups import build_group, class_calculus
 
+from helpers import omega2_oracle
+
 CALCULI = [("a4", "t"), ("s3", "(12)"), ("sl2z3", "0121")]
 
 cached_d1_matrix = lru_cache(maxsize=None)(d1_matrix)
+cached_omega2_oracle = lru_cache(maxsize=None)(omega2_oracle)
 
 rationals = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=4
@@ -63,8 +68,8 @@ def one_forms(c):
 
 def reference_wedge(c, u, v):
     """(f e_a) ^ (h e_b) = f R_a(h) [e_a e_b], one reduction column per basis pair."""
-    basis = omega2_basis(c)
-    out = [GroupFunction.zero(c.group.order) for _ in range(basis.dim)]
+    _, reduction = cached_omega2_oracle(c)
+    out = [GroupFunction.zero(c.group.order) for _ in range(reduction.rows)]
     for i, f in enumerate(u.coeffs):
         if f.is_zero():
             continue
@@ -73,8 +78,8 @@ def reference_wedge(c, u, v):
                 continue
             prod = f * right_translate(c, i, h)
             col = i * c.n + j
-            for beta in range(basis.dim):
-                r = basis.reduction.data[beta][col]
+            for beta in range(reduction.rows):
+                r = reduction.data[beta][col]
                 if r:
                     out[beta] = out[beta] + prod * r
     return Form(tuple(out))

@@ -306,6 +306,14 @@ def test_affine_space_points():
     assert not space.contains([cyc(2), cyc(0)])
 
 
+def test_affine_space_refuses_points_of_another_length():
+    # a longer point must not be judged on its prefix
+    space = AffineSpace((cyc(1), cyc(2)), ((cyc(1), cyc(0)),))
+    for point in ([5, 2, 99], [5]):
+        with pytest.raises(ValueError, match="point length mismatch"):
+            space.contains(point)
+
+
 def test_deterministic_primes_are_stable_and_valid():
     digest = content_digest(b"abc", b"def")
     primes = deterministic_primes(digest)

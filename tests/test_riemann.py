@@ -37,7 +37,6 @@ from ncgeo import (
 )
 from ncgeo.groups import build_group, class_calculus
 from ncgeo.riemann import (
-    _combine,
     _family_columns,
     _torsion_point_space,
     connection_from_vector,
@@ -377,7 +376,7 @@ def _whole_map_columns(family, evaluate):
     base = evaluate(list(family.particular))
     columns = []
     for vec in family.basis:
-        shifted = evaluate(_combine(family.particular, [vec], [cyc(1)]))
+        shifted = evaluate(AffineSpace(family.particular, (vec,)).point([cyc(1)]))
         columns.append([s - b for s, b in zip(shifted, base)])
     return base, columns
 
@@ -390,8 +389,8 @@ def _whole_map_solve(family, base, columns):
         return None
     zero = [cyc(0)] * len(family.particular)
     return AffineSpace(
-        particular=tuple(_combine(family.particular, family.basis, sol.particular)),
-        basis=tuple(tuple(_combine(zero, family.basis, y)) for y in sol.basis),
+        particular=tuple(family.point(sol.particular)),
+        basis=tuple(tuple(AffineSpace(zero, family.basis).point(y)) for y in sol.basis),
     )
 
 
@@ -401,13 +400,13 @@ def _assert_affine(c, family, evaluate):
     p = list(family.particular)
     k = len(family.basis) // c.group.order
     e = c.group.identity
-    generic = _combine(
-        [cyc(0)] * len(p), family.basis, [cyc(i + 1) for i in range(len(family.basis))]
+    generic = AffineSpace([cyc(0)] * len(p), family.basis).point(
+        [cyc(i + 1) for i in range(len(family.basis))]
     )
     e0 = evaluate(p)
     for v in list(family.basis[e * k : (e + 1) * k]) + [generic]:
-        e1 = evaluate(_combine(p, [v], [cyc(1)]))
-        e2 = evaluate(_combine(p, [v], [cyc(2)]))
+        e1 = evaluate(AffineSpace(p, (v,)).point([cyc(1)]))
+        e2 = evaluate(AffineSpace(p, (v,)).point([cyc(2)]))
         assert [b - a for a, b in zip(e1, e2)] == [b - a for a, b in zip(e0, e1)]
 
 
