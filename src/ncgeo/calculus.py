@@ -2,15 +2,17 @@
 
 Functions on G form the base algebra; the one-form module has a left basis
 {e_a} indexed by the class, with the bimodule rule e_a f = R_a(f) e_a and
-the differential d f = sum_a (R_a - id)(f) e_a.  One-forms, two-forms
-and the tensor square of the one-forms are all ``Form``s: coefficient
-functions on the left of a fixed basis (e_a, the degree-two basis, or
-e_a (x) e_b), and a constant-matrix map on the coefficients is
-``Form.apply``.  The braiding e_a (x) e_b -> e_{aba^-1} (x) e_a permutes
-the tensor basis, so the degree-two relations are the indicator vectors
-of its cycles (``braid_cycles``), the degree-two basis leaves out one
-pair of every cycle, and the wedge quotient subtracts the coefficient of
-the left-out pair: none of them needs elimination.  Higher relations come
+the differential d f = sum_a (R_a - id)(f) e_a = theta f - f theta, where
+theta = sum_a e_a: the calculus is inner, and d w = theta ^ w + w ^ theta
+on one-forms.  One-forms, two-forms and the tensor square of the
+one-forms are all ``Form``s: coefficient functions on the left of a fixed
+basis (e_a, the degree-two basis, or e_a (x) e_b), and a constant-matrix
+map on the coefficients is ``Form.apply``.  The braiding
+e_a (x) e_b -> e_{aba^-1} (x) e_a permutes the tensor basis, so the
+degree-two relations are the indicator vectors of its cycles
+(``braid_cycles``), the degree-two basis leaves out one pair of every
+cycle, and the wedge quotient subtracts the coefficient of the left-out
+pair: none of them needs elimination.  Higher relations come
 from braided integers and factorials; exterior dimensions are the ranks of the
 braided factorials, computed exactly in small degree and certified modulo
 two large primes in degrees where the matrices reach 4096 x 4096.  The
@@ -393,23 +395,13 @@ def d0(c: ClassCalculus, f: GroupFunction) -> Form:
 @lru_cache(maxsize=None)
 def de_basis(c: ClassCalculus) -> tuple[Form, ...]:
     """d e_a = theta ^ e_a + e_a ^ theta for each class position."""
-    th = theta(c)
-    out = []
-    for a in range(c.n):
-        ea = e_form(c, a)
-        out.append(wedge(c, th, ea) + wedge(c, ea, th))
-    return tuple(out)
+    return tuple(d1(c, e_form(c, a)) for a in range(c.n))
 
 
 def d1(c: ClassCalculus, w: Form) -> Form:
-    """d(f e_a) = (d f) ^ e_a + f d e_a, extended additively."""
-    des = de_basis(c)
-    out = zero_two_form(c)
-    for a, f in enumerate(w.coeffs):
-        if f.is_zero():
-            continue
-        out = out + wedge(c, d0(c, f), e_form(c, a)) + des[a].left_mul(f)
-    return out
+    """d w = theta ^ w + w ^ theta: the calculus is inner, d f = theta f - f theta."""
+    th = theta(c)
+    return wedge(c, th, w) + wedge(c, w, th)
 
 
 # ---------------------------------------------------------------------------

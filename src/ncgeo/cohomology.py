@@ -1,11 +1,12 @@
 """Degree-one de Rham cohomology, U(1) gauge theory, and cross-group checks.
 
-The first cohomology is computed from exact integer matrices for the two
-differentials; on the four-element class of a4 (and the transposition
-class of s3) it is one-dimensional, generated by the sum of the basis
-one-forms, which is closed but not exact.  Constant multiples of a single
-basis form shifted by that sum give flat U(1) connections; gauge
-transformations act by unit functions.
+The first cohomology is read off the images of the basis functions and
+basis one-forms under d, whose exact ranks give ker d1 and im d0; no
+matrix of d is formed.  On the four-element class of a4 (and the
+transposition class of s3) it is one-dimensional, generated by the sum
+of the basis one-forms, which is closed but not exact.  Constant
+multiples of a single basis form shifted by that sum give flat U(1)
+connections; gauge transformations act by unit functions.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .calculus import (
     d0,
     d1,
     e_form,
-    right_translate,
+    one_form_right_mul,
     theta,
     two_form_right_mul,
     wedge,
@@ -39,45 +40,29 @@ from .calculus import (
 
 
 # ---------------------------------------------------------------------------
-# differentials as matrices, first cohomology
+# first cohomology
 # ---------------------------------------------------------------------------
 
 
-def d0_matrix(c: ClassCalculus) -> ExactMatrix:
-    """The differential on functions, as an (n |G|) x |G| matrix."""
-    order = c.group.order
-    cols = []
-    for h in range(order):
-        cols.append(d0(c, GroupFunction.delta(order, h)).vector())
-    return ExactMatrix.from_rows(cols).transpose()
-
-
-def d1_matrix(c: ClassCalculus) -> ExactMatrix:
-    """The differential on one-forms, over the degree-two basis."""
-    order = c.group.order
-    cols = []
-    zero = GroupFunction.zero(order)
-    for a in range(c.n):
-        for g in range(order):
-            coeffs = [zero] * c.n
-            coeffs[a] = GroupFunction.delta(order, g)
-            cols.append(d1(c, Form(tuple(coeffs))).vector())
-    return ExactMatrix.from_rows(cols).transpose()
-
-
 def de_rham_h1(c: ClassCalculus) -> dict:
-    """ker d1 / im d0 in degree one, with the distinguished representative."""
-    mat0 = d0_matrix(c)
-    mat1 = d1_matrix(c)
-    rank0 = linalg.rank(mat0)
-    ker1 = mat1.cols - linalg.rank(mat1)
-    th_vec = theta(c).vector()
-    th_closed = all(not v for v in mat1.matvec(th_vec))
-    th_exact = linalg.solve_affine(mat0, th_vec) is not None
+    """ker d1 / im d0 in degree one, with the distinguished representative.
+
+    The images d0(delta_g) and d1(delta_g e_a) span im d0 and im d1 and are
+    ranked as rows; theta is exact when it leaves the rank of im d0 as it is.
+    """
+    order = c.group.order
+    deltas = [GroupFunction.delta(order, g) for g in range(order)]
+    rows0 = [d0(c, f).vector() for f in deltas]
+    rank0 = linalg.rank(ExactMatrix.from_rows(rows0))
+    rows1 = [d1(c, e_form(c, a).left_mul(f)).vector() for a in range(c.n) for f in deltas]
+    ker1 = len(rows1) - linalg.rank(ExactMatrix.from_rows(rows1))
+    th = theta(c)
+    th_closed = d1(c, th).is_zero()
+    th_exact = linalg.rank(ExactMatrix.from_rows(rows0 + [th.vector()])) == rank0
     h1 = ker1 - rank0
     representative = "theta" if (h1 == 1 and th_closed and not th_exact) else None
     return {
-        "d1_after_d0_is_zero": (mat1 @ mat0).is_zero(),
+        "d1_after_d0_is_zero": all(d1(c, d0(c, f)).is_zero() for f in deltas),
         "ker_d1": ker1,
         "im_d0": rank0,
         "h1_dim": h1,
@@ -100,12 +85,7 @@ def u1_curvature(c: ClassCalculus, alpha: Form) -> Form:
 def gauge_transform(c: ClassCalculus, u: GroupFunction, alpha: Form) -> Form:
     """alpha -> u alpha u^-1 + u d(u^-1), for a unit function u."""
     uinv = u.pointwise_inverse()
-    coeffs = []
-    for a in range(c.n):
-        moved = u * alpha.coeffs[a] * right_translate(c, a, uinv)
-        inhom = u * (right_translate(c, a, uinv) - uinv)
-        coeffs.append(moved + inhom)
-    return Form(tuple(coeffs))
+    return (one_form_right_mul(c, alpha, uinv) + d0(c, uinv)).left_mul(u)
 
 
 def conjugate_two_form(c: ClassCalculus, u: GroupFunction, w: Form) -> Form:

@@ -8,13 +8,14 @@ at every group point, and the solvers carry that point space, not its
 |G|-fold spread.  The cotorsion condition couples points through right
 translations and is solved on the family.  Cotorsion and Ricci curvature
 commute with left translations, so their systems on the family are built
-from the identity block alone.  Ricci curvature lifts two-forms into the
-tensor square by ``Form.apply`` with an n^2 x dim lift matrix: the
-canonical splitting (the identity minus each braiding cycle's average,
-which projects along the relation kernel) or the simpler id - braiding
-lift.  The invariant metrics are the indicator matrices of the orbits of
-simultaneous conjugation on pairs.  Both come from ``groups.orbits``,
-with no elimination.
+from the identity block alone.  The calculus is inner, d = {theta, -}, so
+the curvature is 2n + p wedges, p the products a_c a_d in the class.
+Ricci curvature lifts two-forms into the tensor square by ``Form.apply``
+with an n^2 x dim lift matrix: the canonical splitting (the identity minus
+each braiding cycle's average, which projects along the relation kernel)
+or the simpler id - braiding lift.  The invariant metrics are the
+indicator matrices of the orbits of simultaneous conjugation on pairs.
+Both come from ``groups.orbits``, with no elimination.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .calculus import (
     braid_cycles,
     braiding,
     d0,
-    d1,
     de_basis,
     e_form,
     omega2_basis,
@@ -336,19 +336,20 @@ def is_regular(c: ClassCalculus, conn: Connection) -> bool:
 
 
 def curvature_2forms(c: ClassCalculus, conn: Connection) -> list[Form]:
-    """F_a = d A_a + sum_{cd=a} A_c ^ A_d - sum_c (A_c ^ A_a + A_a ^ A_c)."""
+    """F_a = d A_a + sum_{cd=a} A_c ^ A_d - sum_c (A_c ^ A_a + A_a ^ A_c).
+
+    With d = {theta, -} and S = sum_c A_c this is
+    (theta - S) ^ A_a + A_a ^ (theta - S) + sum_{cd=a} A_c ^ A_d.
+    """
     group = c.group
+    shifted = theta(c) - conn.sum()
     out = []
     for a in range(c.n):
-        total = d1(c, conn.comps[a])
-        target = c.elements[a]
+        total = wedge(c, shifted, conn.comps[a]) + wedge(c, conn.comps[a], shifted)
         for i in range(c.n):
             for j in range(c.n):
-                if group.mult(c.elements[i], c.elements[j]) == target:
+                if group.mult(c.elements[i], c.elements[j]) == c.elements[a]:
                     total = total + wedge(c, conn.comps[i], conn.comps[j])
-        for i in range(c.n):
-            total = total - wedge(c, conn.comps[i], conn.comps[a])
-            total = total - wedge(c, conn.comps[a], conn.comps[i])
         out.append(total)
     return out
 

@@ -1,9 +1,28 @@
-"""Conversions and oracles shared by the tests."""
+"""Conversions, test data and oracles shared by the tests."""
+
+from fractions import Fraction
 
 import numpy as np
 
-from ncgeo import ONE, ZERO, ExactMatrix, braiding, invert, nullspace, rank
-from ncgeo.calculus import tableiii_assignment
+from ncgeo import (
+    ONE,
+    ZERO,
+    Cyclotomic,
+    ExactMatrix,
+    Form,
+    GroupFunction,
+    braiding,
+    build_group,
+    conjugacy_classes,
+    d0,
+    e_form,
+    invert,
+    nullspace,
+    rank,
+    theta,
+    wedge,
+)
+from ncgeo.calculus import tableiii_assignment, zero_two_form
 from ncgeo.linalg import rref
 
 
@@ -42,6 +61,62 @@ def rank_mod_p_oracle(rows, p):
                 else:
                     x.pop(j, None)
     return len(pivots)
+
+
+def relabelled(group, perm):
+    """The group with element i renamed to perm[i]; the identity stays at 0."""
+    perm = [0] + list(perm)
+    names = [""] * group.order
+    table = [[0] * group.order for _ in range(group.order)]
+    for i in range(group.order):
+        names[perm[i]] = group.names[i]
+        for j in range(group.order):
+            table[perm[i]][perm[j]] = perm[group.table[i][j]]
+    return {"names": names, "table": table}
+
+
+def _catalogue():
+    """The builtins with two cyclic groups, and the first four reverse-relabelled."""
+    names = ("a4", "s3", "s4", "sl2z3", "klein", "cyclic(5)", "cyclic(6)")
+    groups = {name: build_group(name) for name in names}
+    for name in names[:4]:
+        reverse = range(groups[name].order - 1, 0, -1)
+        groups[f"{name}-reversed"] = build_group(relabelled(groups[name], reverse))
+    return groups
+
+
+CATALOGUE = _catalogue()
+# (catalogue key, name of a class representative) for every non-identity class
+CATALOGUE_CLASSES = [
+    (key, group.names[cls[0]])
+    for key, group in CATALOGUE.items()
+    for cls in conjugacy_classes(group)[1:]
+]
+
+
+def counted_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records the arguments of each call."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def random_form(c, size, rnd):
+    """A form of ``size`` coefficient functions with small entries in Q(omega), about half zero."""
+
+    def value():
+        if rnd.random() < 0.5:
+            return ZERO
+        return Cyclotomic(Fraction(rnd.randint(-4, 4), rnd.randint(1, 3)), rnd.randint(-2, 2))
+
+    order = c.group.order
+    return Form(tuple(GroupFunction(tuple(value() for _ in range(order))) for _ in range(size)))
 
 
 # ---------------------------------------------------------------------------
@@ -130,3 +205,60 @@ def invariant_metrics_oracle(c):
     else:
         vecs = ExactMatrix.identity(n * n).data
     return [ExactMatrix(n, n, [list(v[a * n : a * n + n]) for a in range(n)]) for v in vecs]
+
+
+# ---------------------------------------------------------------------------
+# the differential term by term: the constructions that d = {theta, -}
+# replaces, kept as oracles
+# ---------------------------------------------------------------------------
+
+
+def leibniz_d1(c, w):
+    """d(f e_a) = (d f) ^ e_a + f d e_a, with d e_a = theta ^ e_a + e_a ^ theta."""
+    th = theta(c)
+    out = zero_two_form(c)
+    for a, f in enumerate(w.coeffs):
+        if f.is_zero():
+            continue
+        ea = e_form(c, a)
+        dea = wedge(c, th, ea) + wedge(c, ea, th)
+        out = out + wedge(c, d0(c, f), ea) + dea.left_mul(f)
+    return out
+
+
+def curvature_oracle(c, conn):
+    """F_a = d A_a + sum_{cd=a} A_c ^ A_d - sum_c (A_c ^ A_a + A_a ^ A_c), term by term."""
+    group = c.group
+    out = []
+    for a in range(c.n):
+        total = leibniz_d1(c, conn.comps[a])
+        target = c.elements[a]
+        for i in range(c.n):
+            for j in range(c.n):
+                if group.mult(c.elements[i], c.elements[j]) == target:
+                    total = total + wedge(c, conn.comps[i], conn.comps[j])
+        for i in range(c.n):
+            total = total - wedge(c, conn.comps[i], conn.comps[a])
+            total = total - wedge(c, conn.comps[a], conn.comps[i])
+        out.append(total)
+    return out
+
+
+def d0_matrix(c):
+    """The differential on functions, as an (n |G|) x |G| matrix."""
+    order = c.group.order
+    cols = [d0(c, GroupFunction.delta(order, h)).vector() for h in range(order)]
+    return ExactMatrix.from_rows(cols).transpose()
+
+
+def d1_matrix(c):
+    """The Leibniz differential on one-forms; column a |G| + g is d(delta_g e_a)."""
+    order = c.group.order
+    zero = GroupFunction.zero(order)
+    cols = []
+    for a in range(c.n):
+        for g in range(order):
+            coeffs = [zero] * c.n
+            coeffs[a] = GroupFunction.delta(order, g)
+            cols.append(leibniz_d1(c, Form(tuple(coeffs))).vector())
+    return ExactMatrix.from_rows(cols).transpose()

@@ -71,12 +71,7 @@ from ncgeo import (
     wedge,
 )
 from ncgeo.calculus import basis_pair_labels, omega2_basis, wedge_tensor
-from ncgeo.cohomology import (
-    conjugate_two_form,
-    d0_matrix,
-    d1_matrix,
-    s4_cross_relations_check,
-)
+from ncgeo.cohomology import conjugate_two_form, s4_cross_relations_check
 from ncgeo.groups import TABLE_II, TABLE_III
 from ncgeo.riemann import (
     connection_from_vector,
@@ -84,7 +79,7 @@ from ncgeo.riemann import (
     riemann,
 )
 
-from helpers import to_int_array
+from helpers import d0_matrix, d1_matrix, to_int_array
 
 PARTNERS = {
     "t": {"t": "t", "x": "z", "y": "x", "z": "y"},

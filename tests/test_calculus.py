@@ -21,7 +21,6 @@ from ncgeo import (
     braiding,
     build_group,
     class_calculus,
-    conjugacy_classes,
     cyc,
     d0,
     d1,
@@ -58,11 +57,14 @@ from ncgeo.calculus import (
 from ncgeo.linalg import csr_from_entries
 
 from helpers import (
+    CATALOGUE,
+    CATALOGUE_CLASSES,
     invariant_metrics_oracle,
     lift_i_oracle,
     lift_iprime_oracle,
     omega2_oracle,
     rank_mod_p_oracle,
+    relabelled,
     relations_oracle,
     to_int_array,
 )
@@ -182,36 +184,6 @@ def test_relation_count_equals_braiding_cycle_count(a4_c, s3_c):
                 seen.add(q)
                 q = perm[q]
         assert len(degree2_relations(c)) == cycles
-
-
-def _relabelled(group, perm):
-    """The group with element i renamed to perm[i]; the identity stays at 0."""
-    perm = [0] + list(perm)
-    names = [""] * group.order
-    table = [[0] * group.order for _ in range(group.order)]
-    for i in range(group.order):
-        names[perm[i]] = group.names[i]
-        for j in range(group.order):
-            table[perm[i]][perm[j]] = perm[group.table[i][j]]
-    return {"names": names, "table": table}
-
-
-def _catalogue():
-    """The builtins with two cyclic groups, and the first four reverse-relabelled."""
-    names = ("a4", "s3", "s4", "sl2z3", "klein", "cyclic(5)", "cyclic(6)")
-    groups = {name: build_group(name) for name in names}
-    for name in names[:4]:
-        reverse = range(groups[name].order - 1, 0, -1)
-        groups[f"{name}-reversed"] = build_group(_relabelled(groups[name], reverse))
-    return groups
-
-
-CATALOGUE = _catalogue()
-CATALOGUE_CLASSES = [
-    (key, group.names[cls[0]])
-    for key, group in CATALOGUE.items()
-    for cls in conjugacy_classes(group)[1:]
-]
 
 
 def test_degree2_relations_are_the_nullspace_of_id_minus_braiding():
@@ -606,7 +578,7 @@ def test_quadratic_tower_matches_dense_relation_rank(group_name, element, top):
 def test_quadratic_tower_is_relabelling_invariant(a4, s3, data):
     for group, element, top in ((a4, "t", 7), (s3, "(12)", 6)):
         perm = data.draw(st.permutations(range(1, group.order)))
-        c = class_calculus(build_group(_relabelled(group, perm)), element)
+        c = class_calculus(build_group(relabelled(group, perm)), element)
         tower = [quadratic_dimension(c, m) for m in range(2, top + 1)]
         base = class_calculus(group, element)
         assert tower == [quadratic_dimension(base, m) for m in range(2, top + 1)]
@@ -616,7 +588,7 @@ def test_quadratic_tower_is_relabelling_invariant(a4, s3, data):
 @given(st.data())
 def test_exterior_dims_are_relabelling_invariant(s4, data):
     perm = data.draw(st.permutations(range(1, s4.order)))
-    c = class_calculus(build_group(_relabelled(s4, perm)), "(34)")
+    c = class_calculus(build_group(relabelled(s4, perm)), "(34)")
     assert [exterior_dimension(c, m) for m in range(6)] == [1, 6, 19, 42, 71, 96]
 
 

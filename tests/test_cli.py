@@ -290,14 +290,16 @@ def test_cohomology_report(capsys):
 
 def test_nonzero_d1_after_d0_fails_its_certification(capsys, monkeypatch):
     cohomology = importlib.import_module("ncgeo.cohomology")
-    full = cohomology.d1_matrix
+    full = cohomology.d1
 
-    def perturbed(c):
-        m = full(c)
-        m.data[0][0] = m.data[0][0] + 1
-        return m
+    def perturbed(c, w):
+        # one coefficient of every image is off by one
+        image = full(c, w)
+        first = image.coeffs[0]
+        moved = first._replace(values=(first.values[0] + 1, *first.values[1:]))
+        return image._replace(coeffs=(moved, *image.coeffs[1:]))
 
-    monkeypatch.setattr(cohomology, "d1_matrix", perturbed)
+    monkeypatch.setattr(cohomology, "d1", perturbed)
     code, out, _ = _capture(capsys, ["cohomology"])
     assert code == 3
     statuses = {c["check_name"]: c["status"] for c in json.loads(out)["certifications"]}
@@ -382,45 +384,13 @@ def test_s3_dims_via_cli(capsys):
     assert [d["dim"] for d in report["results"]["dims"]] == [1, 3, 4, 3, 1, 0]
 
 
-# SHA-256 of stdout; exact reports must stay byte-identical whatever the
-# elimination behind them
-STDOUT_SHA256 = {
-    "relations": "eae484a16bff626027f28502356f72c8ac16c4f2c7dc65e116198023f8c0a898",
-    "metric --mu 3/7": "4864327a6b926db20c74c7bac8c70e74255b690186b04239fe94ae93aea59963",
-    "connections --mu 3/7": "0d4f5d8109279764438a302b507599baddb367135142e27888d4669912d257dd",
-    "ricci-flat": "3380fad1179a77778db846a1ea29493ef7d89a3e3351b30704a51cfdf62a9d4f",
-    "dirac --spectrum": "94978948969e2aa2a8af9b19cadf6ae4536c87e4013bb92d02bd625fb235548b",
-    "dirac --mu 3/7 --spectrum":
-        "a24bacb8832132951b9cb7af1556f686ed070203545194c6083c5bbbc738b5e3",
-    "laplacian --mu 3/7": "87b3983e1a1dad90b33657816d561402c328a78a0269b7128ae4775da1f4e8ff",
-    "cohomology": "6503a9db18dc1821b606906e1f4db1963e075c186a627c633e514cbd3ce48038",
-    "connections --group sl2z3 --class 0121 --mu 1/7":
-        "5f2feea3ba63edf9dc7d69b8caa04168c184414c3c24dff9b49fbe0a8a80e742",
-    "info": "8d5a75b2394709f4d76605526744239cf47d0ded5e71275db84676e329741c3e",
-    "levi-civita --mu 3/7": "3b9cb467479c497a858d4e102fcfb086ee7145a2d518e46679d625a179c33d14",
-    "curvature --mu 3/7": "2daf5342ec40b0193b2c78aa49c0a6059aa397c544122353efaceb0f87ba840c",
-    "ricci --lift i": "f60f5c6d134e658e0aad5ac3dcf8015882020b824d5b3575936e0df0e1664294",
-    "dirac --eigenbasis": "c80c918b14e9e75e27f85f99027f948d5e97cac9580edd591ad4bf79a3b94afe",
-    "fourier": "69f27b929a9d393455ce100623164ee2806d10d1c5af13398dae660589b1ee80",
-    "flat-u1 --check-families":
-        "dc6aed354e6743fd5919fe00ff97dca26d0a0e5b1ac26b5d06309749e8cf33aa",
-    "extdims --max-degree 4": "0eadd8e5e3dab97b9bc1d3bfde7906e18b5326a791f172e1201e07de1f954e73",
-}
-
-
-@pytest.mark.parametrize("command", sorted(STDOUT_SHA256))
-def test_stdout_is_byte_identical_to_pinned_digest(capsys, command):
-    code, out, err = _capture(capsys, command.split())
-    assert code == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
-
-
 # SHA-256 of the empty string: the stream was not written
 EMPTY = hashlib.sha256(b"").hexdigest()
 
-# command line -> (exit code, SHA-256 of stdout, SHA-256 of stderr): as
-# above, with both streams and the exit code, over every A4 command and
-# option, other classes and groups, a failed certification and refusals
+# command line -> (exit code, SHA-256 of stdout, SHA-256 of stderr): exact
+# reports must stay byte-identical whatever the algebra behind them, over
+# every A4 command and option, other classes and groups, a failed
+# certification and refusals
 GOLDEN = {
     "info": (
         0, "8d5a75b2394709f4d76605526744239cf47d0ded5e71275db84676e329741c3e", EMPTY
@@ -430,6 +400,9 @@ GOLDEN = {
     ),
     "extdims --quadratic": (
         0, "90f1028792f6c2a105965009335fd69751a18432a21f087b266ee22e2b2b5557", EMPTY
+    ),
+    "extdims --max-degree 4": (
+        0, "0eadd8e5e3dab97b9bc1d3bfde7906e18b5326a791f172e1201e07de1f954e73", EMPTY
     ),
     "relations": (
         0, "eae484a16bff626027f28502356f72c8ac16c4f2c7dc65e116198023f8c0a898", EMPTY
@@ -449,6 +422,12 @@ GOLDEN = {
     "curvature": (
         0, "6ca49915fd5530747e49d90b8473a319085314578b1efea319b4c4a9f1fda476", EMPTY
     ),
+    "curvature --mu 3/7": (
+        0, "2daf5342ec40b0193b2c78aa49c0a6059aa397c544122353efaceb0f87ba840c", EMPTY
+    ),
+    "ricci --lift i": (
+        0, "f60f5c6d134e658e0aad5ac3dcf8015882020b824d5b3575936e0df0e1664294", EMPTY
+    ),
     "ricci --lift both": (
         0, "a5297f25b6a725962a05c3ce2c9a71565d7b926a9f3c64693c494b2fec2ca8d7", EMPTY
     ),
@@ -463,6 +442,9 @@ GOLDEN = {
     ),
     "dirac --spectrum": (
         0, "94978948969e2aa2a8af9b19cadf6ae4536c87e4013bb92d02bd625fb235548b", EMPTY
+    ),
+    "dirac --mu 3/7 --spectrum": (
+        0, "a24bacb8832132951b9cb7af1556f686ed070203545194c6083c5bbbc738b5e3", EMPTY
     ),
     "dirac --eigenbasis": (
         0, "c80c918b14e9e75e27f85f99027f948d5e97cac9580edd591ad4bf79a3b94afe", EMPTY
@@ -520,6 +502,9 @@ GOLDEN = {
     ),
     "metric --group s4 --class (123)": (
         0, "af0e10d6571d542db8d2515b77a0bf154d84ac77f12232bc8f8b2f9f63c5ba59", EMPTY
+    ),
+    "connections --group sl2z3 --class 0121 --mu 1/7": (
+        0, "5f2feea3ba63edf9dc7d69b8caa04168c184414c3c24dff9b49fbe0a8a80e742", EMPTY
     ),
     "levi-civita --group sl2z3 --class 0121": (
         3, "6ae9a3200e1ea78f211aba1bd954ab5690a41a366924d445f7756d23b695459c", EMPTY

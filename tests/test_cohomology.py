@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncgeo import (
     Cyclotomic,
+    ExactMatrix,
     Form,
     GroupFunction,
     GroupSpecError,
@@ -19,19 +20,18 @@ from ncgeo import (
     de_rham_h1,
     gauge_transform,
     is_flat_family_member,
+    rank,
     s4_cross_relations_check,
+    solve_affine,
     theta,
     u1_curvature,
     wedge,
 )
 from ncgeo.calculus import braiding
-from ncgeo.cohomology import (
-    conjugate_two_form,
-    d0_matrix,
-    d1_matrix,
-    flat_families_complete,
-)
+from ncgeo.cohomology import conjugate_two_form, flat_families_complete
 from ncgeo.groups import build_group, class_calculus
+
+from helpers import CATALOGUE, CATALOGUE_CLASSES, d0_matrix, d1_matrix
 
 small = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=3
@@ -73,6 +73,38 @@ def test_h1_numbers_s3(s3_c):
     assert not data["theta_exact"]
 
 
+# every class of the small groups, and one class each of sl2z3 and s4
+H1_CLASSES = [
+    (key, element)
+    for key, element in CATALOGUE_CLASSES
+    if key in ("a4", "s3", "klein", "cyclic(5)", "cyclic(6)")
+] + [("sl2z3", "0121"), ("s4", "(34)")]
+
+
+@pytest.mark.parametrize(
+    "key, element", H1_CLASSES, ids=[f"{key}-{element}" for key, element in H1_CLASSES]
+)
+def test_h1_matches_the_differential_matrices(key, element):
+    # the ranks of the images of d, d^2 and theta's class equal what the
+    # dense matrices of the Leibniz differential give
+    c = class_calculus(CATALOGUE[key], element)
+    mat0, mat1 = d0_matrix(c), d1_matrix(c)
+    th = theta(c).vector()
+    ker1, im0 = mat1.cols - rank(mat1), rank(mat0)
+    closed = all(not v for v in mat1.matvec(th))
+    exact = solve_affine(mat0, th) is not None
+    assert (mat1 @ mat0).is_zero()
+    assert de_rham_h1(c) == {
+        "d1_after_d0_is_zero": True,
+        "ker_d1": ker1,
+        "im_d0": im0,
+        "h1_dim": ker1 - im0,
+        "theta_closed": closed,
+        "theta_exact": exact,
+        "representative": "theta" if (ker1 - im0 == 1 and closed and not exact) else None,
+    }
+
+
 def test_d1_after_d0_is_zero_matrix(a4_c, s3_c):
     for c in (a4_c, s3_c):
         composite = d1_matrix(c) @ d0_matrix(c)
@@ -81,8 +113,6 @@ def test_d1_after_d0_is_zero_matrix(a4_c, s3_c):
 
 def test_theta_spans_the_quotient(a4_c):
     # theta is closed, and adding it to the image raises the rank by one
-    from ncgeo import ExactMatrix, rank
-
     d0m = d0_matrix(a4_c)
     cols = [d0m.column(j) for j in range(d0m.cols)]
     theta_vec = theta(a4_c).vector()

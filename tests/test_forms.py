@@ -5,11 +5,14 @@ f R_a(h) of each pair of coefficients, reduced column by column through the
 degree-two reduction matrix that elimination gives (``helpers.omega2_oracle``).
 The library's wedge goes through the tensor square and subtracts from each
 basis pair the coefficient of the pair its braiding cycle leaves out, so
-the two share no step past the tensor product's coefficients.  The flat
-layout of ``Form.vector`` must be the column layout of the differential
-matrices that the cohomology is computed from.
+the two share no step past the tensor product's coefficients.  The
+library's d1 is the graded commutator with theta; ``helpers.leibniz_d1``
+expands d(f e_a) = (d f) ^ e_a + f d e_a term by term, and the flat
+layout of ``Form.vector`` is the column layout of the differential
+matrices built from it (``helpers.d0_matrix``, ``helpers.d1_matrix``).
 """
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -23,17 +26,28 @@ from ncgeo import (
     GroupFunction,
     d0,
     d1,
+    de_basis,
+    e_form,
     levi_civita,
     lift_i,
     lift_iprime,
     ricci,
     wedge,
 )
+from ncgeo import calculus
 from ncgeo.calculus import omega2_basis, right_translate
-from ncgeo.cohomology import d0_matrix, d1_matrix
 from ncgeo.groups import build_group, class_calculus
 
-from helpers import omega2_oracle
+from helpers import (
+    CATALOGUE,
+    CATALOGUE_CLASSES,
+    counted_calls,
+    d0_matrix,
+    d1_matrix,
+    leibniz_d1,
+    omega2_oracle,
+    random_form,
+)
 
 CALCULI = [("a4", "t"), ("s3", "(12)"), ("sl2z3", "0121")]
 
@@ -117,6 +131,28 @@ def test_vector_is_the_column_layout_of_d0_and_d1(calc):
 def test_d1_matrix_acts_on_vectors(calc, data):
     w = data.draw(one_forms(calc))
     assert cached_d1_matrix(calc).matvec(w.vector()) == d1(calc, w).vector()
+
+
+@pytest.mark.parametrize(
+    "key, element", CATALOGUE_CLASSES, ids=[f"{key}-{element}" for key, element in CATALOGUE_CLASSES]
+)
+def test_d1_is_the_leibniz_expansion(key, element):
+    # theta ^ w + w ^ theta equals the Leibniz expansion, on d e_a and on random forms
+    c = class_calculus(CATALOGUE[key], element)
+    assert de_basis(c) == tuple(leibniz_d1(c, e_form(c, a)) for a in range(c.n))
+    rnd = random.Random(f"{key}-{element}")
+    for _ in range(3):
+        w = random_form(c, c.n, rnd)
+        assert d1(c, w) == leibniz_d1(c, w)
+
+
+def test_d1_is_two_wedges(monkeypatch):
+    # one wedge on each side of theta, whatever the number of live coefficients
+    c = class_calculus(build_group("a4"), "t")
+    calls = counted_calls(monkeypatch, calculus, "wedge")
+    w = Form.constant(c.group.order, [1, 2, 3, 4])
+    assert d1(c, w) == leibniz_d1(c, w)
+    assert len(calls) == 2
 
 
 @settings(max_examples=20, deadline=None)

@@ -44,7 +44,10 @@ from ncgeo.riemann import (
     is_regular,
     riemann,
 )
+from ncgeo import riemann as riemann_module
 from ncgeo.calculus import omega2_basis, tensor_of_forms, wedge_tensor, zero_two_form
+
+from helpers import CATALOGUE, CATALOGUE_CLASSES, counted_calls, curvature_oracle, random_form
 
 
 # the conjugation partner tables b -> b^-1 a b for the four basis labels,
@@ -182,6 +185,35 @@ def test_curvature_of_canonical_connection(a4_c):
     assert any(not f.is_zero() for f in curv)
     for a in range(4):
         assert (curv[a] - des[a]).is_zero()
+
+
+@pytest.mark.parametrize(
+    "key, element", CATALOGUE_CLASSES, ids=[f"{key}-{element}" for key, element in CATALOGUE_CLASSES]
+)
+def test_curvature_is_the_three_sum_formula(key, element):
+    # random connections with a nonzero component sum, which the Levi-Civita
+    # connections never have, so the -S terms are exercised
+    c = class_calculus(CATALOGUE[key], element)
+    rnd = random.Random(f"{key}-{element}")
+    comps = [random_form(c, c.n, rnd) for _ in range(c.n)]
+    conn = Connection((comps[0] + theta(c), *comps[1:]))
+    assert not conn.sum().is_zero()
+    assert curvature_2forms(c, conn) == curvature_oracle(c, conn)
+
+
+@pytest.mark.parametrize("group, element, wedges", [("a4", "t", 8), ("s4", "(123)", 48)])
+def test_curvature_takes_two_wedges_per_component_and_one_per_product(
+    monkeypatch, group, element, wedges
+):
+    # 2n wedges with theta - S, and one per pair c, d with a_c a_d in the class
+    c = class_calculus(build_group(group), element)
+    calls = counted_calls(monkeypatch, riemann_module, "wedge")
+    conn = Connection(tuple(random_form(c, c.n, random.Random(5)) for _ in range(c.n)))
+    curvature_2forms(c, conn)
+    products = sum(
+        c.group.mult(x, y) in c.elements for x in c.elements for y in c.elements
+    )
+    assert len(calls) == 2 * c.n + products == wedges
 
 
 def test_covariant_derivative_golden(a4_c):
