@@ -528,6 +528,31 @@ def test_reports_are_byte_identical_to_the_golden_digests(capsys, line):
     assert (code, digest(out), digest(err)) == GOLDEN[line]
 
 
+# lines whose stdout is also pinned on its own, by the digest GOLDEN holds
+PINNED_STDOUT = (
+    "cohomology",
+    "connections --group sl2z3 --class 0121 --mu 1/7",
+    "connections --mu 3/7",
+    "dirac --eigenbasis",
+    "dirac --spectrum",
+    "flat-u1 --check-families",
+    "fourier",
+    "info",
+    "laplacian --mu 3/7",
+    "levi-civita --mu 3/7",
+    "metric --mu 3/7",
+    "relations",
+    "ricci-flat",
+)
+
+
+@pytest.mark.parametrize("command", PINNED_STDOUT)
+def test_stdout_is_byte_identical_to_pinned_digest(capsys, command):
+    code, out, err = _capture(capsys, command.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command][1]
+
+
 # exit code and exact stderr diagnostic of refusals that print no report
 REFUSALS = {
     "metric --mu 0.5": (
