@@ -205,6 +205,15 @@ class Form(NamedTuple):
         return Form(tuple(out))
 
 
+def form_json(group: FiniteGroup, labels: Sequence[str], form: Form) -> dict:
+    """The report form: nonzero coefficients by basis label, each by its nonzero values."""
+    return {
+        label: {group.names[g]: v for g, v in enumerate(f.values) if v}
+        for label, f in zip(labels, form.coeffs)
+        if not f.is_zero()
+    }
+
+
 def e_form(c: ClassCalculus, a: Union[int, str]) -> Form:
     """The basis one-form attached to a class element."""
     pos = c.position(a) if isinstance(a, str) else a
@@ -358,12 +367,18 @@ def tensor_of_forms(c: ClassCalculus, u: Form, v: Form) -> Form:
 
 
 def wedge_tensor(c: ClassCalculus, t: Form) -> Form:
-    """Image of a tensor under the wedge quotient map: t[p] - t[left out of p's cycle]."""
+    """Image of a tensor under the wedge quotient map: t[p] - t[left out of p's cycle].
+
+    Only two live coefficients are subtracted: a pair whose left-out
+    coefficient is zero keeps its own, the shared zero when both are zero.
+    """
     basis = omega2_basis(c)
     n = c.n
-    return Form(
-        tuple(t.coeffs[a * n + b] - t.coeffs[q] for (a, b), q in zip(basis.pairs, basis.left_out))
-    )
+    out = []
+    for (a, b), q in zip(basis.pairs, basis.left_out):
+        f, g = t.coeffs[a * n + b], t.coeffs[q]
+        out.append(f if g.is_zero() else -g if f.is_zero() else f - g)
+    return Form(tuple(out))
 
 
 def wedge(c: ClassCalculus, u: Form, v: Form) -> Form:

@@ -10,9 +10,17 @@ Every command prints one deterministic JSON report on stdout:
 the options it takes after ``--group`` and ``--class``, and whether it needs
 a conjugacy class.  ``run`` builds the parser from that row, loads the group,
 resolves the class and parses ``--mu``, then calls the handler, which returns
-the results and the certifications.  This module loads only ``cyclotomic``
-and ``groups``; each handler imports the layers it runs, so a command pays
-the start-up of its own code only.
+the results and the certifications.  A handler only calls its layers and
+assembles their answers: the spectra, eigenvalue candidates and closed forms
+are ``dirac``'s, the seeded gauge samples ``cohomology``'s, and the metric's
+invariance and its 1/(1 + n mu) ``riemann``'s.  Values reach ``json.dumps``
+as they are and serialise through one hook, ``_json_value``: an exact scalar
+or matrix becomes its ``to_json()``.  Forms, connections and spectra need
+labels or an order, which ``calculus.form_json``, ``riemann.connection_json``,
+``riemann.affine_connections_json`` and ``dirac.spectrum_json`` give next to
+their types.  This module loads only ``cyclotomic`` and ``groups``; each
+handler imports the layers it runs, so a command pays the start-up of its
+own code only.
 
 Exit codes: 0 success; 2 precondition violation (JSON diagnostic on
 stderr); 3 a certification failed (the report is still printed);
@@ -27,10 +35,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .cyclotomic import Cyclotomic, OMEGA
+from .cyclotomic import Cyclotomic
 # perfbench and the tests reach these names through this module
 from .groups import (
     CertificationError,
@@ -43,7 +50,7 @@ from .groups import (
 from . import groups
 
 if TYPE_CHECKING:
-    from . import calculus, linalg, riemann
+    from . import calculus, riemann
 
 ENGINE_VERSION = "0.1.0"
 DEFAULT_GROUP = "a4"
@@ -61,7 +68,7 @@ class PreconditionError(DiagnosticError, RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# serialization helpers
+# checks, serialisation and input loading
 # ---------------------------------------------------------------------------
 
 
@@ -74,59 +81,16 @@ def _vanish(forms: Iterable[calculus.Form]) -> bool:
     return all(f.is_zero() for f in forms)
 
 
-def _form_json(group: groups.FiniteGroup, labels: Sequence[str], form: calculus.Form) -> dict:
-    """The nonzero coefficients by basis label, each by its nonzero values."""
-    return {
-        label: {group.names[g]: v.to_json() for g, v in enumerate(f.values) if v}
-        for label, f in zip(labels, form.coeffs)
-        if not f.is_zero()
-    }
-
-
-def _matrix_json(m: linalg.ExactMatrix) -> list:
-    return [[v.to_json() for v in row] for row in m.data]
-
-
-def _spectrum_json(spec: dict[Cyclotomic, int]) -> list:
-    """Eigenvalues with their multiplicities, in the order of their JSON text."""
-    return [
-        {"value": lam.to_json(), "multiplicity": mult}
-        for lam, mult in sorted(spec.items(), key=lambda kv: json.dumps(kv[0].to_json()))
-    ]
-
-
-def _connection_json(c: groups.ClassCalculus, conn: riemann.Connection) -> dict:
-    labels = [f"e_{label}" for label in c.labels]
-    return {
-        "comps": {
-            f"A_{c.labels[b]}": _form_json(c.group, labels, w)
-            for b, w in enumerate(conn.comps)
-        }
-    }
-
-
-def _affine_connections_json(c: groups.ClassCalculus, space: linalg.AffineSpace) -> dict:
-    from . import riemann
-
-    particular = riemann.connection_from_vector(c, list(space.particular))
-    return {
-        "dimension": space.dimension,
-        "particular": _connection_json(c, particular),
-        "basis": [
-            _connection_json(c, riemann.connection_from_vector(c, list(vec)))
-            for vec in space.basis
-        ],
-    }
+def _json_value(value):
+    """The ``json.dumps`` hook: exact scalars and matrices carry their own ``to_json``."""
+    return value.to_json()
 
 
 def _group_hash(group: groups.FiniteGroup) -> str:
     import hashlib
 
-    payload = json.dumps(
-        {"names": list(group.names), "table": [list(r) for r in group.table]},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    spec = {"names": list(group.names), "table": [list(r) for r in group.table]}
+    payload = json.dumps(spec, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -176,7 +140,7 @@ def _metric_or_die(c: groups.ClassCalculus, mu: Cyclotomic) -> riemann.Metric:
     if not metric.is_invertible:
         raise PreconditionError(
             "metric is singular at this parameter",
-            {"mu": mu.to_json(), "singular_at": f"-1/{c.n}"},
+            {"mu": mu, "singular_at": riemann.singular_parameter(c.n)},
         )
     return metric
 
@@ -247,7 +211,7 @@ def _cmd_relations(ns, c, mu) -> tuple[dict, list]:
         "relation_space_dim": len(kernel),
         "degree_two_dim": calculus.omega2_basis(c).dim,
         "relations": [
-            {f"e_{labels[q // n]}^e_{labels[q % n]}": v.to_json() for q, v in enumerate(vec) if v}
+            {f"e_{labels[q // n]}^e_{labels[q % n]}": v for q, v in enumerate(vec) if v}
             for vec in kernel
         ],
         "basis_pairs": calculus.basis_pair_labels(c),
@@ -262,11 +226,8 @@ def _cmd_metric(ns, c, mu) -> tuple[dict, list]:
 
     space = riemann.invariant_bilinear_space(c)
     metric = riemann.metric_from_mu(c, mu)
-    # re-check invariance of eta under conjugation by every group element
-    conjs = [riemann._class_pos_conj(c, g) for g in range(c.group.order)]
-    invariant = all(metric.eta.submatrix(p, p) == metric.eta for p in conjs)
     certs = [
-        _check("eta_conjugation_invariant", invariant),
+        _check("eta_conjugation_invariant", riemann.is_conjugation_invariant(c, metric.eta)),
         _check(
             "metric_tensor_wedges_to_zero",
             calculus.wedge_tensor(c, riemann.metric_tensor(c, metric)).is_zero(),
@@ -274,12 +235,12 @@ def _cmd_metric(ns, c, mu) -> tuple[dict, list]:
     ]
     results = {
         "invariant_space_dim": len(space),
-        "invariant_space_basis": [_matrix_json(m) for m in space],
-        "mu": mu.to_json(),
-        "eta": _matrix_json(metric.eta),
+        "invariant_space_basis": space,
+        "mu": mu,
+        "eta": metric.eta,
         "invertible": metric.is_invertible,
-        "eta_inverse": _matrix_json(metric.eta_inv) if metric.is_invertible else None,
-        "singular_parameter": f"-1/{c.n}",
+        "eta_inverse": metric.eta_inv,
+        "singular_parameter": riemann.singular_parameter(c.n),
     }
     return results, certs
 
@@ -294,10 +255,9 @@ def _cmd_connections(ns, c, mu) -> tuple[dict, list]:
     tc = riemann.solve_torsion_cotorsion_free(c, metric)
     if tc is None:
         raise PreconditionError("torsion+cotorsion system has no solution", {})
-    conn = riemann.connection_from_vector(c, list(tc.particular))
+    conn = riemann.connection_from_vector(c, tc.particular)
     # deterministic nontrivial member of the solution space
-    coeffs = [Cyclotomic(k + 1) for k in range(tc.dimension)]
-    member = riemann.connection_from_vector(c, list(tc.point(coeffs)))
+    member = riemann.connection_from_vector(c, tc.point(range(1, tc.dimension + 1)))
     certs = [
         _check("torsion_zero_on_particular", _vanish(riemann.torsion(c, conn))),
         _check("cotorsion_zero_on_particular", _vanish(riemann.cotorsion(c, conn, metric))),
@@ -307,9 +267,9 @@ def _cmd_connections(ns, c, mu) -> tuple[dict, list]:
         ),
     ]
     results = {
-        "mu": mu.to_json(),
+        "mu": mu,
         "torsion_free": {"dimension": tf.dimension},
-        "torsion_cotorsion_free": _affine_connections_json(c, tc),
+        "torsion_cotorsion_free": riemann.affine_connections_json(c, tc),
     }
     return results, certs
 
@@ -325,14 +285,11 @@ def _cmd_levi_civita(ns, c, mu) -> tuple[dict, list]:
         _check("regular", riemann.is_regular(c, conn)),
     ]
     results = {
-        "mu": mu.to_json(),
-        "connection": _connection_json(c, conn),
+        "mu": mu,
+        "connection": riemann.connection_json(c, conn),
         "constant_coefficients": {
-            f"A_{c.labels[b]}": {
-                f"e_{c.labels[d]}": conn.comps[b].coeffs[d].values[0].to_json()
-                for d in range(c.n)
-            }
-            for b in range(c.n)
+            f"A_{a}": {f"e_{d}": f.values[0] for d, f in zip(c.labels, w.coeffs)}
+            for a, w in zip(c.labels, conn.comps)
         },
     }
     return results, certs
@@ -347,10 +304,10 @@ def _cmd_curvature(ns, c, mu) -> tuple[dict, list]:
     matches = _vanish(f - de for f, de in zip(curv, des))
     labels = calculus.basis_pair_labels(c)
     results = {
-        "mu": mu.to_json(),
+        "mu": mu,
         "connection": "levi-civita",
         "curvature": {
-            f"F_{c.labels[a]}": _form_json(c.group, labels, curv[a]) for a in range(c.n)
+            f"F_{a}": calculus.form_json(c.group, labels, f) for a, f in zip(c.labels, curv)
         },
         "equals_d_of_basis_forms": matches,
         "nonzero": not _vanish(curv),
@@ -358,22 +315,28 @@ def _cmd_curvature(ns, c, mu) -> tuple[dict, list]:
     return results, [_check("curvature_equals_d_basis", matches)]
 
 
-def _cmd_ricci(ns, c, mu) -> tuple[dict, list]:
+def _ricci_checks(c, conn, names) -> tuple[dict, list]:
+    """Ricci under each named lift, with one vanishing check per lift."""
     from . import riemann
 
+    lifts = {"i": riemann.lift_i, "iprime": riemann.lift_iprime}
+    ric = {name: riemann.ricci(c, conn, lifts[name](c)) for name in names}
+    return ric, [_check(f"ricci_vanishes_lift_{name}", r.is_zero()) for name, r in ric.items()]
+
+
+def _cmd_ricci(ns, c, mu) -> tuple[dict, list]:
+    from . import calculus, riemann
+
     metric = _metric_or_die(c, mu)
-    conn = riemann.levi_civita(c, metric)
-    lifts = {"i": riemann.lift_i(c), "iprime": riemann.lift_iprime(c)}
-    if ns.lift != "both":
-        lifts = {ns.lift: lifts[ns.lift]}
+    ric, certs = _ricci_checks(
+        c, riemann.levi_civita(c, metric), ("i", "iprime") if ns.lift == "both" else (ns.lift,)
+    )
     labels = [f"e_{a}(x)e_{b}" for a in c.labels for b in c.labels]
-    entries = {}
-    certs = []
-    for name, lift in lifts.items():
-        ric = riemann.ricci(c, conn, lift)
-        entries[name] = {"is_zero": ric.is_zero(), "entries": _form_json(c.group, labels, ric)}
-        certs.append(_check(f"ricci_vanishes_lift_{name}", ric.is_zero()))
-    return {"mu": mu.to_json(), "connection": "levi-civita", "ricci": entries}, certs
+    entries = {
+        name: {"is_zero": r.is_zero(), "entries": calculus.form_json(c.group, labels, r)}
+        for name, r in ric.items()
+    }
+    return {"mu": mu, "connection": "levi-civita", "ricci": entries}, certs
 
 
 def _cmd_ricci_flat(ns, c, mu) -> tuple[dict, list]:
@@ -385,40 +348,21 @@ def _cmd_ricci_flat(ns, c, mu) -> tuple[dict, list]:
         raise PreconditionError(str(ex), {})
     if space is None:
         raise PreconditionError("no torsion-free Ricci-flat connection exists", {})
-    conn = riemann.connection_from_vector(c, list(space.particular))
+    conn = riemann.connection_from_vector(c, space.particular)
     lc = riemann.levi_civita(c)
+    metric = riemann.metric_from_mu(c, 0)
     certs = [
         _check("torsion_vanishes", _vanish(riemann.torsion(c, conn))),
-        _check("ricci_vanishes_lift_i", riemann.ricci(c, conn, riemann.lift_i(c)).is_zero()),
-        _check(
-            "ricci_vanishes_lift_iprime",
-            riemann.ricci(c, conn, riemann.lift_iprime(c)).is_zero(),
-        ),
-        _check(
-            "cotorsion_vanishes",
-            _vanish(riemann.cotorsion(c, conn, riemann.metric_from_mu(c, 0))),
-        ),
+        *_ricci_checks(c, conn, ("i", "iprime"))[1],
+        _check("cotorsion_vanishes", _vanish(riemann.cotorsion(c, conn, metric))),
         _check("regular", riemann.is_regular(c, conn)),
     ]
     results = {
-        "solution_space": _affine_connections_json(c, space),
+        "solution_space": riemann.affine_connections_json(c, space),
         "unique": space.dimension == 0,
         "matches_levi_civita": list(space.particular) == riemann.connection_to_vector(c, lc),
     }
     return results, certs
-
-
-def _mu_scaling(c: groups.ClassCalculus, mu: Cyclotomic) -> Cyclotomic:
-    return (1 + mu * c.n).inverse()
-
-
-def _dirac_candidates(c: groups.ClassCalculus, mu: Cyclotomic) -> list[Cyclotomic]:
-    base = [Cyclotomic(0)] + [Cyclotomic(k) * OMEGA**npow for k in (4, -4) for npow in range(3)]
-    if not mu:
-        return base
-    s = mu * 4 * _mu_scaling(c, mu)
-    shifts = [Cyclotomic(-4)] + [Cyclotomic(4) * OMEGA**npow - 4 for npow in range(3)]
-    return [lam + s * d for lam in base for d in shifts]
 
 
 def _cmd_dirac(ns, c, mu) -> tuple[dict, list]:
@@ -429,15 +373,15 @@ def _cmd_dirac(ns, c, mu) -> tuple[dict, list]:
     D = dirac.dirac_operator(c, metric)
     gammas = dirac.gamma_matrices(c, metric)
     results: dict = {
-        "mu": mu.to_json(),
+        "mu": mu,
         "size": D.rows,
-        "gamma": {f"gamma_{c.labels[a]}": _matrix_json(gammas[a]) for a in range(c.n)},
+        "gamma": {f"gamma_{c.labels[a]}": gammas[a] for a in range(c.n)},
     }
-    expected = linalg.ExactMatrix.identity(3).scale(Cyclotomic(4) * _mu_scaling(c, mu))
+    expected = linalg.ExactMatrix.identity(3).scale(dirac.casimir_scalar(c, metric))
     certs = [_check("casimir_is_scalar", dirac.casimir_action(c, metric) == expected)]
     if ns.spectrum:
-        spec = dirac.verify_spectrum(D, _dirac_candidates(c, mu))
-        results["spectrum"] = _spectrum_json(spec)
+        spec = dirac.verify_spectrum(D, dirac.dirac_candidates(c, metric))
+        results["spectrum"] = dirac.spectrum_json(spec)
         results["spectrum_total"] = sum(spec.values())
         certs.append(
             _check("spectrum_multiplicities_sum_to_dimension", results["spectrum_total"] == D.rows)
@@ -445,48 +389,33 @@ def _cmd_dirac(ns, c, mu) -> tuple[dict, list]:
     if ns.eigenbasis:
         if mu:
             raise PreconditionError(
-                "the exact eigenbasis is constructed at mu = 0 only", {"mu": mu.to_json()}
+                "the exact eigenbasis is constructed at mu = 0 only", {"mu": mu}
             )
         eig = dirac.dirac_eigenbasis(c)
-        vmat = linalg.ExactMatrix.from_rows([list(v) for _, v in eig])
-        results["eigenbasis"] = [
-            {"eigenvalue": lam.to_json(), "vector": [v.to_json() for v in vec]}
-            for lam, vec in eig
-        ]
-        certs.append(
-            _check(
-                "eigenbasis_eigen_equations",
-                all(D.matvec(list(vec)) == [lam * v for v in vec] for lam, vec in eig),
-            )
-        )
-        certs.append(_check("eigenbasis_independent", linalg.rank(vmat) == len(eig)))
+        results["eigenbasis"] = [{"eigenvalue": lam, "vector": vec} for lam, vec in eig]
+        eigen, independent = dirac.check_eigenbasis(D, eig)
+        certs.append(_check("eigenbasis_eigen_equations", eigen))
+        certs.append(_check("eigenbasis_independent", independent))
     if not ns.spectrum and not ns.eigenbasis:
-        results["matrix"] = _matrix_json(D)
+        results["matrix"] = D
     return results, certs
 
 
 def _cmd_laplacian(ns, c, mu) -> tuple[dict, list]:
-    from . import dirac, linalg
+    from . import dirac
 
     metric = _metric_or_die(c, mu)
     _require_a4_class(c, "the scalar Laplacian spectrum is built for the four-element class of a4")
     box = dirac.laplacian(c, metric)
-    scale = _mu_scaling(c, mu)
-    ident = linalg.ExactMatrix.identity(c.group.order)
-    shifted = dirac.translation_combination(c, [1] * c.n) - ident.scale(Cyclotomic(4))
-    closed = (shifted @ shifted).scale(Cyclotomic(Fraction(-1, 4)) * scale)
-    cands = [Cyclotomic(0), Cyclotomic(-4) * scale] + [
-        Cyclotomic(12) * OMEGA**k * scale for k in (1, 2)
-    ]
-    spec = dirac.verify_spectrum(box, cands)
+    spec = dirac.verify_spectrum(box, dirac.laplacian_candidates(c, metric))
     results = {
-        "mu": mu.to_json(),
-        "matrix": _matrix_json(box),
-        "spectrum": _spectrum_json(spec),
+        "mu": mu,
+        "matrix": box,
+        "spectrum": dirac.spectrum_json(spec),
         "closed_form": "-(1/4) (sum_a R_a - 4)^2 / (1 + 4 mu)",
     }
     certs = [
-        _check("laplacian_closed_form", box == closed),
+        _check("laplacian_closed_form", box == dirac.laplacian_closed_form(c, metric)),
         _check("spectrum_multiplicities_sum_to_dimension", sum(spec.values()) == box.rows),
     ]
     return results, certs
@@ -519,11 +448,8 @@ def _cmd_fourier(ns, c, mu) -> tuple[dict, list]:
                     {"index": index, "value": value},
                 ) from None
     coeffs = dirac.fourier_decompose(group, values)
-    results = {
-        "function": [v.to_json() for v in values],
-        "coefficients": {k: v.to_json() for k, v in coeffs.items()},
-    }
     roundtrip = dirac.fourier_reconstruct(group, coeffs) == values
+    results = {"function": values, "coefficients": coeffs}
     return results, [_check("fourier_roundtrip_exact", roundtrip)]
 
 
@@ -541,52 +467,19 @@ def _cmd_cohomology(ns, c, mu) -> tuple[dict, list]:
 
 
 def _cmd_flat_u1(ns, c, mu) -> tuple[dict, list]:
-    from . import calculus, cohomology
+    from . import cohomology
 
     families = cohomology.constant_flat_connections(c)
     results: dict = {
-        "families": [
-            {
-                "kind": fam.kind,
-                "axis": fam.axis,
-                "form": (
-                    "(lambda - 1) theta"
-                    if fam.kind == "diagonal"
-                    else f"lambda e_{fam.axis} - theta"
-                ),
-            }
-            for fam in families
-        ]
+        "families": [{"kind": f.kind, "axis": f.axis, "form": f.formula} for f in families]
     }
     if not ns.check_families:
         return results, [_check("families_enumerated", cohomology.flat_families_complete(c))]
-    params = [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(5, 3)]
-    all_flat = all(
-        cohomology.u1_curvature(c, fam.member(c, lam)).is_zero()
-        for fam in families
-        for lam in params
-    )
-    results["checked_parameters"] = [str(p) for p in params]
-    # deterministic gauge-covariance samples
-    import random
-
-    rnd = random.Random(20260819)
-
-    def sample(lo: int, hi: int, den: int) -> calculus.GroupFunction:
-        return calculus.GroupFunction.from_values(
-            [Fraction(rnd.randint(lo, hi), rnd.randint(1, den)) for _ in range(c.group.order)]
-        )
-
-    covariant = True
-    for _ in range(3):
-        u = sample(1, 5, 3)
-        alpha = calculus.Form(tuple(sample(-3, 3, 2) for _ in range(c.n)))
-        lhs = cohomology.u1_curvature(c, cohomology.gauge_transform(c, u, alpha))
-        rhs = cohomology.conjugate_two_form(c, u, cohomology.u1_curvature(c, alpha))
-        covariant = covariant and (lhs - rhs).is_zero()
+    samples = cohomology.sample_flat_families(c, families)
+    results["checked_parameters"] = [str(p) for p in samples.parameters]
     certs = [
-        _check("families_flat_at_sample_parameters", all_flat),
-        _check("gauge_covariance_samples", covariant),
+        _check("families_flat_at_sample_parameters", samples.flat),
+        _check("gauge_covariance_samples", samples.covariant),
     ]
     return results, certs
 
@@ -637,11 +530,7 @@ _COMMON = (
     ),
     (
         "--class",
-        {
-            "dest": "class_element",
-            "default": None,
-            "help": "element whose conjugacy class drives the calculus",
-        },
+        {"dest": "class_element", "help": "element whose conjugacy class drives the calculus"},
     ),
 )
 
@@ -675,12 +564,7 @@ COMMANDS: dict[str, tuple] = {
     "laplacian": (_cmd_laplacian, (_MU,), True),
     "fourier": (
         _cmd_fourier,
-        (
-            (
-                "--input",
-                {"default": None, "help": "JSON file with one exact value per group element"},
-            ),
-        ),
+        (("--input", {"help": "JSON file with one exact value per group element"}),),
         True,
     ),
     "cohomology": (_cmd_cohomology, (), True),
@@ -690,7 +574,7 @@ COMMANDS: dict[str, tuple] = {
 
 
 def _fail(diagnostic: dict, code: int) -> int:
-    print(json.dumps(diagnostic, sort_keys=True), file=sys.stderr)
+    print(json.dumps(diagnostic, sort_keys=True, default=_json_value), file=sys.stderr)
     return code
 
 
@@ -702,20 +586,10 @@ class _Parser(argparse.ArgumentParser):
 def _merge_negative_values(args: list[str]) -> list[str]:
     # argparse mistakes a negative rational like -1/4 for an option flag;
     # fold it into the preceding --mu so both spellings work
-    merged = []
-    skip = False
-    for i, arg in enumerate(args):
-        if skip:
-            skip = False
-            continue
-        if (
-            arg == "--mu"
-            and i + 1 < len(args)
-            and args[i + 1].startswith("-")
-            and any(ch.isdigit() for ch in args[i + 1])
-        ):
-            merged.append(f"--mu={args[i + 1]}")
-            skip = True
+    merged: list[str] = []
+    for arg in args:
+        if merged[-1:] == ["--mu"] and arg.startswith("-") and any(ch.isdigit() for ch in arg):
+            merged[-1] = f"--mu={arg}"
         else:
             merged.append(arg)
     return merged
@@ -771,7 +645,7 @@ def run(argv: Sequence[str] | None = None) -> int:
             "group_spec_hash": _group_hash(group),
         },
     }
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(json.dumps(report, sort_keys=True, indent=2, default=_json_value))
     if any(cert["status"] == "failed" for cert in certs):
         return EXIT_CERTIFICATION_FAILED
     return EXIT_OK

@@ -6,11 +6,14 @@ matrix of d is formed.  On the four-element class of a4 (and the
 transposition class of s3) it is one-dimensional, generated by the sum
 of the basis one-forms, which is closed but not exact.  Constant
 multiples of a single basis form shifted by that sum give flat U(1)
-connections; gauge transformations act by unit functions.
+connections; gauge transformations act by unit functions, and
+``sample_flat_families`` spot-checks both on fixed and seeded samples.
 """
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .cyclotomic import Scalar, as_cyc
@@ -99,6 +102,11 @@ class FlatFamily(NamedTuple):
     kind: str  # "axis" or "diagonal"
     axis: str | None  # class label for axis families
 
+    @property
+    def formula(self) -> str:
+        """The member at parameter lambda, as the report prints it."""
+        return "(lambda - 1) theta" if self.kind == "diagonal" else f"lambda e_{self.axis} - theta"
+
     def member(self, c: ClassCalculus, lam: Scalar) -> Form:
         lam = as_cyc(lam)
         th = theta(c)
@@ -163,6 +171,40 @@ def flat_families_complete(c: ClassCalculus) -> bool:
                         old, new = root[v], root[u]
                         root = [new if w == old else w for w in root]
     return len(set(root)) == 1
+
+
+class FamilySamples(NamedTuple):
+    """Seeded spot checks of the flat families and of gauge covariance."""
+
+    parameters: tuple[Fraction, ...]  # the lambdas every family is checked at
+    flat: bool  # every family member at those parameters has zero curvature
+    covariant: bool  # F(u . alpha) = u F(alpha) u^-1 on three seeded (u, alpha)
+
+
+def sample_flat_families(c: ClassCalculus, families: Sequence[FlatFamily]) -> FamilySamples:
+    """Check the families at five fixed parameters and gauge covariance on seeded samples.
+
+    The unit u takes values a/b with a in 1..5 and b in 1..3, and each
+    coefficient of alpha values a/b with a in -3..3 and b in 1..2, all drawn
+    from one ``random.Random(20260819)`` in that order, three times.
+    """
+    params = (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(5, 3))
+    flat = all(u1_curvature(c, fam.member(c, lam)).is_zero() for fam in families for lam in params)
+    rnd = random.Random(20260819)
+
+    def sample(lo: int, hi: int, den: int) -> GroupFunction:
+        return GroupFunction.from_values(
+            [Fraction(rnd.randint(lo, hi), rnd.randint(1, den)) for _ in range(c.group.order)]
+        )
+
+    covariant = True
+    for _ in range(3):
+        u = sample(1, 5, 3)
+        alpha = Form(tuple(sample(-3, 3, 2) for _ in range(c.n)))
+        lhs = u1_curvature(c, gauge_transform(c, u, alpha))
+        rhs = conjugate_two_form(c, u, u1_curvature(c, alpha))
+        covariant = covariant and (lhs - rhs).is_zero()
+    return FamilySamples(params, flat, covariant)
 
 
 # ---------------------------------------------------------------------------
@@ -240,17 +282,15 @@ def conjugate_calculus_check(c: ClassCalculus) -> dict:
                 "conjugate-calculus check needs an order-three class",
                 {"element": group.names[g], "order": group.element_order(g)},
             )
+    # entry (g, h) of (R_a - 1)^T is [h a = g] - [h = g], of R_{a^2} - 1 it is
+    # [g a^2 = h] - [g = h]; the identity parts agree
     order = group.order
-    ok = True
-    for pos in range(c.n):
-        a = c.elements[pos]
-        asq = group.mult(a, a)
-        for g in range(order):
-            for h in range(order):
-                lhs = (1 if group.mult(h, a) == g else 0) - (1 if h == g else 0)
-                rhs = (1 if group.mult(g, asq) == h else 0) - (1 if g == h else 0)
-                if lhs != rhs:
-                    ok = False
+    ok = all(
+        (group.mult(h, a) == g) == (group.mult(g, group.mult(a, a)) == h)
+        for a in c.elements
+        for g in range(order)
+        for h in range(order)
+    )
     conj_label = group.names[group.inv(c.elements[0])]
     conj_c = class_calculus(group, conj_label)
     cyclic, witness = is_cyclic_class(conj_c)

@@ -7,11 +7,17 @@ Kronecker products of a 3 x 3 matrix on W with a |G| x |G| matrix on
 functions.  The Dirac operator pairs the gamma matrices, built from W and
 the metric, with the difference operators R_a - 1 of the calculus and the
 connection coefficients; its spectrum and a full exact eigenbasis are
-produced and certified by nullity counts, never by numerics.
+produced and certified by nullity counts, never by numerics.  The
+eigenvalue candidates of D and of the Laplacian, the Laplacian's closed
+form and the Casimir scalar carry mu through ``riemann.mu_scaling``, the
+one place 1/(1 + n mu) is computed; ``spectrum_json`` orders a spectrum
+for the report.
 """
 
 from __future__ import annotations
 
+import json
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -19,7 +25,7 @@ from .cyclotomic import ONE, OMEGA, ZERO, Cyclotomic, Scalar, as_cyc
 from .groups import ClassCalculus, DiagnosticError, FiniteGroup, GroupSpecError
 from . import linalg
 from .linalg import ExactMatrix
-from .riemann import Connection, Metric, levi_civita, metric_from_mu
+from .riemann import Connection, Metric, levi_civita, metric_from_mu, mu_scaling
 
 
 class Representation(NamedTuple):
@@ -103,6 +109,11 @@ def _check_metric(c: ClassCalculus, metric: Metric) -> Metric:
     return metric
 
 
+def _scaling(c: ClassCalculus, metric: Metric | None) -> Cyclotomic:
+    """1 / (1 + n mu) of an invertible metric (``riemann.mu_scaling``)."""
+    return mu_scaling(c.n, _check_metric(c, metric).mu)
+
+
 def casimir_action(c: ClassCalculus, metric: Metric | None = None) -> ExactMatrix:
     """sum_{ab} eta^{ab} rho_W(a - e) rho_W(b - e) on the spinor fibre."""
     metric = _check_metric(c, metric)
@@ -118,13 +129,17 @@ def casimir_action(c: ClassCalculus, metric: Metric | None = None) -> ExactMatri
     return total
 
 
+def casimir_scalar(c: ClassCalculus, metric: Metric | None = None) -> Cyclotomic:
+    """The scalar 4 / (1 + 4 mu) by which ``casimir_action`` acts on W."""
+    return Cyclotomic(4) * _scaling(c, metric)
+
+
 def gamma_matrices(c: ClassCalculus, metric: Metric | None = None) -> list[ExactMatrix]:
     """gamma_a = rho_W(a - e) + (n mu / (1 + n mu)) id."""
     metric = _check_metric(c, metric)
     rep = builtin_reps(c.group)["W"]
     ident = ExactMatrix.identity(rep.dim)
-    mu = metric.mu if metric.mu is not None else ZERO
-    shift = mu * c.n * (1 + mu * c.n).inverse()
+    shift = metric.mu * c.n * _scaling(c, metric)
     return [
         rep(c.elements[a]) - ident + ident.scale(shift) for a in range(c.n)
     ]
@@ -192,6 +207,51 @@ def laplacian(c: ClassCalculus, metric: Metric | None = None) -> ExactMatrix:
             if s:
                 total = total - (parts[a] @ parts[b]).scale(s)
     return total
+
+
+def dirac_candidates(c: ClassCalculus, metric: Metric | None = None) -> list[Cyclotomic]:
+    """Eigenvalue candidates of the Dirac operator: 0 and +-4 omega^k at mu = 0.
+
+    Away from mu = 0 each is shifted by s d, with s = 4 mu / (1 + 4 mu) and
+    d one of -4 and 4 omega^k - 4.
+    """
+    mu = _check_metric(c, metric).mu
+    base = [Cyclotomic(0)] + [Cyclotomic(k) * OMEGA**npow for k in (4, -4) for npow in range(3)]
+    if not mu:
+        return base
+    s = mu * 4 * _scaling(c, metric)
+    shifts = [Cyclotomic(-4)] + [Cyclotomic(4) * OMEGA**npow - 4 for npow in range(3)]
+    return [lam + s * d for lam in base for d in shifts]
+
+
+def laplacian_closed_form(c: ClassCalculus, metric: Metric | None = None) -> ExactMatrix:
+    """-(1/4) (sum_a R_a - 4)^2 / (1 + 4 mu), which ``laplacian`` must equal."""
+    shifted = translation_combination(c, [1] * c.n) - ExactMatrix.identity(c.group.order).scale(4)
+    return (shifted @ shifted).scale(Cyclotomic(Fraction(-1, 4)) * _scaling(c, metric))
+
+
+def laplacian_candidates(c: ClassCalculus, metric: Metric | None = None) -> list[Cyclotomic]:
+    """Eigenvalue candidates of the Laplacian: 0, -4 and 12 omega^k, over 1 + 4 mu."""
+    scale = _scaling(c, metric)
+    return [Cyclotomic(0), Cyclotomic(-4) * scale] + [
+        Cyclotomic(12) * OMEGA**k * scale for k in (1, 2)
+    ]
+
+
+def spectrum_json(spec: dict[Cyclotomic, int]) -> list:
+    """The report form: eigenvalues with multiplicities, in the order of their JSON text."""
+    return [
+        {"value": lam, "multiplicity": mult}
+        for lam, mult in sorted(spec.items(), key=lambda kv: json.dumps(kv[0].to_json()))
+    ]
+
+
+def check_eigenbasis(
+    m: ExactMatrix, eig: Sequence[tuple[Cyclotomic, Sequence[Cyclotomic]]]
+) -> tuple[bool, bool]:
+    """Whether every (lambda, v) has m v = lambda v, and whether the vectors are independent."""
+    eigen = all(m.matvec(list(vec)) == [lam * v for v in vec] for lam, vec in eig)
+    return eigen, linalg.rank(ExactMatrix.from_rows([list(v) for _, v in eig])) == len(eig)
 
 
 def verify_spectrum(
@@ -344,19 +404,8 @@ def _fourier_matrix(group: FiniteGroup) -> ExactMatrix:
     return mat
 
 
-FOURIER_LABELS = (
-    "trivial",
-    "rho",
-    "rho_bar",
-    "W_11",
-    "W_12",
-    "W_13",
-    "W_21",
-    "W_22",
-    "W_23",
-    "W_31",
-    "W_32",
-    "W_33",
+FOURIER_LABELS = ("trivial", "rho", "rho_bar") + tuple(
+    f"W_{k}{j}" for k in (1, 2, 3) for j in (1, 2, 3)
 )
 
 

@@ -67,6 +67,10 @@ class ExactMatrix:
         i, j = key
         return self.data[i][j]
 
+    def to_json(self) -> list[list[Cyclotomic]]:
+        """The rows, for a JSON encoder that serialises each entry by its own ``to_json``."""
+        return self.data
+
     def row(self, i: int) -> list[Cyclotomic]:
         return list(self.data[i])
 

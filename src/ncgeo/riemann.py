@@ -15,7 +15,9 @@ with an n^2 x dim lift matrix: the canonical splitting (the identity minus
 each braiding cycle's average, which projects along the relation kernel)
 or the simpler id - braiding lift.  The invariant metrics are the
 indicator matrices of the orbits of simultaneous conjugation on pairs.
-Both come from ``groups.orbits``, with no elimination.
+Both come from ``groups.orbits``, with no elimination, and the same
+conjugation maps test a metric's invariance.  The metric eta = id + mu J
+enters everything through ``mu_scaling``, 1/(1 + n mu).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .calculus import (
     d0,
     de_basis,
     e_form,
+    form_json,
     omega2_basis,
     theta,
     wedge,
@@ -48,10 +51,14 @@ from .calculus import (
 # ---------------------------------------------------------------------------
 
 
-def _class_pos_conj(c: ClassCalculus, g: int) -> list[int]:
-    """Class position map j -> position of g a_j g^-1."""
+@lru_cache(maxsize=None)
+def _class_conjugations(c: ClassCalculus) -> tuple[tuple[int, ...], ...]:
+    """For every group element g, the class position map j -> position of g a_j g^-1."""
     group = c.group
-    return [c.elements.index(group.conjugate(g, c.elements[j])) for j in range(c.n)]
+    place = {e: pos for pos, e in enumerate(c.elements)}
+    return tuple(
+        tuple(place[group.conjugate(g, e)] for e in c.elements) for g in range(group.order)
+    )
 
 
 def invariant_bilinear_space(c: ClassCalculus) -> list[ExactMatrix]:
@@ -61,8 +68,7 @@ def invariant_bilinear_space(c: ClassCalculus) -> list[ExactMatrix]:
     on pairs, so the basis is the orbits' indicator matrices.
     """
     n = c.n
-    conjs = [_class_pos_conj(c, g) for g in range(c.group.order)]
-    perms = [[p[a] * n + p[b] for a in range(n) for b in range(n)] for p in conjs]
+    perms = [[p[a] * n + p[b] for a in range(n) for b in range(n)] for p in _class_conjugations(c)]
     space = []
     for orbit in orbits(perms, n * n):
         eta = ExactMatrix.zeros(n, n)
@@ -72,35 +78,47 @@ def invariant_bilinear_space(c: ClassCalculus) -> list[ExactMatrix]:
     return space
 
 
+def is_conjugation_invariant(c: ClassCalculus, eta: ExactMatrix) -> bool:
+    """Whether eta(conj_g a, conj_g b) = eta(a, b) for every group element g."""
+    return all(eta.submatrix(p, p) == eta for p in _class_conjugations(c))
+
+
 class Metric(NamedTuple):
-    """An invariant fibre metric eta together with its inverse if it has one."""
+    """An invariant fibre metric eta = id + mu (all-ones), with its inverse if it has one."""
 
     eta: ExactMatrix
     eta_inv: ExactMatrix | None
-    mu: Cyclotomic | None = None
+    mu: Cyclotomic
 
     @property
     def is_invertible(self) -> bool:
         return self.eta_inv is not None
 
 
+def mu_scaling(n: int, mu: Scalar) -> Cyclotomic | None:
+    """1 / (1 + n mu), the factor mu puts on eta^-1, the gamma shift and the spectra.
+
+    None at the singular parameter mu = -1/n (``singular_parameter``).
+    """
+    denom = 1 + as_cyc(mu) * n
+    return denom.inverse() if denom else None
+
+
+def singular_parameter(n: int) -> str:
+    """The one mu, -1/n, at which ``mu_scaling`` has no value and eta is singular."""
+    return f"-1/{n}"
+
+
 def metric_from_mu(c: ClassCalculus, mu: Scalar) -> Metric:
-    """eta = id + mu * (all-ones); invertible exactly when 1 + n*mu != 0."""
+    """eta = id + mu * (all-ones), with eta^-1 = id - mu / (1 + n mu) * (all-ones)."""
     n = c.n
     mu = as_cyc(mu)
-    data = [
-        [mu + 1 if a == b else mu for b in range(n)]
-        for a in range(n)
-    ]
-    eta = ExactMatrix(n, n, data)
-    denom = 1 + mu * n
-    if not denom:
+    eta = ExactMatrix(n, n, [[mu + 1 if a == b else mu for b in range(n)] for a in range(n)])
+    scale = mu_scaling(n, mu)
+    if scale is None:
         return Metric(eta=eta, eta_inv=None, mu=mu)
-    shift = mu * denom.inverse()
-    inv_data = [
-        [(Cyclotomic(1) if a == b else ZERO) - shift for b in range(n)]
-        for a in range(n)
-    ]
+    shift = mu * scale
+    inv_data = [[ONE - shift if a == b else -shift for b in range(n)] for a in range(n)]
     return Metric(eta=eta, eta_inv=ExactMatrix(n, n, inv_data), mu=mu)
 
 
@@ -120,42 +138,35 @@ class Connection(NamedTuple):
     comps: tuple[Form, ...]
 
     def sum(self) -> Form:
-        total = self.comps[0]
-        for w in self.comps[1:]:
-            total = total + w
-        return total
+        return sum(self.comps[1:], self.comps[0])
 
 
-def vector_index(c: ClassCalculus, g: int, b: int, d: int) -> int:
-    return (g * c.n + b) * c.n + d
-
-
-def connection_from_vector(
-    c: ClassCalculus, vec: Sequence[Cyclotomic]
-) -> Connection:
+def connection_from_vector(c: ClassCalculus, vec: Sequence[Cyclotomic]) -> Connection:
     """Unflatten: vec[(g n + b) n + d] is the e_d coefficient of A_b at g."""
-    n = c.n
-    order = c.group.order
-    comps = []
-    for b in range(n):
-        coeffs = []
-        for d in range(n):
-            values = tuple(vec[vector_index(c, g, b, d)] for g in range(order))
-            coeffs.append(GroupFunction(values))
-        comps.append(Form(tuple(coeffs)))
-    return Connection(tuple(comps))
+    n, step = c.n, c.n * c.n
+    coeffs = [GroupFunction(tuple(vec[q::step])) for q in range(step)]  # A_b^d at q = b n + d
+    return Connection(tuple(Form(tuple(coeffs[b * n : b * n + n])) for b in range(n)))
 
 
 def connection_to_vector(c: ClassCalculus, conn: Connection) -> list[Cyclotomic]:
-    n = c.n
-    order = c.group.order
-    vec = [ZERO] * (order * n * n)
-    for b in range(n):
-        for d in range(n):
-            values = conn.comps[b].coeffs[d].values
-            for g in range(order):
-                vec[vector_index(c, g, b, d)] = values[g]
-    return vec
+    """Flatten, the inverse of ``connection_from_vector``: group point slowest."""
+    return [v for point in zip(*(f.values for w in conn.comps for f in w.coeffs)) for v in point]
+
+
+def connection_json(c: ClassCalculus, conn: Connection) -> dict:
+    """The report form of a connection: each A_a by its e_b coefficients."""
+    labels = [f"e_{label}" for label in c.labels]
+    comps = {f"A_{c.labels[b]}": form_json(c.group, labels, w) for b, w in enumerate(conn.comps)}
+    return {"comps": comps}
+
+
+def affine_connections_json(c: ClassCalculus, space: AffineSpace) -> dict:
+    """The report form of an affine space of flat connection vectors."""
+    return {
+        "dimension": space.dimension,
+        "particular": connection_json(c, connection_from_vector(c, space.particular)),
+        "basis": [connection_json(c, connection_from_vector(c, vec)) for vec in space.basis],
+    }
 
 
 def torsion(c: ClassCalculus, conn: Connection) -> list[Form]:
@@ -380,9 +391,7 @@ def covariant_derivative(
 def riemann(c: ClassCalculus, conn: Connection) -> list[list[Form]]:
     """riemann(e_a) = sum_d W_d (x) e_d; returns W[a][d] as two-forms."""
     curv = curvature_2forms(c, conn)
-    total = zero_two_form(c)
-    for f in curv:
-        total = total + f
+    total = sum(curv, zero_two_form(c))
     out = []
     for a in range(c.n):
         row = [zero_two_form(c) for _ in range(c.n)]

@@ -107,6 +107,18 @@ def counted_calls(monkeypatch, module, name):
     return calls
 
 
+def off_by_one(fn):
+    """fn with the first value of the first coefficient of every image raised by one."""
+
+    def perturbed(*args):
+        image = fn(*args)
+        first = image.coeffs[0]
+        moved = first._replace(values=(first.values[0] + 1, *first.values[1:]))
+        return image._replace(coeffs=(moved, *image.coeffs[1:]))
+
+    return perturbed
+
+
 def random_form(c, size, rnd):
     """A form of ``size`` coefficient functions with small entries in Q(omega), about half zero."""
 

@@ -10,6 +10,8 @@ import pytest
 
 from ncgeo.cli import run
 
+from helpers import off_by_one
+
 
 def _capture(capsys, argv):
     code = run(argv)
@@ -290,16 +292,7 @@ def test_cohomology_report(capsys):
 
 def test_nonzero_d1_after_d0_fails_its_certification(capsys, monkeypatch):
     cohomology = importlib.import_module("ncgeo.cohomology")
-    full = cohomology.d1
-
-    def perturbed(c, w):
-        # one coefficient of every image is off by one
-        image = full(c, w)
-        first = image.coeffs[0]
-        moved = first._replace(values=(first.values[0] + 1, *first.values[1:]))
-        return image._replace(coeffs=(moved, *image.coeffs[1:]))
-
-    monkeypatch.setattr(cohomology, "d1", perturbed)
+    monkeypatch.setattr(cohomology, "d1", off_by_one(cohomology.d1))
     code, out, _ = _capture(capsys, ["cohomology"])
     assert code == 3
     statuses = {c["check_name"]: c["status"] for c in json.loads(out)["certifications"]}
@@ -357,6 +350,17 @@ def test_flat_u1_check_families(capsys):
     names = {c["check_name"]: c["status"] for c in report["certifications"]}
     assert names["families_flat_at_sample_parameters"] == "ok"
     assert names["gauge_covariance_samples"] == "ok"
+
+
+def test_perturbed_gauge_transform_fails_the_covariance_samples(capsys, monkeypatch):
+    cohomology = importlib.import_module("ncgeo.cohomology")
+    monkeypatch.setattr(cohomology, "gauge_transform", off_by_one(cohomology.gauge_transform))
+    code, out, _ = _capture(capsys, ["flat-u1", "--check-families"])
+    assert code == 3
+    assert {c["check_name"]: c["status"] for c in json.loads(out)["certifications"]} == {
+        "families_flat_at_sample_parameters": "ok",
+        "gauge_covariance_samples": "failed",
+    }
 
 
 def test_s4_check_report(capsys):

@@ -28,10 +28,11 @@ from ncgeo import (
     wedge,
 )
 from ncgeo.calculus import braiding
-from ncgeo.cohomology import conjugate_two_form, flat_families_complete
+from ncgeo import cohomology
+from ncgeo.cohomology import conjugate_two_form, flat_families_complete, sample_flat_families
 from ncgeo.groups import build_group, class_calculus
 
-from helpers import CATALOGUE, CATALOGUE_CLASSES, d0_matrix, d1_matrix
+from helpers import CATALOGUE, CATALOGUE_CLASSES, d0_matrix, d1_matrix, off_by_one
 
 small = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=3
@@ -274,6 +275,19 @@ def test_gauge_covariance_twenty_seeded_pairs(a4_c):
         lhs = u1_curvature(a4_c, transformed)
         rhs = conjugate_two_form(a4_c, u, u1_curvature(a4_c, alpha))
         assert (lhs - rhs).is_zero()
+
+
+def test_family_samples_hold_on_a4(a4_c):
+    samples = sample_flat_families(a4_c, constant_flat_connections(a4_c))
+    params = tuple(Fraction(p) for p in ("0", "1", "-2", "1/2", "5/3"))
+    assert samples == (params, True, True)
+
+
+def test_perturbed_gauge_transform_fails_the_gauge_samples(a4_c, monkeypatch):
+    monkeypatch.setattr(cohomology, "gauge_transform", off_by_one(cohomology.gauge_transform))
+    samples = sample_flat_families(a4_c, constant_flat_connections(a4_c))
+    assert samples.flat
+    assert not samples.covariant
 
 
 def test_gauge_transform_preserves_flatness(a4_c):

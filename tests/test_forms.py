@@ -155,6 +155,16 @@ def test_d1_is_two_wedges(monkeypatch):
     assert len(calls) == 2
 
 
+def test_wedge_subtracts_no_two_zero_coefficients(monkeypatch):
+    # e_t (x) e_x is the one live tensor coefficient, so no pair subtracts two zeros
+    c = class_calculus(build_group("a4"), "t")
+    u, v = e_form(c, "t"), e_form(c, "x")
+    calls = counted_calls(monkeypatch, GroupFunction, "__sub__")
+    got = wedge(c, u, v)
+    assert [(f, h) for f, h in calls if f.is_zero() and h.is_zero()] == []
+    assert got == reference_wedge(c, u, v)
+
+
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_apply_is_the_matrix_on_each_point(calc, data):

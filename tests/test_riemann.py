@@ -41,8 +41,11 @@ from ncgeo.riemann import (
     _torsion_point_space,
     connection_from_vector,
     connection_to_vector,
+    is_conjugation_invariant,
     is_regular,
+    mu_scaling,
     riemann,
+    singular_parameter,
 )
 from ncgeo import riemann as riemann_module
 from ncgeo.calculus import omega2_basis, tensor_of_forms, wedge_tensor, zero_two_form
@@ -97,6 +100,25 @@ def test_metric_invertibility_threshold(a4_c, mu):
     else:
         assert metric.is_invertible
         assert metric.eta @ metric.eta_inv == ExactMatrix.identity(4)
+
+
+def test_mu_scaling_and_the_singular_parameter(a4_c):
+    assert mu_scaling(4, Fraction(3, 7)) == cyc(Fraction(7, 19))
+    assert mu_scaling(4, Fraction(-1, 4)) is None
+    assert singular_parameter(4) == "-1/4"
+    assert metric_from_mu(a4_c, Fraction(3, 7)).mu == cyc(Fraction(3, 7))
+
+
+def test_conjugation_invariance_rejects_a_diagonal_of_distinct_entries(a4_c):
+    eta = ExactMatrix.from_rows([[k + 1 if j == k else 0 for j in range(4)] for k in range(4)])
+    assert not is_conjugation_invariant(a4_c, eta)
+
+
+def test_conjugation_invariance_accepts_every_invariant_basis_metric():
+    for key, element in CATALOGUE_CLASSES:
+        c = class_calculus(CATALOGUE[key], element)
+        space = invariant_bilinear_space(c)
+        assert space and all(is_conjugation_invariant(c, eta) for eta in space), (key, element)
 
 
 def test_metric_structure(a4_c):

@@ -1,5 +1,9 @@
 """What tooling outside the package relies on must hold.
 
+The CLI only parses, loads, dispatches and prints: it reads no private name
+of another layer, and the mathematics and serialisers that the layers now
+own are not defined in it again.
+
 ``scripts/reproduce.py`` recomputes the README's headline table end to end,
 so it runs here in a fresh process as it is run by hand.
 
@@ -13,6 +17,7 @@ workload and the parent commit, and hold runs of both sides for every
 end-to-end metric.
 """
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -112,3 +117,39 @@ def test_reproduce_script_reproduces_every_row():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "all rows reproduced exactly"
+
+
+def test_cli_reads_no_private_name_of_another_layer():
+    tree = ast.parse((PERFBENCH.parent / "src" / "ncgeo" / "cli.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    layers = {
+        alias.asname or alias.name
+        for node in imports
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for alias in node.names
+    }
+    private = [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in layers
+        and node.attr.startswith("_")
+    ]
+    private += [
+        f"{node.module}.{alias.name}"
+        for node in imports
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+    modules = {alias.name for node in imports if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module for node in imports if isinstance(node, ast.ImportFrom) and not node.level}
+    assert modules.isdisjoint({"fractions", "random"})
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    moved = {
+        "_mu_scaling", "_dirac_candidates", "_matrix_json", "_form_json", "_connection_json",
+        "_affine_connections_json", "_spectrum_json",
+    }
+    assert defined.isdisjoint(moved)
