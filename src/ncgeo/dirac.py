@@ -1,6 +1,8 @@
-"""Dirac operator, Laplacian and spectra for the four-element class on a4.
+"""Dirac operator, Laplacian and spectra for a four-element class of A4.
 
-Spinors are W-valued functions on the group (W the three-dimensional
+The group is any group isomorphic to A4: ``_frame`` reads t, u, v and w
+off its table, and the representations and the eigenbasis are built on
+them.  Spinors are W-valued functions on the group (W the three-dimensional
 irreducible representation), flattened component-major: index i*|G| + g,
 so the spinor space is W (x) C(G) and every operator on it is a sum of
 Kronecker products of a 3 x 3 matrix on W with a |G| x |G| matrix on
@@ -39,25 +41,31 @@ class Representation(NamedTuple):
         return self.matrices[g]
 
 
-def _require_a4(group: FiniteGroup) -> None:
-    if group.order != 12 or "t2" not in group.names:
+def _frame(group: FiniteGroup) -> tuple[int, int, int, int]:
+    """t, u, v, w of a group isomorphic to A4, read off its table.
+
+    A4 is the one order-12 group with eight elements of order three.  t is the first
+    of those, u the first involution, w = t u t^-1 and v = t w t^-1: on the builtin,
+    its own t, u, v and w.
+    """
+    orders = [group.element_order(g) for g in range(group.order)]
+    if group.order != 12 or orders.count(3) != 8:
         raise GroupSpecError(
-            "builtin representations are only available for the a4 builtin",
-            {"order": group.order},
+            "builtin representations need a group isomorphic to a4", {"order": group.order}
         )
+    t, u = orders.index(3), orders.index(2)
+    w = group.conjugate(t, u)
+    return t, u, group.conjugate(t, w), w
 
 
 @lru_cache(maxsize=None)
 def builtin_reps(group: FiniteGroup) -> dict[str, Representation]:
-    """The four irreducible representations of the a4 builtin group.
+    """The four irreducible representations of a group isomorphic to A4.
 
     Cached per group: callers share the returned matrices and must not mutate them.
     """
-    _require_a4(group)
-    order = group.order
-    e = group.identity
-    t = group.index("t")
-    u, v, w = group.index("u"), group.index("v"), group.index("w")
+    order, e = group.order, group.identity
+    t, u, v, w = _frame(group)
 
     def mk(entries: list[list[int]]) -> ExactMatrix:
         return ExactMatrix(
@@ -309,19 +317,24 @@ def dirac_eigenbasis(
     D_2 = R_t - R_x + R_y - R_z, D_3 = R_t + R_x - R_y - R_z.  Refused on
     any class but that of t.
     """
-    order = c.group.order
-    reps = builtin_reps(c.group)
-    if c.group.index("t") not in c.elements:
+    group, order = c.group, c.group.order
+    reps = builtin_reps(group)
+    t, u, v, w = _frame(group)
+    if t not in c.elements:
         raise DiagnosticError(
             "the exact eigenbasis is built for the class of t", {"class": list(c.labels)}
         )
     rho = [m.data[0][0] for m in reps["rho"].matrices]
     # entry[k][j] is the function g -> rho_W(g)_{kj}
     entry = [[[m.data[k][j] for m in reps["W"].matrices] for j in range(3)] for k in range(3)]
-    signs = {"t": (1, 1, 1), "x": (-1, -1, 1), "y": (-1, 1, -1), "z": (1, -1, -1)}
-    d1, d2, d3 = (
-        translation_combination(c, [signs[label][d] for label in c.labels]) for d in range(3)
-    )
+    # x = u t, y = v t and z = w t
+    signs = {
+        t: (1, 1, 1),
+        group.mult(u, t): (-1, -1, 1),
+        group.mult(v, t): (-1, 1, -1),
+        group.mult(w, t): (1, -1, -1),
+    }
+    d1, d2, d3 = (translation_combination(c, [signs[g][d] for g in c.elements]) for d in range(3))
     zero = [ZERO] * order
 
     def place(slot: int, fn: list[Cyclotomic]) -> tuple[Cyclotomic, ...]:
@@ -351,10 +364,13 @@ def dirac_eigenbasis(
 
 
 def chi_operator(c: ClassCalculus) -> ExactMatrix:
-    """Order-three symmetry: the cyclic slot shift (x) translation by t."""
-    out = ExactMatrix.zeros(3 * c.group.order, 3 * c.group.order)
+    """Order-three symmetry: the cyclic slot shift (x) right translation by t."""
+    group, order = c.group, c.group.order
+    t = _frame(group)[0]
+    r_t = [[int(h == group.mult(g, t)) for h in range(order)] for g in range(order)]
     shift = ExactMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-    _add_kron(out, shift, right_translation_blocks(c)["t"])
+    out = ExactMatrix.zeros(3 * order, 3 * order)
+    _add_kron(out, shift, ExactMatrix.from_rows(r_t))
     return out
 
 

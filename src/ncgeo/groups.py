@@ -5,7 +5,11 @@ cover the alternating group on four letters (in the element order used by
 the rest of the engine), symmetric groups on 3 and 4 letters, SL(2, Z/3),
 the Klein four-group, and cyclic groups.  A ClassCalculus packages one
 conjugacy class together with its adjoint action and right translations;
-it is the geometric site every other module works over.
+it is the geometric site every other module works over.  ``orbits`` is the
+one routine that walks a permutation: the conjugacy classes are the orbits
+of conjugation, the subgroup a class generates is the identity's orbit
+under its right translations, t is a cyclicity witness when Ad_t has two
+orbits on its class, and the S4 builtin names each element by its orbits.
 """
 
 from __future__ import annotations
@@ -161,23 +165,15 @@ def _perm_group(perms: Sequence[tuple[int, ...]], names: Sequence[str]) -> Finit
 
 
 def _cycle_name(perm: tuple[int, ...]) -> str:
-    seen: set[int] = set()
+    """Cycle notation on 1..n, each cycle walked from its least point; "e" if none moves."""
     cycles = []
-    for start in range(len(perm)):
-        if start in seen or perm[start] == start:
-            seen.add(start)
-            continue
-        cyc = [start]
-        seen.add(start)
-        nxt = perm[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen.add(nxt)
-            nxt = perm[nxt]
-        cycles.append(cyc)
-    if not cycles:
-        return "e"
-    return "".join("(" + "".join(str(p + 1) for p in cyc) + ")" for cyc in cycles)
+    for orbit in sorted(orbits([perm], len(perm))):
+        if len(orbit) > 1:
+            cycle = [orbit[0]]
+            for _ in orbit[1:]:
+                cycle.append(perm[cycle[-1]])
+            cycles.append("(" + "".join(str(p + 1) for p in cycle) + ")")
+    return "".join(cycles) or "e"
 
 
 def _builtin_a4() -> FiniteGroup:
@@ -310,17 +306,9 @@ def orbits(perms: Sequence[Sequence[int]], size: int) -> list[tuple[int, ...]]:
 
 
 def conjugacy_classes(group: FiniteGroup) -> list[list[int]]:
-    """Conjugation orbits; the identity's orbit first, then by least element."""
-    seen: set[int] = set()
-    classes = []
-    for g in range(group.order):
-        if g not in seen:
-            orbit = _class_of(group, g)
-            seen.update(orbit)
-            classes.append(orbit)
-    ident = next(c for c in classes if group.identity in c)
-    rest = [c for c in classes if c is not ident]
-    return [ident] + sorted(rest, key=lambda c: c[0])
+    """Orbits of the conjugations h -> g h g^-1; the identity's first, then by least element."""
+    conj = [[group.conjugate(g, h) for h in range(group.order)] for g in range(group.order)]
+    return sorted(list(orbit) for orbit in orbits(conj, group.order))
 
 
 class ClassCalculus(NamedTuple):
@@ -351,17 +339,12 @@ class ClassCalculus(NamedTuple):
         return self.ad_table[i].index(j)
 
 
-def _class_of(group: FiniteGroup, g: int) -> list[int]:
-    """The conjugacy class of g, as sorted group indices."""
-    return sorted({group.conjugate(h, g) for h in range(group.order)})
-
-
 def class_calculus(group: FiniteGroup, element: Union[str, int]) -> ClassCalculus:
     """The calculus site for the conjugacy class containing the element."""
     g = group.index(element) if isinstance(element, str) else element
     if g == group.identity:
         raise GroupSpecError("the identity class carries no calculus")
-    members = _class_of(group, g)
+    members = next(cls for cls in conjugacy_classes(group) if g in cls)
     ordered = _canonical_class_order(group, members)
     ad_table = tuple(
         tuple(ordered.index(group.conjugate(a, b)) for b in ordered) for a in ordered
@@ -380,32 +363,18 @@ def class_calculus(group: FiniteGroup, element: Union[str, int]) -> ClassCalculu
 def _canonical_class_order(group: FiniteGroup, members: list[int]) -> list[int]:
     """Ascending group order, with the first cyclicity witness moved to front."""
     ordered = sorted(members)
-    if len(ordered) >= 2:
-        for cand in ordered:
-            if _is_witness(group, ordered, cand):
-                ordered = [cand] + [m for m in ordered if m != cand]
-                break
-    return ordered
+    first = next((m for m in ordered if _is_witness(group, ordered, m)), None)
+    return ordered if first is None else [first] + [m for m in ordered if m != first]
 
 
 def _is_witness(group: FiniteGroup, members: list[int], t: int) -> bool:
-    """Does Ad_t cycle the rest of the class, with a -> Ad_a(t) a bijection?"""
-    rest = [m for m in members if m != t]
-    if not rest:
-        return False
-    # single (n-1)-cycle test
-    start = rest[0]
-    seen = {start}
-    cur = group.conjugate(t, start)
-    while cur != start:
-        if cur == t or cur in seen:
-            return False
-        seen.add(cur)
-        cur = group.conjugate(t, cur)
-    if len(seen) != len(rest):
-        return False
-    images = {group.conjugate(a, t) for a in members}
-    return images == set(members)
+    """Does Ad_t cycle the rest of the class, with a -> Ad_a(t) a bijection?
+
+    Ad_t fixes t, so it cycles the rest exactly when it has two orbits on the class.
+    """
+    ad_t = [members.index(group.conjugate(t, m)) for m in members]
+    onto = {group.conjugate(a, t) for a in members} == set(members)
+    return onto and len(orbits([ad_t], len(members))) == 2
 
 
 def is_cyclic_class(c: ClassCalculus) -> tuple[bool, str | None]:
@@ -429,25 +398,8 @@ def class_generates(c: ClassCalculus) -> bool:
 
 
 def generated_subgroup(c: ClassCalculus) -> list[int]:
-    """Subgroup closure of the class, as sorted group indices."""
-    group = c.group
-    closure = {group.identity}
-    frontier = list(c.elements)
-    closure.update(frontier)
-    while frontier:
-        nxt = []
-        for a in list(closure):
-            for b in frontier:
-                p = group.mult(a, b)
-                if p not in closure:
-                    closure.add(p)
-                    nxt.append(p)
-                p = group.mult(b, a)
-                if p not in closure:
-                    closure.add(p)
-                    nxt.append(p)
-        frontier = nxt
-    return sorted(closure)
+    """The identity's orbit under ``right_perm``: in a finite group, the generated subgroup."""
+    return list(next(o for o in orbits(c.right_perm, c.group.order) if c.group.identity in o))
 
 
 # ---------------------------------------------------------------------------

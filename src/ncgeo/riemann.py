@@ -104,9 +104,9 @@ def mu_scaling(n: int, mu: Scalar) -> Cyclotomic | None:
     return denom.inverse() if denom else None
 
 
-def singular_parameter(n: int) -> str:
+def singular_parameter(n: int) -> Cyclotomic:
     """The one mu, -1/n, at which ``mu_scaling`` has no value and eta is singular."""
-    return f"-1/{n}"
+    return Cyclotomic(Fraction(-1, n))
 
 
 def metric_from_mu(c: ClassCalculus, mu: Scalar) -> Metric:

@@ -274,3 +274,51 @@ def d1_matrix(c):
             coeffs[a] = GroupFunction.delta(order, g)
             cols.append(leibniz_d1(c, Form(tuple(coeffs))).vector())
     return ExactMatrix.from_rows(cols).transpose()
+
+
+# ---------------------------------------------------------------------------
+# group structure by definition: what ``groups.orbits`` reads off, kept as
+# oracles
+# ---------------------------------------------------------------------------
+
+
+def conjugacy_class_oracle(group, g):
+    """{h g h^-1 : h in G}, sorted."""
+    return sorted({group.mult(group.mult(h, g), group.inv(h)) for h in range(group.order)})
+
+
+def subgroup_oracle(group, gens):
+    """The closure of the generators and the identity under products, sorted."""
+    closure = {group.identity, *gens}
+    while True:
+        grown = closure | {group.mult(a, b) for a in closure for b in closure}
+        if grown == closure:
+            return sorted(closure)
+        closure = grown
+
+
+def is_witness_oracle(group, members, t):
+    """Ad_t is one cycle through every class element but t, and a -> a t a^-1 is onto."""
+    rest = set(members) - {t}
+    if not rest:
+        return False
+    start = min(rest)
+    walk = [start]
+    while (nxt := group.mult(group.mult(t, walk[-1]), group.inv(t))) != start:
+        walk.append(nxt)
+    onto = {group.mult(group.mult(a, t), group.inv(a)) for a in members} == set(members)
+    return set(walk) == rest and len(walk) == len(rest) and onto
+
+
+def cycle_name_oracle(perm):
+    """Cycle notation on 1..n: walk each unvisited moved point's cycle, in order."""
+    seen, cycles = set(), []
+    for start in range(len(perm)):
+        if start in seen or perm[start] == start:
+            continue
+        cycle = [start]
+        while perm[cycle[-1]] != start:
+            cycle.append(perm[cycle[-1]])
+        seen.update(cycle)
+        cycles.append("(" + "".join(str(p + 1) for p in cycle) + ")")
+    return "".join(cycles) or "e"

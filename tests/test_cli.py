@@ -405,6 +405,9 @@ GOLDEN = {
     "extdims --quadratic": (
         0, "90f1028792f6c2a105965009335fd69751a18432a21f087b266ee22e2b2b5557", EMPTY
     ),
+    "extdims --unsupported-scale": (
+        0, "3bef100cbd5577bbb7efbfaeba0821e7391a9232ea1802080cf309b6a91e8fa0", EMPTY
+    ),
     "extdims --max-degree 4": (
         0, "0eadd8e5e3dab97b9bc1d3bfde7906e18b5326a791f172e1201e07de1f954e73", EMPTY
     ),
@@ -437,6 +440,9 @@ GOLDEN = {
     ),
     "ricci --lift iprime": (
         0, "c28e1928703951106fa2930cffded5705f587c50d5c6ec44205c9409557c0214", EMPTY
+    ),
+    "ricci --mu 3/7": (
+        0, "ecae8128e79c7f43f0404d76352d74aa864e319a86ac3cfe5b7c1c8d491fa943", EMPTY
     ),
     "ricci-flat": (
         0, "3380fad1179a77778db846a1ea29493ef7d89a3e3351b30704a51cfdf62a9d4f", EMPTY
@@ -522,7 +528,32 @@ GOLDEN = {
     "connections --group sl2z3 --class 0120": (
         2, EMPTY, "da2df99dd473b8018d5470e00c4662d48212122cf87b8f9ee01aede69f15467c"
     ),
+    # -1/n on a one-element class is the integer -1, spelled as every exact number is
+    "metric --group sl2z3 --class 2002": (
+        0, "6db972ab2a4ae63a483e1ae710af82fb62a846c5a6c98dccc32724704fa581c7", EMPTY
+    ),
+    "connections --group sl2z3 --class 2002 --mu -1": (
+        2, EMPTY, "65ffc1fc19694749fc1fadb6e058bb75d4cbd8369b56ac3829f73fd250bb6f31"
+    ),
 }
+
+# (command, option) pairs that no golden line uses, each pinned elsewhere
+UNGOLDEN_OPTIONS = {
+    # needs a file: test_fourier_input_accepts_exact_values
+    ("fourier", "--input"),
+}
+
+
+def test_golden_lines_use_every_option_of_every_command():
+    from ncgeo.cli import COMMANDS
+
+    lines = [shlex.split(line) for line in GOLDEN]
+    for command, (_, options, _) in COMMANDS.items():
+        argvs = [argv[1:] for argv in lines if argv[0] == command]
+        assert argvs, command
+        for flag, _ in options:
+            used = any(flag in argv for argv in argvs)
+            assert used != ((command, flag) in UNGOLDEN_OPTIONS), (command, flag)
 
 
 @pytest.mark.parametrize("line", sorted(GOLDEN))
@@ -574,6 +605,9 @@ REFUSALS = {
             "class_size": 3,
             "group_order": 6,
         },
+    ),
+    "fourier --group s3": (
+        2, {"error": "builtin representations need a group isomorphic to a4", "order": 6}
     ),
     "dirac --class t2 --eigenbasis": (
         2,

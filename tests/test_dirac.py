@@ -1,4 +1,7 @@
 import itertools
+import json
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,11 +11,14 @@ from ncgeo import (
     Cyclotomic,
     ExactMatrix,
     FOURIER_LABELS,
+    GroupSpecError,
     OMEGA,
     builtin_reps,
     casimir_action,
     chi_operator,
     chirality_gamma,
+    build_group,
+    class_calculus,
     cyc,
     dirac_eigenbasis,
     dirac_operator,
@@ -25,9 +31,10 @@ from ncgeo import (
     translation_combination,
     verify_spectrum,
 )
+from ncgeo.cli import run
 from ncgeo.dirac import right_translation_blocks
 
-from helpers import to_int_array
+from helpers import relabelled, to_int_array
 
 W_SIGNS = {
     # off-diagonal blocks of the free operator, frozen sign patterns
@@ -364,3 +371,51 @@ def test_fourier_of_constant(a4):
     assert coeffs["trivial"] == cyc(5)
     for label in FOURIER_LABELS[1:]:
         assert not coeffs[label]
+
+
+# ---------------------------------------------------------------------------
+# scope by structure: any group isomorphic to A4
+# ---------------------------------------------------------------------------
+
+SPINOR_COMMANDS = (["dirac", "--spectrum"], ["dirac", "--eigenbasis"], ["fourier"], ["laplacian"])
+
+
+def _report_on(capsys, argv, spec=None, path=None):
+    """The report of ``argv`` on the group ``spec`` (written to ``path``), or on the builtin."""
+    if spec is not None:
+        path.write_text(json.dumps(spec))
+        argv = [*argv, "--group", str(path)]
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    report = json.loads(out)
+    assert {cert["status"] for cert in report["certifications"]} == {"ok"}
+    return report["results"]
+
+
+@pytest.mark.parametrize("argv", SPINOR_COMMANDS, ids=" ".join)
+def test_renamed_a4_gives_the_builtin_results(a4, tmp_path, capsys, argv):
+    spec = {"names": [f"g{i}" for i in range(12)], "table": [list(row) for row in a4.table]}
+    renamed = _report_on(capsys, argv, spec, tmp_path / "renamed.json")
+    text = re.sub(r"g(\d+)\b", lambda m: a4.names[int(m.group(1))], json.dumps(renamed))
+    assert json.loads(text) == _report_on(capsys, argv)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_shuffled_a4_gives_the_builtin_spectra(a4, tmp_path, capsys, seed):
+    perm = list(range(1, 12))
+    random.Random(seed).shuffle(perm)
+    for argv in SPINOR_COMMANDS:
+        results = _report_on(capsys, argv, relabelled(a4, perm), tmp_path / f"{seed}.json")
+        if "spectrum" in results:
+            assert results["spectrum"] == _report_on(capsys, argv)["spectrum"]
+
+
+def test_spinor_layer_refuses_an_order_12_group_that_is_not_a4():
+    # Z2 x Z6: order 12 with two elements of order three
+    table = [[(i // 6 + j // 6) % 2 * 6 + (i + j) % 6 for j in range(12)] for i in range(12)]
+    group = build_group({"names": [f"g{i}" for i in range(12)], "table": table})
+    c = class_calculus(group, "g1")
+    for build in (lambda: builtin_reps(group), lambda: dirac_eigenbasis(c), lambda: chi_operator(c)):
+        with pytest.raises(GroupSpecError):
+            build()

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,17 @@ from ncgeo import (
     generated_subgroup,
     is_cyclic_class,
 )
-from ncgeo.groups import axiom_violation
+from ncgeo.groups import _cycle_name, axiom_violation
+
+from helpers import (
+    CATALOGUE,
+    CATALOGUE_CLASSES,
+    conjugacy_class_oracle,
+    cycle_name_oracle,
+    is_witness_oracle,
+    relabelled,
+    subgroup_oracle,
+)
 
 
 def test_builtin_orders():
@@ -224,3 +235,77 @@ def test_s3_transposition_class(s3_c):
     assert cyclic
     with pytest.raises(GroupSpecError):
         classify_class_products(s3_c)
+
+
+# ---------------------------------------------------------------------------
+# classes, generated subgroups, witnesses and cycle names against their
+# definitions
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", sorted(CATALOGUE))
+def test_conjugacy_classes_are_the_classes_by_definition(key):
+    group = CATALOGUE[key]
+    by_definition = {tuple(conjugacy_class_oracle(group, g)) for g in range(group.order)}
+    assert conjugacy_classes(group) == [list(cls) for cls in sorted(by_definition)]
+
+
+@pytest.mark.parametrize(
+    "key, element", CATALOGUE_CLASSES, ids=[f"{key}-{element}" for key, element in CATALOGUE_CLASSES]
+)
+def test_class_structure_matches_its_definition(key, element):
+    group = CATALOGUE[key]
+    c = class_calculus(group, element)
+    members = conjugacy_class_oracle(group, group.index(element))
+    witnesses = [g for g in members if is_witness_oracle(group, members, g)]
+    # ascending, with the first witness moved to the front
+    assert list(c.elements) == witnesses[:1] + [g for g in members if g not in witnesses[:1]]
+    assert cyclicity_witnesses(c) == [group.names[g] for g in c.elements if g in witnesses]
+    assert generated_subgroup(c) == subgroup_oracle(group, members)
+
+
+def test_an_onto_conjugation_map_does_not_make_a_witness():
+    # the dihedral group of order 10 as the maps x -> s x + b mod 5: on its
+    # reflections a -> a t a^-1 is onto, yet Ad_t has three orbits
+    maps = [(s, b) for s in (1, -1) for b in range(5)]
+    table = [[maps.index((s * r, (s * c + b) % 5)) for r, c in maps] for s, b in maps]
+    group = build_group({"names": [f"{s}x+{b}" for s, b in maps], "table": table})
+    c = class_calculus(group, "-1x+0")
+    members = list(c.elements)
+    assert c.n == 5
+    for t in members:
+        assert {group.conjugate(a, t) for a in members} == set(members)
+        assert not is_witness_oracle(group, members, t)
+    assert cyclicity_witnesses(c) == []
+
+
+def test_cycle_names_walk_each_permutation(s4):
+    assert list(s4.names) == [
+        cycle_name_oracle(p) for p in sorted(itertools.permutations(range(4)))
+    ]
+    for perm in itertools.permutations(range(5)):
+        assert _cycle_name(perm) == cycle_name_oracle(perm)
+    assert _cycle_name((1, 2, 0, 4, 3)) == "(123)(45)"
+
+
+def _class_profile(group):
+    """(size, witness count, product table, generated subgroup order) of each class, sorted."""
+    profile = []
+    for cls in conjugacy_classes(group)[1:]:
+        c = class_calculus(group, cls[0])
+        table = classify_class_products(c) if is_cyclic_class(c)[0] and c.n == 4 else ""
+        profile.append((c.n, len(cyclicity_witnesses(c)), table, len(generated_subgroup(c))))
+    return sorted(profile)
+
+
+def test_a4_class_profile(a4):
+    assert _class_profile(a4) == [(3, 0, "", 4), (4, 4, TABLE_III, 12), (4, 4, TABLE_III, 12)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ["a4", "s3", "s4", "sl2z3"])
+def test_class_structure_survives_relabelling(name, seed):
+    group = build_group(name)
+    perm = list(range(1, group.order))
+    random.Random(seed).shuffle(perm)
+    assert _class_profile(build_group(relabelled(group, perm))) == _class_profile(group)

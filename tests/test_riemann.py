@@ -105,7 +105,8 @@ def test_metric_invertibility_threshold(a4_c, mu):
 def test_mu_scaling_and_the_singular_parameter(a4_c):
     assert mu_scaling(4, Fraction(3, 7)) == cyc(Fraction(7, 19))
     assert mu_scaling(4, Fraction(-1, 4)) is None
-    assert singular_parameter(4) == "-1/4"
+    assert singular_parameter(4) == cyc(Fraction(-1, 4))
+    assert singular_parameter(1) == cyc(-1)
     assert metric_from_mu(a4_c, Fraction(3, 7)).mu == cyc(Fraction(3, 7))
 
 
