@@ -32,10 +32,9 @@ _EXPORTS = {
     ),
     "calculus": (
         "BraidData", "Form", "GroupFunction", "Omega2Basis", "ScaleCapError",
-        "basis_pair_labels", "braided_factorial", "braided_integer", "braiding", "d0", "d1",
-        "de_basis", "degree2_relations", "e_form", "exterior_dimension",
+        "basis_pair_labels", "braiding", "d0", "d1", "de_basis", "degree2_relations", "e_form",
         "exterior_dimension_info", "exterior_profile", "omega2_basis", "partial",
-        "quadratic_dimension", "right_to_left", "theta", "wedge",
+        "quadratic_dimension", "theta", "wedge",
     ),
     "riemann": (
         "Connection", "Metric", "NonlinearCurvatureError", "cotorsion", "covariant_derivative",
@@ -50,9 +49,8 @@ _EXPORTS = {
         "verify_spectrum",
     ),
     "cohomology": (
-        "FlatFamily", "conjugate_calculus_check", "constant_flat_connections",
-        "constant_one_form", "de_rham_h1", "gauge_transform", "is_flat_family_member",
-        "s4_cross_relations_check", "u1_curvature",
+        "FlatFamily", "conjugate_calculus_check", "constant_flat_connections", "de_rham_h1",
+        "gauge_transform", "s4_cross_relations_check", "u1_curvature",
     ),
 }
 _SUBMODULES = frozenset(_EXPORTS) | {"cli"}

@@ -232,13 +232,6 @@ def one_form_right_mul(c: ClassCalculus, w: Form, f: GroupFunction) -> Form:
     )
 
 
-def right_to_left(c: ClassCalculus, right_coeffs: Sequence[GroupFunction]) -> Form:
-    """Rewrite sum_b e_b h_b as sum_b R_b(h_b) e_b."""
-    return Form(
-        tuple(right_translate(c, i, h) for i, h in enumerate(right_coeffs))
-    )
-
-
 # ---------------------------------------------------------------------------
 # braiding
 # ---------------------------------------------------------------------------
@@ -546,30 +539,6 @@ def _factorial_sparse(b: BraidData, m: int) -> linalg.Csr:
     return linalg.Csr((size, size), indptr, indices, data)
 
 
-def _sparse_to_exact(m: linalg.Csr) -> ExactMatrix:
-    rows, cols = m.shape
-    data = [[ZERO] * cols for _ in range(rows)]
-    for r, col, v in zip(m.row_indices().tolist(), m.indices.tolist(), m.data.tolist()):
-        data[r][col] = Cyclotomic.from_int(v)
-    return ExactMatrix(rows, cols, data)
-
-
-def braided_integer(b: BraidData, m: int, cap: int = DEFAULT_DEGREE_CAP) -> ExactMatrix:
-    """The alternating sum id - psi_12 + psi_12 psi_23 - ... in degree m."""
-    if m < 1:
-        raise ValueError("degree must be >= 1")
-    _check_cap(b, m, cap)
-    return _sparse_to_exact(_bracket_sparse(b, m))
-
-
-def braided_factorial(b: BraidData, m: int, cap: int = DEFAULT_DEGREE_CAP) -> ExactMatrix:
-    """The degree-m antisymmetrizer (product of braided integers)."""
-    if m < 2:
-        raise ValueError("degree must be >= 2")
-    _check_cap(b, m, cap)
-    return _sparse_to_exact(_factorial_sparse(b, m))
-
-
 # ---------------------------------------------------------------------------
 # gradings, blocks, and dimensions
 # ---------------------------------------------------------------------------
@@ -726,12 +695,6 @@ def _sparse_digest(mat: linalg.Csr, extra: bytes) -> bytes:
         widened(mat.data),
         extra,
     )
-
-
-def exterior_dimension(c: ClassCalculus, m: int, cap: int = DEFAULT_DEGREE_CAP) -> int:
-    """Dimension of the degree-m exterior component (rank of A_m)."""
-    dim, _ = exterior_dimension_info(c, m, cap=cap)
-    return dim
 
 
 def exterior_dimension_info(

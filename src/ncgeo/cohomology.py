@@ -19,7 +19,6 @@ from typing import NamedTuple, Sequence
 from .cyclotomic import Scalar, as_cyc
 from .groups import (
     ClassCalculus,
-    FiniteGroup,
     GroupSpecError,
     build_group,
     class_calculus,
@@ -122,24 +121,6 @@ def constant_flat_connections(c: ClassCalculus) -> list[FlatFamily]:
     return out
 
 
-def constant_one_form(c: ClassCalculus, coeffs: Sequence[Scalar]) -> Form:
-    return Form.constant(c.group.order, coeffs)
-
-
-def is_flat_family_member(c: ClassCalculus, alpha: Form) -> bool:
-    """Whether a constant connection lies on one of the flat lines."""
-    consts = []
-    for f in alpha.coeffs:
-        if not f.is_constant():
-            return False
-        consts.append(f.values[0])
-    shifted = [v + 1 for v in consts]
-    nonzero = [v for v in shifted if v]
-    if len(nonzero) <= 1:
-        return True
-    return all(v == shifted[0] for v in shifted)
-
-
 def flat_families_complete(c: ClassCalculus) -> bool:
     """Whether the flat lines hold every flat constant connection (sound, conservative).
 
@@ -217,15 +198,14 @@ def _braiding_fixes(c: ClassCalculus, terms: Sequence[tuple[int, int]]) -> bool:
     return all(len({terms.count(divmod(q, c.n)) for q in cycle}) == 1 for cycle in braid_cycles(c))
 
 
-def s4_cross_relations_check(group: FiniteGroup | None = None) -> dict:
+def s4_cross_relations_check() -> dict:
     """Degree-two relations on the eight-element class of s4.
 
     Pairs a (x) a-bar anticommute; three cyclic four-term sums mixing the
     chiral halves, and their images under a (x) b -> b-bar (x) a-bar, all
     land in the braiding-invariant relation space.
     """
-    if group is None:
-        group = build_group("s4")
+    group = build_group("s4")
     t = group.index("(123)")
     u = group.index("(14)(23)")
     v = group.index("(12)(34)")

@@ -8,12 +8,12 @@ so the spinor space is W (x) C(G) and every operator on it is a sum of
 Kronecker products of a 3 x 3 matrix on W with a |G| x |G| matrix on
 functions.  The Dirac operator pairs the gamma matrices, built from W and
 the metric, with the difference operators R_a - 1 of the calculus and the
-connection coefficients; its spectrum and a full exact eigenbasis are
-produced and certified by nullity counts, never by numerics.  The
-eigenvalue candidates of D and of the Laplacian, the Laplacian's closed
-form and the Casimir scalar carry mu through ``riemann.mu_scaling``, the
-one place 1/(1 + n mu) is computed; ``spectrum_json`` orders a spectrum
-for the report.
+coefficients of the Levi-Civita connection; its spectrum and a full exact
+eigenbasis are produced and certified by nullity counts, never by
+numerics.  The eigenvalue candidates of D and of the Laplacian, the
+Laplacian's closed form and the Casimir scalar carry mu through
+``riemann.mu_scaling``, the one place 1/(1 + n mu) is computed;
+``spectrum_json`` orders a spectrum for the report.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .cyclotomic import ONE, OMEGA, ZERO, Cyclotomic, Scalar, as_cyc
 from .groups import ClassCalculus, DiagnosticError, FiniteGroup, GroupSpecError
 from . import linalg
 from .linalg import ExactMatrix
-from .riemann import Connection, Metric, levi_civita, metric_from_mu, mu_scaling
+from .riemann import Metric, levi_civita, metric_from_mu, mu_scaling
 
 
 class Representation(NamedTuple):
@@ -172,18 +172,13 @@ def _add_kron(out: ExactMatrix, a: ExactMatrix, b: ExactMatrix) -> None:
                     block[k][j * b.cols + l] += x * v
 
 
-def dirac_operator(
-    c: ClassCalculus,
-    metric: Metric | None = None,
-    conn: Connection | None = None,
-) -> ExactMatrix:
+def dirac_operator(c: ClassCalculus, metric: Metric | None = None) -> ExactMatrix:
     """D = sum_a gamma_a (x) (R_a - 1) - sum_{a,b} gamma_b tau_a (x) A_a^b.
 
     tau_a = rho_W(a^-1) - 1, and A_a^b acts on functions pointwise.
     """
     metric = _check_metric(c, metric)
-    if conn is None:
-        conn = levi_civita(c)
+    conn = levi_civita(c)
     rep = builtin_reps(c.group)["W"]
     order = c.group.order
     gammas = gamma_matrices(c, metric)

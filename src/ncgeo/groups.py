@@ -342,6 +342,10 @@ class ClassCalculus(NamedTuple):
 def class_calculus(group: FiniteGroup, element: Union[str, int]) -> ClassCalculus:
     """The calculus site for the conjugacy class containing the element."""
     g = group.index(element) if isinstance(element, str) else element
+    if not 0 <= g < group.order:
+        raise GroupSpecError(
+            "element index outside the group", {"element": g, "order": group.order}
+        )
     if g == group.identity:
         raise GroupSpecError("the identity class carries no calculus")
     members = next(cls for cls in conjugacy_classes(group) if g in cls)

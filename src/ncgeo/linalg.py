@@ -71,9 +71,6 @@ class ExactMatrix:
         """The rows, for a JSON encoder that serialises each entry by its own ``to_json``."""
         return self.data
 
-    def row(self, i: int) -> list[Cyclotomic]:
-        return list(self.data[i])
-
     def column(self, j: int) -> list[Cyclotomic]:
         return [self.data[i][j] for i in range(self.rows)]
 
@@ -190,16 +187,6 @@ class AffineSpace(NamedTuple):
                 if v:
                     out[i] = out[i] + c * v
         return out
-
-    def contains(self, point: Sequence[Scalar]) -> bool:
-        """Exact membership test: point - particular in span(basis)?"""
-        if len(point) != len(self.particular):
-            raise ValueError("point length mismatch")
-        diff = [as_cyc(p) - q for p, q in zip(point, self.particular)]
-        if not self.basis:
-            return all(not v for v in diff)
-        cols = ExactMatrix.from_rows([list(vec) for vec in self.basis]).transpose()
-        return solve_affine(cols, diff) is not None
 
 
 # ---------------------------------------------------------------------------

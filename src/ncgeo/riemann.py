@@ -11,9 +11,10 @@ commute with left translations, so their systems on the family are built
 from the identity block alone.  The calculus is inner, d = {theta, -}, so
 the curvature is 2n + p wedges, p the products a_c a_d in the class.
 Ricci curvature lifts two-forms into the tensor square by ``Form.apply``
-with an n^2 x dim lift matrix: the canonical splitting (the identity minus
-each braiding cycle's average, which projects along the relation kernel)
-or the simpler id - braiding lift.  The invariant metrics are the
+with an n^2 x dim lift matrix that the caller passes: the canonical
+splitting (the identity minus each braiding cycle's average, which projects
+along the relation kernel), on which the Ricci-flat system is built, or the
+simpler id - braiding lift.  The invariant metrics are the
 indicator matrices of the orbits of simultaneous conjugation on pairs.
 Both come from ``groups.orbits``, with no elimination, and the same
 conjugation maps test a metric's invariance.  The metric eta = id + mu J
@@ -441,16 +442,12 @@ def lift_iprime(c: ClassCalculus) -> ExactMatrix:
     return lift
 
 
-def ricci(
-    c: ClassCalculus, conn: Connection, lift: ExactMatrix | None = None
-) -> Form:
+def ricci(c: ClassCalculus, conn: Connection, lift: ExactMatrix) -> Form:
     """Contract the first leg of the lifted curvature against the input.
 
     Ricci_{b,d} = sum_c (phi_c^{conj_c(d), b} - phi_c^{d, b}) where
     i(F_c) = sum phi_c^{ab} e_a (x) e_b.
     """
-    if lift is None:
-        lift = lift_i(c)
     n = c.n
     order = c.group.order
     curv = curvature_2forms(c, conn)
@@ -489,17 +486,14 @@ def _check_linear_curvature(c: ClassCalculus, point: AffineSpace) -> None:
                 )
 
 
-def solve_ricci_flat(
-    c: ClassCalculus, lift: ExactMatrix | None = None
-) -> AffineSpace | None:
+def solve_ricci_flat(c: ClassCalculus) -> AffineSpace | None:
     """Torsion-free connections with vanishing Ricci curvature.
 
     Requires the curvature to restrict linearly to the torsion-free family
     (checked); the quadratic terms vanish there because no two class
     elements multiply into the class and component sums vanish.
     """
-    if lift is None:
-        lift = lift_i(c)
+    lift = lift_i(c)
     point = _torsion_point_space(c)
     if point is None:
         return None

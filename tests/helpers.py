@@ -19,10 +19,12 @@ from ncgeo import (
     invert,
     nullspace,
     rank,
+    solve_affine,
     theta,
     wedge,
 )
 from ncgeo.calculus import tableiii_assignment, zero_two_form
+from ncgeo.cyclotomic import as_cyc
 from ncgeo.linalg import rref
 
 
@@ -35,6 +37,38 @@ def to_int_array(mat):
                 raise ValueError(f"non-integer entry at ({i}, {j}): {v}")
             out[i, j] = v.triple()[0]
     return out.astype(np.int64)
+
+
+def csr_to_int_array(mat):
+    """Dense int64 numpy copy of a ``linalg.Csr``."""
+    out = np.zeros(mat.shape, dtype=np.int64)
+    out[mat.row_indices(), mat.indices] = mat.data
+    return out
+
+
+def affine_contains(space, point):
+    """Exact membership test: point - particular in span(basis)?"""
+    if len(point) != len(space.particular):
+        raise ValueError("point length mismatch")
+    diff = [as_cyc(p) - q for p, q in zip(point, space.particular)]
+    if not space.basis:
+        return all(not v for v in diff)
+    cols = ExactMatrix.from_rows([list(vec) for vec in space.basis]).transpose()
+    return solve_affine(cols, diff) is not None
+
+
+def is_flat_family_member(c, alpha):
+    """Whether a constant connection lies on one of the flat lines."""
+    consts = []
+    for f in alpha.coeffs:
+        if not f.is_constant():
+            return False
+        consts.append(f.values[0])
+    shifted = [v + 1 for v in consts]
+    nonzero = [v for v in shifted if v]
+    if len(nonzero) <= 1:
+        return True
+    return all(v == shifted[0] for v in shifted)
 
 
 def rank_mod_p_oracle(rows, p):

@@ -2,15 +2,16 @@ import hashlib
 import importlib
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
 
 import pytest
 
-from ncgeo.cli import run
+from ncgeo.cli import build_group, run
 
-from helpers import off_by_one
+from helpers import off_by_one, relabelled
 
 
 def _capture(capsys, argv):
@@ -386,6 +387,51 @@ def test_unknown_class_label_exits_2(capsys):
 def test_s3_dims_via_cli(capsys):
     report = _report(capsys, ["extdims", "--group", "s3", "--max-degree", "5"])
     assert [d["dim"] for d in report["results"]["dims"]] == [1, 3, 4, 3, 1, 0]
+
+
+# geometry command -> the part of its results that does not depend on the
+# order of the group elements
+ORDER_FREE_RESULTS = {
+    "metric": lambda r: (r["invariant_space_dim"], r["invertible"]),
+    "connections": lambda r: (
+        r["torsion_free"]["dimension"], r["torsion_cotorsion_free"]["dimension"]
+    ),
+    "levi-civita": lambda r: r["constant_coefficients"],
+    "curvature": lambda r: (r["equals_d_of_basis_forms"], r["nonzero"]),
+    "ricci": lambda r: {lift: ric["is_zero"] for lift, ric in r["ricci"].items()},
+    "ricci-flat": lambda r: (r["unique"], r["matches_levi_civita"]),
+    "cohomology": lambda r: (r["h1_dim"], r["im_d0"], r["ker_d1"], r["representative"]),
+    "flat-u1": lambda r: sorted((f["kind"], f["axis"] or "") for f in r["families"]),
+}
+
+
+def _order_free_outcome(capsys, command, group, element):
+    argv = [command, "--group", group, "--class", element]
+    if command not in ("ricci-flat", "cohomology", "flat-u1"):
+        argv += ["--mu", "3/7"]
+    code, out, err = _capture(capsys, argv)
+    if not out:
+        return code, err
+    report = json.loads(out)
+    checks = {(c["check_name"], c["status"]) for c in report["certifications"]}
+    return code, checks, ORDER_FREE_RESULTS[command](report["results"])
+
+
+@pytest.mark.parametrize("name, element", [("s3", "(12)"), ("a4", "t")])
+def test_geometry_commands_are_relabelling_invariant(tmp_path, capsys, name, element):
+    group = build_group(name)
+    builtin = {
+        command: _order_free_outcome(capsys, command, name, element)
+        for command in ORDER_FREE_RESULTS
+    }
+    for seed in (0, 1):
+        perm = list(range(1, group.order))
+        random.Random(seed).shuffle(perm)
+        path = tmp_path / f"{seed}.json"
+        path.write_text(json.dumps(relabelled(group, perm)))
+        for command, want in builtin.items():
+            got = _order_free_outcome(capsys, command, str(path), element)
+            assert got == want, (command, seed)
 
 
 # SHA-256 of the empty string: the stream was not written

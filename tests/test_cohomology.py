@@ -14,12 +14,10 @@ from ncgeo import (
     GroupSpecError,
     conjugate_calculus_check,
     constant_flat_connections,
-    constant_one_form,
     cyc,
     d1,
     de_rham_h1,
     gauge_transform,
-    is_flat_family_member,
     rank,
     s4_cross_relations_check,
     solve_affine,
@@ -32,7 +30,14 @@ from ncgeo import cohomology
 from ncgeo.cohomology import conjugate_two_form, flat_families_complete, sample_flat_families
 from ncgeo.groups import build_group, class_calculus
 
-from helpers import CATALOGUE, CATALOGUE_CLASSES, d0_matrix, d1_matrix, off_by_one
+from helpers import (
+    CATALOGUE,
+    CATALOGUE_CLASSES,
+    d0_matrix,
+    d1_matrix,
+    is_flat_family_member,
+    off_by_one,
+)
 
 small = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=3
@@ -151,13 +156,13 @@ def test_family_members_are_flat(a4_c, which, lam):
 
 def test_membership_rejects_other_forms(a4_c):
     assert not is_flat_family_member(
-        a4_c, constant_one_form(a4_c, [5, 0, 0, 0])
+        a4_c, Form.constant(a4_c.group.order, [5, 0, 0, 0])
     )
     assert not is_flat_family_member(
-        a4_c, constant_one_form(a4_c, [1, 1, 0, 0])
+        a4_c, Form.constant(a4_c.group.order, [1, 1, 0, 0])
     )
     # the zero form is the diagonal member at parameter one
-    assert is_flat_family_member(a4_c, constant_one_form(a4_c, [0, 0, 0, 0]))
+    assert is_flat_family_member(a4_c, Form.constant(a4_c.group.order, [0, 0, 0, 0]))
 
 
 # whether the n + 1 lines hold every flat constant connection, by class
@@ -190,7 +195,7 @@ OFF_LINE = {
 
 def _constant_connection(c, x):
     names = [c.group.names[g] for g in c.elements]
-    return constant_one_form(c, [x.get(name, 0) - 1 for name in names])
+    return Form.constant(c.group.order, [x.get(name, 0) - 1 for name in names])
 
 
 def _lines_hold_by_groebner(c):
@@ -233,7 +238,7 @@ def test_flat_lines_completeness_is_computed(group_name, element):
 
 
 def test_minus_theta_is_flat(a4_c):
-    alpha = constant_one_form(a4_c, [-1, -1, -1, -1])
+    alpha = Form.constant(a4_c.group.order, [-1, -1, -1, -1])
     assert u1_curvature(a4_c, alpha).is_zero()
     assert is_flat_family_member(a4_c, alpha)
 

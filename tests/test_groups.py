@@ -229,6 +229,14 @@ def test_class_calculus_unknown_label(a4):
         class_calculus(a4, "nope")
 
 
+@pytest.mark.parametrize("index", [12, -1])
+def test_class_calculus_refuses_an_index_outside_the_group(a4, index):
+    with pytest.raises(GroupSpecError) as exc:
+        class_calculus(a4, index)
+    assert exc.value.diagnostic["element"] == index
+    assert exc.value.diagnostic["order"] == 12
+
+
 def test_s3_transposition_class(s3_c):
     assert s3_c.n == 3
     cyclic, _ = is_cyclic_class(s3_c)

@@ -30,7 +30,7 @@ from ncgeo.linalg import (
     solve_affine,
 )
 
-from helpers import rank_mod_p_oracle, to_int_array
+from helpers import affine_contains, rank_mod_p_oracle, to_int_array
 
 small_fracs = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=4
@@ -86,7 +86,7 @@ def test_solve_affine_residuals(m, data):
     for vec in space.basis:
         assert all(not v for v in m.matvec(vec))
     assert space.dimension == m.cols - rank(m)
-    assert space.contains(x)
+    assert affine_contains(space, x)
 
 
 @settings(max_examples=30, deadline=None)
@@ -302,8 +302,8 @@ def test_affine_space_points():
     )
     assert space.dimension == 1
     assert space.point([cyc(7)]) == [cyc(1), cyc(7)]
-    assert space.contains([cyc(1), cyc(-3)])
-    assert not space.contains([cyc(2), cyc(0)])
+    assert affine_contains(space, [cyc(1), cyc(-3)])
+    assert not affine_contains(space, [cyc(2), cyc(0)])
 
 
 def test_affine_space_refuses_points_of_another_length():
@@ -311,7 +311,7 @@ def test_affine_space_refuses_points_of_another_length():
     space = AffineSpace((cyc(1), cyc(2)), ((cyc(1), cyc(0)),))
     for point in ([5, 2, 99], [5]):
         with pytest.raises(ValueError, match="point length mismatch"):
-            space.contains(point)
+            affine_contains(space, point)
 
 
 def test_deterministic_primes_are_stable_and_valid():

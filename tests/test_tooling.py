@@ -2,7 +2,9 @@
 
 The CLI only parses, loads, dispatches and prints: it reads no private name
 of another layer, and the mathematics and serialisers that the layers now
-own are not defined in it again.
+own are not defined in it again.  Every exported function and class is
+run by the program: the package or ``scripts/reproduce.py`` loads it, or
+``UNLOADED_EXPORTS`` says why it stays.
 
 ``scripts/reproduce.py`` recomputes the README's headline table end to end,
 so it runs here in a fresh process as it is run by hand.
@@ -21,6 +23,7 @@ import ast
 import hashlib
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -61,6 +64,45 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from ncgeo import *", namespace)
     assert set(ncgeo.__all__) <= set(namespace)
+
+
+# exported functions that neither the package nor scripts/reproduce.py loads,
+# each with the reason it stays in the library
+UNLOADED_EXPORTS = {
+    "nullspace": "the benchmark traces it (tracing.SPANNED)",
+    "covariant_derivative": "acceptance criterion 7 checks the paper's nabla",
+    "chi_operator": "acceptance criterion 10 checks it",
+    "chirality_gamma": "acceptance criterion 10 checks it",
+}
+
+
+def _loaded_names(path):
+    """Every name and attribute that the module loads outside the definition of that name."""
+    loaded = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in defining:
+                loaded.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(ast.parse(path.read_text()), frozenset())
+    return loaded
+
+
+def test_every_exported_function_is_run_by_the_program():
+    root = PERFBENCH.parent
+    paths = [*sorted((root / "src" / "ncgeo").glob("*.py")), root / "scripts" / "reproduce.py"]
+    loaded = set().union(*map(_loaded_names, paths))
+    code = [
+        name for name in ncgeo.__all__
+        if inspect.isclass(value := getattr(ncgeo, name)) or inspect.isroutine(value)
+    ]
+    assert sorted(set(code) - loaded) == sorted(UNLOADED_EXPORTS)
 
 
 def test_every_traced_function_resolves(tracing):
