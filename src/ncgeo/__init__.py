@@ -45,7 +45,7 @@ _EXPORTS = {
     "dirac": (
         "FOURIER_LABELS", "Representation", "builtin_reps", "casimir_action", "chi_operator",
         "chirality_gamma", "dirac_eigenbasis", "dirac_operator", "fourier_decompose",
-        "fourier_reconstruct", "gamma_matrices", "laplacian", "translation_combination",
+        "fourier_reconstruct", "gamma_matrices", "laplacian", "right_multiplication",
         "verify_spectrum",
     ),
     "cohomology": (

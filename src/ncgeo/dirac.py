@@ -6,14 +6,18 @@ them.  Spinors are W-valued functions on the group (W the three-dimensional
 irreducible representation), flattened component-major: index i*|G| + g,
 so the spinor space is W (x) C(G) and every operator on it is a sum of
 Kronecker products of a 3 x 3 matrix on W with a |G| x |G| matrix on
-functions.  The Dirac operator pairs the gamma matrices, built from W and
-the metric, with the difference operators R_a - 1 of the calculus and the
-coefficients of the Levi-Civita connection; its spectrum and a full exact
-eigenbasis are produced and certified by nullity counts, never by
-numerics.  The eigenvalue candidates of D and of the Laplacian, the
-Laplacian's closed form and the Casimir scalar carry mu through
-``riemann.mu_scaling``, the one place 1/(1 + n mu) is computed;
-``spectrum_json`` orders a spectrum for the report.
+functions.  Every such |G| x |G| factor is right multiplication by an
+element of the group algebra C[G], built by ``right_multiplication``.
+``casimir_element`` is z = sum_{ab} eta^{ab} (a - e)(b - e): the Laplacian
+is right multiplication by -z and the Casimir is rho_W(z).  The Dirac
+operator pairs the gamma matrices, built from W and the metric, with the
+right translations R_a of the calculus and the constant coefficients of the
+Levi-Civita connection; its spectrum and a full exact eigenbasis are
+produced and certified by nullity counts, never by numerics.  The
+eigenvalue candidates of D and of the Laplacian, the Laplacian's closed
+form and the Casimir scalar carry mu through ``riemann.mu_scaling``, the
+one place 1/(1 + n mu) is computed; ``spectrum_json`` orders a spectrum
+for the report.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .cyclotomic import ONE, OMEGA, ZERO, Cyclotomic, Scalar, as_cyc
 from .groups import ClassCalculus, DiagnosticError, FiniteGroup, GroupSpecError
@@ -122,18 +126,39 @@ def _scaling(c: ClassCalculus, metric: Metric | None) -> Cyclotomic:
     return mu_scaling(c.n, _check_metric(c, metric).mu)
 
 
-def casimir_action(c: ClassCalculus, metric: Metric | None = None) -> ExactMatrix:
-    """sum_{ab} eta^{ab} rho_W(a - e) rho_W(b - e) on the spinor fibre."""
-    metric = _check_metric(c, metric)
-    rep = builtin_reps(c.group)["W"]
-    ident = ExactMatrix.identity(rep.dim)
-    diffs = [rep(c.elements[a]) - ident for a in range(c.n)]
-    total = ExactMatrix.zeros(rep.dim, rep.dim)
-    for a in range(c.n):
-        for b in range(c.n):
-            s = metric.eta_inv.data[a][b]
+def right_multiplication(group: FiniteGroup, x: Mapping[int, Scalar]) -> ExactMatrix:
+    """R_x for x = sum_h x_h h in C[G]: row g holds x_h in column g h.
+
+    (R_x f)(g) = sum_h x_h f(g h), and R_x R_y = R_{xy}.
+    """
+    out = ExactMatrix.zeros(group.order, group.order)
+    for h, s in x.items():
+        if s:
+            s = as_cyc(s)
+            for g, row in enumerate(out.data):
+                row[group.mult(g, h)] += s
+    return out
+
+
+def casimir_element(c: ClassCalculus, metric: Metric | None = None) -> dict[int, Cyclotomic]:
+    """z = sum_{ab} eta^{ab} (a - e)(b - e) in C[G], as group element -> coefficient."""
+    eta_inv = _check_metric(c, metric).eta_inv.data
+    group, z = c.group, {}
+    for a, ga in enumerate(c.elements):
+        for b, gb in enumerate(c.elements):
+            s = eta_inv[a][b]
             if s:
-                total = total + (diffs[a] @ diffs[b]).scale(s)
+                for g, v in ((group.mult(ga, gb), s), (ga, -s), (gb, -s), (group.identity, s)):
+                    z[g] = z.get(g, ZERO) + v
+    return z
+
+
+def casimir_action(c: ClassCalculus, metric: Metric | None = None) -> ExactMatrix:
+    """rho_W(z) = sum_{ab} eta^{ab} rho_W(a - e) rho_W(b - e) on the spinor fibre."""
+    rep = builtin_reps(c.group)["W"]
+    total = ExactMatrix.zeros(rep.dim, rep.dim)
+    for g, v in casimir_element(c, metric).items():
+        total = total + rep(g).scale(v)
     return total
 
 
@@ -153,14 +178,6 @@ def gamma_matrices(c: ClassCalculus, metric: Metric | None = None) -> list[Exact
     ]
 
 
-def right_translation_blocks(c: ClassCalculus) -> dict[str, ExactMatrix]:
-    """R_a as a |G| x |G| permutation matrix for each class element."""
-    return {
-        label: translation_combination(c, [int(b == pos) for b in range(c.n)])
-        for pos, label in enumerate(c.labels)
-    }
-
-
 def _add_kron(out: ExactMatrix, a: ExactMatrix, b: ExactMatrix) -> None:
     """out += a (x) b in place, visiting the nonzero entries only."""
     entries = [(k, l, v) for k, row in enumerate(b.data) for l, v in enumerate(row) if v]
@@ -175,61 +192,48 @@ def _add_kron(out: ExactMatrix, a: ExactMatrix, b: ExactMatrix) -> None:
 def dirac_operator(c: ClassCalculus, metric: Metric | None = None) -> ExactMatrix:
     """D = sum_a gamma_a (x) (R_a - 1) - sum_{a,b} gamma_b tau_a (x) A_a^b.
 
-    tau_a = rho_W(a^-1) - 1, and A_a^b acts on functions pointwise.
+    tau_a = rho_W(a^-1) - 1.  The Levi-Civita coefficients A_a^b are constant,
+    so D = sum_a gamma_a (x) R_a + F (x) 1 with
+    F = -sum_a gamma_a - sum_{a,b} A_a^b gamma_b tau_a.
     """
     metric = _check_metric(c, metric)
     conn = levi_civita(c)
-    rep = builtin_reps(c.group)["W"]
-    order = c.group.order
+    group = c.group
+    rep = builtin_reps(group)["W"]
     gammas = gamma_matrices(c, metric)
-    out = ExactMatrix.zeros(rep.dim * order, rep.dim * order)
-    for gamma, rt in zip(gammas, right_translation_blocks(c).values()):
-        _add_kron(out, gamma, rt)
-    # the -1 of every R_a - 1 at once: -(sum_a gamma_a) (x) 1
-    _add_kron(out, -sum(gammas[1:], gammas[0]), ExactMatrix.identity(order))
+    fibre = -sum(gammas[1:], gammas[0])
     for a, elem in enumerate(c.elements):
-        tau = rep(c.group.inv(elem)) - ExactMatrix.identity(rep.dim)
+        tau = rep(group.inv(elem)) - ExactMatrix.identity(rep.dim)
         for b in range(c.n):
-            coeff = conn.comps[a].coeffs[b].values
-            if any(coeff):
-                diag = [[v if g == h else ZERO for h in range(order)] for g, v in enumerate(coeff)]
-                _add_kron(out, -(gammas[b] @ tau), ExactMatrix(order, order, diag))
+            coeff = conn.comps[a].coeffs[b].values[0]
+            if coeff:
+                fibre = fibre - (gammas[b] @ tau).scale(coeff)
+    out = ExactMatrix.zeros(rep.dim * group.order, rep.dim * group.order)
+    for g, m in zip((*c.elements, group.identity), (*gammas, fibre)):
+        _add_kron(out, m, right_multiplication(group, {g: 1}))
     return out
 
 
 def laplacian(c: ClassCalculus, metric: Metric | None = None) -> ExactMatrix:
-    """Box = -sum_{ab} eta^{ab} partial^a partial^b on functions."""
-    metric = _check_metric(c, metric)
-    order = c.group.order
-    ident = ExactMatrix.identity(order)
-    parts = [rt - ident for rt in right_translation_blocks(c).values()]
-    total = ExactMatrix.zeros(order, order)
-    for a in range(c.n):
-        for b in range(c.n):
-            s = metric.eta_inv.data[a][b]
-            if s:
-                total = total - (parts[a] @ parts[b]).scale(s)
-    return total
+    """Box = -sum_{ab} eta^{ab} partial^a partial^b on functions: right multiplication by -z."""
+    return right_multiplication(c.group, {g: -v for g, v in casimir_element(c, metric).items()})
 
 
 def dirac_candidates(c: ClassCalculus, metric: Metric | None = None) -> list[Cyclotomic]:
-    """Eigenvalue candidates of the Dirac operator: 0 and +-4 omega^k at mu = 0.
+    """Eigenvalue candidates of the Dirac operator: lam + s d.
 
-    Away from mu = 0 each is shifted by s d, with s = 4 mu / (1 + 4 mu) and
-    d one of -4 and 4 omega^k - 4.
+    lam is 0 or +-4 omega^k, the spectrum at mu = 0; s = 4 mu / (1 + 4 mu) and
+    d is one of -4 and 4 omega^k - 4, so at mu = 0 each lam repeats.
     """
-    mu = _check_metric(c, metric).mu
+    s = _check_metric(c, metric).mu * 4 * _scaling(c, metric)
     base = [Cyclotomic(0)] + [Cyclotomic(k) * OMEGA**npow for k in (4, -4) for npow in range(3)]
-    if not mu:
-        return base
-    s = mu * 4 * _scaling(c, metric)
     shifts = [Cyclotomic(-4)] + [Cyclotomic(4) * OMEGA**npow - 4 for npow in range(3)]
     return [lam + s * d for lam in base for d in shifts]
 
 
 def laplacian_closed_form(c: ClassCalculus, metric: Metric | None = None) -> ExactMatrix:
     """-(1/4) (sum_a R_a - 4)^2 / (1 + 4 mu), which ``laplacian`` must equal."""
-    shifted = translation_combination(c, [1] * c.n) - ExactMatrix.identity(c.group.order).scale(4)
+    shifted = right_multiplication(c.group, dict.fromkeys(c.elements, 1) | {c.group.identity: -4})
     return (shifted @ shifted).scale(Cyclotomic(Fraction(-1, 4)) * _scaling(c, metric))
 
 
@@ -260,15 +264,15 @@ def check_eigenbasis(
 def verify_spectrum(
     m: ExactMatrix, candidates: Sequence[Scalar]
 ) -> dict[Cyclotomic, int]:
-    """Exact multiplicities by nullity; the candidates must exhaust the space."""
+    """Exact multiplicities by nullity, one rank per distinct candidate.
+
+    The candidates must exhaust the space.
+    """
     if m.rows != m.cols:
         raise ValueError("spectrum verification needs a square matrix")
     seen: dict[Cyclotomic, int] = {}
     total = 0
-    for lam in candidates:
-        lam = as_cyc(lam)
-        if lam in seen:
-            continue
+    for lam in dict.fromkeys(map(as_cyc, candidates)):
         shifted = m - ExactMatrix.identity(m.rows).scale(lam)
         mult = m.rows - linalg.rank(shifted)
         if mult:
@@ -284,22 +288,6 @@ def verify_spectrum(
 # ---------------------------------------------------------------------------
 # exact eigenbasis at mu = 0
 # ---------------------------------------------------------------------------
-
-
-def translation_combination(
-    c: ClassCalculus, signs: Sequence[int]
-) -> ExactMatrix:
-    """sum_a signs[a] R_a over the class positions."""
-    order = c.group.order
-    out = ExactMatrix.zeros(order, order)
-    for a, s in enumerate(signs):
-        if not s:
-            continue
-        perm = c.right_perm[a]
-        sc = Cyclotomic.from_int(s)
-        for g in range(order):
-            out.data[g][perm[g]] = out.data[g][perm[g]] + sc
-    return out
 
 
 def dirac_eigenbasis(
@@ -329,7 +317,9 @@ def dirac_eigenbasis(
         group.mult(v, t): (-1, 1, -1),
         group.mult(w, t): (1, -1, -1),
     }
-    d1, d2, d3 = (translation_combination(c, [signs[g][d] for g in c.elements]) for d in range(3))
+    d1, d2, d3 = (
+        right_multiplication(group, {g: s[d] for g, s in signs.items()}) for d in range(3)
+    )
     zero = [ZERO] * order
 
     def place(slot: int, fn: list[Cyclotomic]) -> tuple[Cyclotomic, ...]:
@@ -361,11 +351,9 @@ def dirac_eigenbasis(
 def chi_operator(c: ClassCalculus) -> ExactMatrix:
     """Order-three symmetry: the cyclic slot shift (x) right translation by t."""
     group, order = c.group, c.group.order
-    t = _frame(group)[0]
-    r_t = [[int(h == group.mult(g, t)) for h in range(order)] for g in range(order)]
     shift = ExactMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     out = ExactMatrix.zeros(3 * order, 3 * order)
-    _add_kron(out, shift, ExactMatrix.from_rows(r_t))
+    _add_kron(out, shift, right_multiplication(group, {_frame(group)[0]: 1}))
     return out
 
 

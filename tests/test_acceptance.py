@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from ncgeo import (
-    Connection,
     Cyclotomic,
     ExactMatrix,
     GroupFunction,
@@ -28,7 +27,6 @@ from ncgeo import (
     covariant_derivative,
     curvature_2forms,
     cyc,
-    d1,
     de_basis,
     de_rham_h1,
     degree2_relations,
@@ -41,7 +39,6 @@ from ncgeo import (
     gauge_transform,
     gamma_matrices,
     invariant_bilinear_space,
-    invert,
     is_cyclic_class,
     is_regular,
     laplacian,
@@ -55,10 +52,8 @@ from ncgeo import (
     ricci,
     solve_ricci_flat,
     solve_torsion_free,
-    solve_torsion_cotorsion_free,
-    theta,
     torsion,
-    translation_combination,
+    right_multiplication,
     u1_curvature,
     verify_spectrum,
     classify_class_products,
@@ -67,9 +62,8 @@ from ncgeo import (
     cyclicity_witnesses,
     generated_subgroup,
     braiding,
-    wedge,
 )
-from ncgeo.calculus import _factorial_sparse, basis_pair_labels, omega2_basis, wedge_tensor
+from ncgeo.calculus import _factorial_sparse, wedge_tensor
 from ncgeo.cohomology import conjugate_two_form, s4_cross_relations_check
 from ncgeo.groups import TABLE_II, TABLE_III
 from ncgeo.riemann import (
@@ -277,7 +271,7 @@ def test_criterion_08_dirac_spectrum(a4, a4_c, dirac_zero):
 
 def test_criterion_09_laplacian_and_fourier(a4, a4_c):
     box = laplacian(a4_c)
-    d0m = translation_combination(a4_c, [1, 1, 1, 1])
+    d0m = right_multiplication(a4, dict.fromkeys(a4_c.elements, 1))
     shifted = d0m - ExactMatrix.identity(12).scale(cyc(4))
     assert box == (shifted @ shifted).scale(cyc(Fraction(-1, 4)))
     expected = {

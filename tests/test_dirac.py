@@ -1,4 +1,3 @@
-import itertools
 import json
 import random
 import re
@@ -19,6 +18,7 @@ from ncgeo import (
     chirality_gamma,
     build_group,
     class_calculus,
+    conjugacy_classes,
     cyc,
     dirac_eigenbasis,
     dirac_operator,
@@ -28,11 +28,13 @@ from ncgeo import (
     laplacian,
     metric_from_mu,
     rank,
-    translation_combination,
+    right_multiplication,
     verify_spectrum,
 )
+from ncgeo import dirac
 from ncgeo.cli import run
-from ncgeo.dirac import right_translation_blocks
+from ncgeo.cyclotomic import as_cyc
+from ncgeo.dirac import casimir_element, dirac_candidates
 
 from helpers import relabelled, to_int_array
 
@@ -43,6 +45,9 @@ W_SIGNS = {
     (1, 0): [1, -1, 1, -1],
     (2, 1): [1, 1, -1, -1],
 }
+
+
+GROUP_NAMES = ("a4", "s3", "s4", "sl2z3", "klein")
 
 
 def _right_translation(group, elem):
@@ -179,29 +184,102 @@ def test_dirac_equals_translations_contracted_with_gamma(a4, a4_c, mu):
 
 def test_dirac_block_structure(a4, a4_c):
     D = dirac_operator(a4_c)
-    d0m = translation_combination(a4_c, [1, 1, 1, 1])
+    d0m = right_multiplication(a4, dict.fromkeys(a4_c.elements, 1))
     for i in range(3):
         for j in range(3):
             block = _block(D, i, j, 12)
             if i == j:
                 assert block == -d0m
             elif (i, j) in W_SIGNS:
-                assert block == translation_combination(a4_c, W_SIGNS[(i, j)])
+                assert block == right_multiplication(a4, dict(zip(a4_c.elements, W_SIGNS[(i, j)])))
             else:
                 assert block.is_zero()
 
 
-def test_translation_blocks_are_permutations(a4_c):
-    blocks = right_translation_blocks(a4_c)
-    assert sorted(blocks) == sorted(a4_c.labels)
-    for mat in blocks.values():
-        arr = to_int_array(mat)
-        assert arr.sum(axis=0).tolist() == [1] * 12
-        assert arr.sum(axis=1).tolist() == [1] * 12
+def test_translation_blocks_are_permutations():
+    for name in GROUP_NAMES + ("cyclic(5)",):
+        group = build_group(name)
+        for g in range(group.order):
+            mat = right_multiplication(group, {g: 1})
+            assert mat == _right_translation(group, g)
+            arr = to_int_array(mat)
+            assert arr.sum(axis=0).tolist() == [1] * group.order
+            assert arr.sum(axis=1).tolist() == [1] * group.order
+
+
+def _product(group, x, y):
+    """x y in the group algebra, zero coefficients dropped."""
+    out = {}
+    for h, a in x.items():
+        for k, b in y.items():
+            g = group.mult(h, k)
+            out[g] = out.get(g, cyc(0)) + as_cyc(a) * as_cyc(b)
+    return {g: v for g, v in out.items() if v}
+
+
+def _random_element(group, rnd):
+    return {
+        g: cyc(Fraction(rnd.randint(-4, 4), rnd.randint(1, 3)), rnd.randint(-2, 2))
+        for g in rnd.sample(range(group.order), min(group.order, 5))
+    }
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_right_multiplication_is_multiplicative(name):
+    group = build_group(name)
+    rnd = random.Random(23)
+    for _ in range(3):
+        x, y = _random_element(group, rnd), _random_element(group, rnd)
+        product = right_multiplication(group, x) @ right_multiplication(group, y)
+        assert product == right_multiplication(group, _product(group, x, y))
+
+
+def _a4_classes():
+    a4 = build_group("a4")
+    perm = list(range(1, 12))
+    random.Random(7).shuffle(perm)
+    shuffled = build_group(relabelled(a4, perm))
+    return [class_calculus(a4, "t"), class_calculus(a4, "t2"), class_calculus(shuffled, "t")]
+
+
+@pytest.mark.parametrize("mu", [0, Fraction(3, 7)])
+@pytest.mark.parametrize("which", range(3), ids=("t", "t2", "relabelled"))
+def test_laplacian_and_casimir_read_one_element(which, mu):
+    c = _a4_classes()[which]
+    group, metric, e = c.group, metric_from_mu(c, mu), c.group.identity
+    z = casimir_element(c, metric)
+    # z multiplied out in the group algebra, and the Laplacian as n^2 dense products
+    want, dense = {}, ExactMatrix.zeros(12, 12)
+    for a, ga in enumerate(c.elements):
+        for b, gb in enumerate(c.elements):
+            s = metric.eta_inv.data[a][b]
+            for g, v in _product(group, {ga: 1, e: -1}, {gb: 1, e: -1}).items():
+                want[g] = want.get(g, cyc(0)) + s * v
+            dense = dense - (_partial(group, ga) @ _partial(group, gb)).scale(s)
+    assert {g: v for g, v in z.items() if v} == {g: v for g, v in want.items() if v}
+    box = laplacian(c, metric)
+    assert box == right_multiplication(group, {g: -v for g, v in z.items()})
+    assert box == dense
+    w = builtin_reps(group)["W"]
+    rho_z = ExactMatrix.zeros(3, 3)
+    for g, v in z.items():
+        rho_z = rho_z + w(g).scale(v)
+    assert casimir_action(c, metric) == rho_z
+
+
+@pytest.mark.parametrize("mu", [0, Fraction(3, 7)])
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_casimir_element_is_central(name, mu):
+    group = build_group(name)
+    for members in conjugacy_classes(group)[1:]:
+        c = class_calculus(group, members[0])
+        z = {g: v for g, v in casimir_element(c, metric_from_mu(c, mu)).items() if v}
+        for g in range(group.order):
+            assert _product(group, z, {g: 1}) == _product(group, {g: 1}, z), (name, c.labels, g)
 
 
 def test_d0_squared_is_translation_by_squares(a4, a4_c):
-    d0m = translation_combination(a4_c, [1, 1, 1, 1])
+    d0m = right_multiplication(a4, dict.fromkeys(a4_c.elements, 1))
     total = ExactMatrix.zeros(12, 12)
     for a in range(4):
         sq = a4.mult(a4_c.elements[a], a4_c.elements[a])
@@ -214,7 +292,7 @@ def test_mu_shift_law(a4_c):
     D0 = dirac_operator(a4_c)
     Dmu = dirac_operator(a4_c, metric_from_mu(a4_c, mu))
     s = cyc(4) * cyc(mu) * (cyc(1) + cyc(4) * cyc(mu)).inverse()
-    d0m = translation_combination(a4_c, [1, 1, 1, 1])
+    d0m = right_multiplication(a4_c.group, dict.fromkeys(a4_c.elements, 1))
     shift = _kron(
         ExactMatrix.identity(3),
         (d0m - ExactMatrix.identity(12).scale(cyc(4))).scale(s),
@@ -250,9 +328,18 @@ def test_verify_spectrum_rejects_incomplete_candidates(a4_c):
     assert "cover" in str(exc.value)
 
 
+def test_verify_spectrum_ranks_each_distinct_candidate_once(a4_c, monkeypatch):
+    candidates = dirac_candidates(a4_c)
+    assert len(candidates) == 28 and len(set(candidates)) == 7
+    ranks = []
+    monkeypatch.setattr(dirac.linalg, "rank", lambda m: ranks.append(m) or rank(m))
+    spec = verify_spectrum(dirac_operator(a4_c), candidates)
+    assert spec == _expected_dirac_spectrum() and len(ranks) == 7
+
+
 def test_laplacian_spectrum_and_closed_form(a4_c):
     box = laplacian(a4_c)
-    d0m = translation_combination(a4_c, [1, 1, 1, 1])
+    d0m = right_multiplication(a4_c.group, dict.fromkeys(a4_c.elements, 1))
     shifted = d0m - ExactMatrix.identity(12).scale(cyc(4))
     assert box == (shifted @ shifted).scale(cyc(Fraction(-1, 4)))
     expected = {
@@ -315,8 +402,7 @@ def test_chi_symmetry(a4_c):
     assert chi @ chi @ chi == ExactMatrix.identity(36)
     assert chi @ D == D @ chi
     # chi is built from right translation by the class witness
-    blocks = right_translation_blocks(a4_c)
-    rt = blocks["t"]
+    rt = right_multiplication(a4_c.group, {a4_c.group.index("t"): 1})
     for (i, j) in [(0, 2), (1, 0), (2, 1)]:
         assert _block(chi, i, j, 12) == rt
 

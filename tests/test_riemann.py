@@ -19,7 +19,6 @@ from ncgeo import (
     de_basis,
     e_form,
     invariant_bilinear_space,
-    invert,
     levi_civita,
     lift_i,
     lift_iprime,
@@ -33,7 +32,6 @@ from ncgeo import (
     theta,
     torsion,
     solve_affine,
-    wedge,
 )
 from ncgeo.groups import build_group, class_calculus
 from ncgeo.riemann import (

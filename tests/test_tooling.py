@@ -4,7 +4,8 @@ The CLI only parses, loads, dispatches and prints: it reads no private name
 of another layer, and the mathematics and serialisers that the layers now
 own are not defined in it again.  Every exported function and class is
 run by the program: the package or ``scripts/reproduce.py`` loads it, or
-``UNLOADED_EXPORTS`` says why it stays.
+``UNLOADED_EXPORTS`` says why it stays.  No test module imports a name it
+never loads, so an import does not make a library name look tested.
 
 ``scripts/reproduce.py`` recomputes the README's headline table end to end,
 so it runs here in a fresh process as it is run by hand.
@@ -103,6 +104,26 @@ def test_every_exported_function_is_run_by_the_program():
         if inspect.isclass(value := getattr(ncgeo, name)) or inspect.isroutine(value)
     ]
     assert sorted(set(code) - loaded) == sorted(UNLOADED_EXPORTS)
+
+
+def test_no_test_module_imports_a_name_it_never_loads():
+    unused = {}
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        if bound - loaded:
+            unused[path.name] = sorted(bound - loaded)
+    assert unused == {}
 
 
 def test_every_traced_function_resolves(tracing):
