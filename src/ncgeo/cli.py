@@ -485,7 +485,7 @@ def _cmd_flat_u1(ns, c, mu) -> tuple[dict, list]:
 
 
 def _cmd_s4_check(ns, c, mu) -> tuple[dict, list]:
-    if ns.group != DEFAULT_GROUP or ns.class_element is not None:
+    if ns.group.strip().lower() != DEFAULT_GROUP or ns.class_element is not None:
         raise PreconditionError(
             "s4-check checks the builtin s4 and a4 only; it takes no --group or --class",
             {"group": ns.group, "class": ns.class_element},

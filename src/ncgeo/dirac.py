@@ -197,7 +197,7 @@ def dirac_operator(c: ClassCalculus, metric: Metric | None = None) -> ExactMatri
     F = -sum_a gamma_a - sum_{a,b} A_a^b gamma_b tau_a.
     """
     metric = _check_metric(c, metric)
-    conn = levi_civita(c)
+    conn = levi_civita(c, metric)
     group = c.group
     rep = builtin_reps(group)["W"]
     gammas = gamma_matrices(c, metric)

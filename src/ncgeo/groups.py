@@ -10,6 +10,8 @@ one routine that walks a permutation: the conjugacy classes are the orbits
 of conjugation, the subgroup a class generates is the identity's orbit
 under its right translations, t is a cyclicity witness when Ad_t has two
 orbits on its class, and the S4 builtin names each element by its orbits.
+The builtins and the paper's two class product tables (letter grids over a
+frame (t, x, y, z) of a four-element class) are data, each read by one routine.
 """
 
 from __future__ import annotations
@@ -242,6 +244,11 @@ def _builtin_cyclic(n: int) -> FiniteGroup:
     return _validate(names, table)
 
 
+_BUILTINS = {
+    "a4": _builtin_a4, "s3": _builtin_s3, "s4": _builtin_s4,
+    "sl2z3": _builtin_sl2z3, "klein": _builtin_klein,
+}
+
 GroupSpec = Union[str, Mapping]
 
 
@@ -249,16 +256,8 @@ def build_group(spec: GroupSpec) -> FiniteGroup:
     """Build a validated group from a builtin name or a names/table mapping."""
     if isinstance(spec, str):
         name = spec.strip().lower()
-        if name == "a4":
-            return _builtin_a4()
-        if name == "s3":
-            return _builtin_s3()
-        if name == "s4":
-            return _builtin_s4()
-        if name == "sl2z3":
-            return _builtin_sl2z3()
-        if name == "klein":
-            return _builtin_klein()
+        if name in _BUILTINS:
+            return _BUILTINS[name]()
         if name.startswith("cyclic(") and name.endswith(")"):
             try:
                 n = int(name[7:-1])
@@ -266,8 +265,7 @@ def build_group(spec: GroupSpec) -> FiniteGroup:
                 raise GroupSpecError(f"bad cyclic order in {spec!r}") from None
             return _builtin_cyclic(n)
         raise GroupSpecError(
-            f"unknown builtin group {spec!r}",
-            {"builtins": ["a4", "s3", "s4", "sl2z3", "klein", "cyclic(n)"]},
+            f"unknown builtin group {spec!r}", {"builtins": [*_BUILTINS, "cyclic(n)"]}
         )
     if isinstance(spec, Mapping):
         if "names" not in spec or "table" not in spec:
@@ -414,14 +412,21 @@ TABLE_II = "TableII"
 TABLE_III = "TableIII"
 OTHER = "Other"
 
+# The admissible class product tables over a frame (t, x, y, z), in the order they
+# are tried.  Cell (i, j) of a grid stands for the product e_i e_j, and two cells
+# hold equal products exactly when they hold the same letter.  Table II is Table
+# III off the diagonal, with four squares that occur nowhere else.
+_TABLES = {
+    TABLE_III: ("DABC", "BCDA", "CBAD", "ADCB"),
+    TABLE_II: ("EABC", "BFDA", "CBGD", "ADCH"),
+}
+
 
 def classify_class_products(c: ClassCalculus) -> str:
-    """Which of the two admissible 4x4 class product tables occurs (or Other).
+    """Which of the admissible 4x4 class product tables occurs, or Other.
 
-    Both admissible tables share the triple coincidences
-    t*x = z*t = x*z (and the three images of this line under the cycle);
-    they differ in whether the squares coincide with those triple values
-    (third table) or avoid them entirely (second table).
+    A table occurs when some frame's products match its letter grid;
+    Table III is tried before Table II.
     """
     cyclic, _ = is_cyclic_class(c)
     if not cyclic or c.n != 4:
@@ -430,7 +435,7 @@ def classify_class_products(c: ClassCalculus) -> str:
             {"size": c.n, "cyclic": cyclic},
         )
     verdicts = {verdict for _, verdict in class_frames(c)}
-    return next((v for v in (TABLE_III, TABLE_II) if v in verdicts), OTHER)
+    return next((v for v in _TABLES if v in verdicts), OTHER)
 
 
 def class_frames(c: ClassCalculus) -> Iterator[tuple[tuple[int, int, int, int], str]]:
@@ -438,7 +443,8 @@ def class_frames(c: ClassCalculus) -> Iterator[tuple[tuple[int, int, int, int], 
 
     t runs over the cyclicity witnesses and x over the rest, in class order;
     z = Ad_t(x) and y = Ad_t(z), and frames that repeat a position are skipped.
-    A class of another size has no frames.
+    The verdict is the first grid of ``_TABLES`` that the frame's 16 products
+    e_i e_j match, or Other.  A class of another size has no frames.
     """
     if c.n != 4:
         return
@@ -448,40 +454,16 @@ def class_frames(c: ClassCalculus) -> Iterator[tuple[tuple[int, int, int, int], 
         for x in range(4):
             z = c.ad(t, x)
             y = c.ad(t, z)
-            if len({t, x, y, z}) == 4:
-                yield (t, x, y, z), _match_tables(c, t, x, y, z)
+            frame = (t, x, y, z)
+            if len(set(frame)) == 4:
+                e = [c.elements[i] for i in frame]
+                yield frame, _match_tables([c.group.mult(a, b) for a in e for b in e])
 
 
-def _match_tables(c: ClassCalculus, t: int, x: int, y: int, z: int) -> str:
-    group = c.group
-    e = c.elements
-
-    def prod(i: int, j: int) -> int:
-        return group.mult(e[i], e[j])
-
-    triples = [
-        [(t, x), (z, t), (x, z)],
-        [(t, y), (x, t), (y, x)],
-        [(t, z), (y, t), (z, y)],
-        [(x, y), (y, z), (z, x)],
-    ]
-    triple_vals = []
-    for cells in triples:
-        vals = {prod(i, j) for i, j in cells}
-        if len(vals) != 1:
-            return OTHER
-        triple_vals.append(vals.pop())
-    if len(set(triple_vals)) != 4:
-        return OTHER
-    squares = [prod(t, t), prod(x, x), prod(y, y), prod(z, z)]
-    # third-table coincidences: t^2 = x*y, y^2 = t*x, z^2 = t*y, x^2 = t*z
-    if (
-        squares[0] == triple_vals[3]
-        and squares[2] == triple_vals[0]
-        and squares[3] == triple_vals[1]
-        and squares[1] == triple_vals[2]
-    ):
-        return TABLE_III
-    if len(set(squares)) == 4 and not set(squares) & set(triple_vals):
-        return TABLE_II
+def _match_tables(cells: Sequence[int]) -> str:
+    """The first table whose letters match the 16 products one-to-one, else Other."""
+    for verdict, grid in _TABLES.items():
+        letters = "".join(grid)
+        if len(set(zip(letters, cells))) == len(set(letters)) == len(set(cells)):
+            return verdict
     return OTHER

@@ -25,6 +25,7 @@ from ncgeo import (
 )
 from ncgeo.calculus import tableiii_assignment, zero_two_form
 from ncgeo.cyclotomic import as_cyc
+from ncgeo.groups import OTHER, TABLE_II, TABLE_III
 from ncgeo.linalg import rref
 
 
@@ -356,3 +357,45 @@ def cycle_name_oracle(perm):
         seen.update(cycle)
         cycles.append("(" + "".join(str(p + 1) for p in cycle) + ")")
     return "".join(cycles) or "e"
+
+
+def match_tables_oracle(cells):
+    """The product-table verdict of a frame by the coincidence rules, from its 16 products.
+
+    cells[4 i + j] is e_i e_j over the frame (t, x, y, z) = (0, 1, 2, 3).  Both
+    admissible tables share the triple coincidences t x = z t = x z (and the
+    three images of this line under the cycle); they differ in whether the
+    squares coincide with those triple values (Table III) or avoid them
+    entirely (Table II).
+    """
+    t, x, y, z = range(4)
+
+    def prod(i, j):
+        return cells[4 * i + j]
+
+    triples = [
+        [(t, x), (z, t), (x, z)],
+        [(t, y), (x, t), (y, x)],
+        [(t, z), (y, t), (z, y)],
+        [(x, y), (y, z), (z, x)],
+    ]
+    triple_vals = []
+    for pairs in triples:
+        vals = {prod(i, j) for i, j in pairs}
+        if len(vals) != 1:
+            return OTHER
+        triple_vals.append(vals.pop())
+    if len(set(triple_vals)) != 4:
+        return OTHER
+    squares = [prod(t, t), prod(x, x), prod(y, y), prod(z, z)]
+    # third-table coincidences: t^2 = x*y, y^2 = t*x, z^2 = t*y, x^2 = t*z
+    if (
+        squares[0] == triple_vals[3]
+        and squares[2] == triple_vals[0]
+        and squares[3] == triple_vals[1]
+        and squares[1] == triple_vals[2]
+    ):
+        return TABLE_III
+    if len(set(squares)) == 4 and not set(squares) & set(triple_vals):
+        return TABLE_II
+    return OTHER

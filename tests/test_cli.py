@@ -372,6 +372,12 @@ def test_s4_check_report(capsys):
     assert all(c["status"] == "ok" for c in report["certifications"])
 
 
+@pytest.mark.parametrize("spelling", ["A4", " a4"])
+def test_s4_check_accepts_every_spelling_of_a4(capsys, spelling):
+    plain = _report(capsys, ["s4-check"])
+    assert _report(capsys, ["s4-check", "--group", spelling])["results"] == plain["results"]
+
+
 def test_no_cyclic_class_exits_2(capsys):
     code, out, err = _capture(capsys, ["relations", "--group", "klein"])
     assert code == 2
@@ -668,6 +674,13 @@ REFUSALS = {
             "error": "s4-check checks the builtin s4 and a4 only; it takes no --group or --class",
             "group": "sl2z3",
             "class": "2002",
+        },
+    ),
+    "info --group foo": (
+        65,
+        {
+            "builtins": ["a4", "s3", "s4", "sl2z3", "klein", "cyclic(n)"],
+            "error": "unknown builtin group 'foo'",
         },
     ),
     "ricci --lift x": (

@@ -31,12 +31,12 @@ from ncgeo import (
     right_multiplication,
     verify_spectrum,
 )
-from ncgeo import dirac
+from ncgeo import dirac, riemann
 from ncgeo.cli import run
 from ncgeo.cyclotomic import as_cyc
 from ncgeo.dirac import casimir_element, dirac_candidates
 
-from helpers import relabelled, to_int_array
+from helpers import counted_calls, relabelled, to_int_array
 
 W_SIGNS = {
     # off-diagonal blocks of the free operator, frozen sign patterns
@@ -335,6 +335,13 @@ def test_verify_spectrum_ranks_each_distinct_candidate_once(a4_c, monkeypatch):
     monkeypatch.setattr(dirac.linalg, "rank", lambda m: ranks.append(m) or rank(m))
     spec = verify_spectrum(dirac_operator(a4_c), candidates)
     assert spec == _expected_dirac_spectrum() and len(ranks) == 7
+
+
+def test_dirac_operator_checks_levi_civita_against_its_metric(a4_c, monkeypatch):
+    metric = metric_from_mu(a4_c, Fraction(3, 7))
+    calls = counted_calls(monkeypatch, riemann, "cotorsion")
+    dirac_operator(a4_c, metric)
+    assert [args[2].mu for args in calls] == [metric.mu]
 
 
 def test_laplacian_spectrum_and_closed_form(a4_c):

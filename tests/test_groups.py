@@ -17,7 +17,7 @@ from ncgeo import (
     generated_subgroup,
     is_cyclic_class,
 )
-from ncgeo.groups import _cycle_name, axiom_violation
+from ncgeo.groups import OTHER, _TABLES, _cycle_name, _match_tables, axiom_violation
 
 from helpers import (
     CATALOGUE,
@@ -25,6 +25,7 @@ from helpers import (
     conjugacy_class_oracle,
     cycle_name_oracle,
     is_witness_oracle,
+    match_tables_oracle,
     relabelled,
     subgroup_oracle,
 )
@@ -37,6 +38,15 @@ def test_builtin_orders():
     assert build_group("sl2z3").order == 24
     assert build_group("klein").order == 4
     assert build_group("cyclic(5)").order == 5
+
+
+def test_every_listed_builtin_builds():
+    with pytest.raises(GroupSpecError) as exc:
+        build_group("foo")
+    listed = exc.value.diagnostic["builtins"]
+    assert listed == ["a4", "s3", "s4", "sl2z3", "klein", "cyclic(n)"]
+    for name in listed:
+        assert build_group(name.replace("(n)", "(3)")).names
 
 
 @given(st.integers(min_value=1, max_value=12))
@@ -317,3 +327,55 @@ def test_class_structure_survives_relabelling(name, seed):
     perm = list(range(1, group.order))
     random.Random(seed).shuffle(perm)
     assert _class_profile(build_group(relabelled(group, perm))) == _class_profile(group)
+
+
+# ---------------------------------------------------------------------------
+# the product-table grids against the coincidence rules
+# ---------------------------------------------------------------------------
+
+
+def test_table_grids_are_the_papers_tables():
+    iii, ii = ("".join(_TABLES[v]) for v in (TABLE_III, TABLE_II))
+    assert list(_TABLES) == [TABLE_III, TABLE_II]
+    assert sorted(iii.count(letter) for letter in set(iii)) == [4, 4, 4, 4]
+    off_diagonal = [q for q in range(16) if q % 5]
+    assert all(ii[q] == iii[q] for q in off_diagonal)
+    diagonal = [ii[q] for q in range(0, 16, 5)]
+    assert len(set(diagonal)) == 4
+    assert all(ii.count(letter) == 1 for letter in diagonal)
+
+
+FOUR_ELEMENT_CLASSES = {"a4": ["t", "t2"], "sl2z3": ["0121", "0122", "0211", "0212"]}
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+@pytest.mark.parametrize("name", sorted(FOUR_ELEMENT_CLASSES))
+def test_table_matcher_agrees_with_the_rules_on_every_class_ordering(name, seed):
+    group = build_group(name)
+    if seed is not None:
+        perm = list(range(1, group.order))
+        random.Random(seed).shuffle(perm)
+        group = build_group(relabelled(group, perm))
+    verdicts = set()
+    for label in FOUR_ELEMENT_CLASSES[name]:
+        c = class_calculus(group, label)
+        assert c.n == 4
+        for frame in itertools.permutations(c.elements):
+            cells = [group.mult(a, b) for a in frame for b in frame]
+            verdicts.add(_match_tables(cells))
+            assert _match_tables(cells) == match_tables_oracle(cells)
+    assert verdicts == {TABLE_III if name == "a4" else TABLE_II, OTHER}
+
+
+@given(
+    st.sampled_from(sorted(_TABLES)),
+    st.lists(st.integers(0, 30), min_size=8, max_size=8, unique=True),
+    st.integers(0, 15),
+    st.integers(0, 30),
+)
+def test_table_matcher_agrees_with_the_rules_on_drawn_grids(verdict, values, cell, value):
+    letters = "".join(_TABLES[verdict])
+    cells = [values[ord(letter) - ord("A")] for letter in letters]
+    assert _match_tables(cells) == match_tables_oracle(cells) == verdict
+    cells[cell] = value
+    assert _match_tables(cells) == match_tables_oracle(cells)
