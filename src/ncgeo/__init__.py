@@ -33,8 +33,8 @@ _EXPORTS = {
     "calculus": (
         "BraidData", "Form", "GroupFunction", "Omega2Basis", "ScaleCapError",
         "basis_pair_labels", "braiding", "d0", "d1", "de_basis", "degree2_relations", "e_form",
-        "exterior_dimension_info", "exterior_profile", "omega2_basis", "partial",
-        "quadratic_dimension", "theta", "wedge",
+        "exterior_dimension_info", "exterior_profile", "omega2_basis", "quadratic_dimension",
+        "theta", "wedge",
     ),
     "riemann": (
         "Connection", "Metric", "NonlinearCurvatureError", "cotorsion", "covariant_derivative",

@@ -1,8 +1,11 @@
 """First-order differential calculus on a finite group from a conjugacy class.
 
 Functions on G form the base algebra; the one-form module has a left basis
-{e_a} indexed by the class, with the bimodule rule e_a f = R_a(f) e_a and
-the differential d f = sum_a (R_a - id)(f) e_a = theta f - f theta, where
+{e_a} indexed by the class, with the bimodule rule e_a f = R_a(f) e_a,
+(R_g f)(h) = f(h g).  So a basis element whose letters multiply to g moves
+f past itself as R_g(f): ``right_translate`` is the one right translation,
+and ``right_mul`` the one w f for one-forms and two-forms alike.  The
+differential is d f = theta f - f theta = sum_a (R_a f - f) e_a, where
 theta = sum_a e_a: the calculus is inner, and d w = theta ^ w + w ^ theta
 on one-forms.  One-forms, two-forms and the tensor square of the
 one-forms are all ``Form``s: coefficient functions on the left of a fixed
@@ -125,21 +128,9 @@ class GroupFunction(NamedTuple):
         return GroupFunction(tuple(v.inverse() for v in self.values))
 
 
-def translate_by_element(group: FiniteGroup, g: int, f: GroupFunction) -> GroupFunction:
-    """(R_g f)(h) = f(h g)."""
-    return GroupFunction(tuple(f.values[group.mult(h, g)] for h in range(group.order)))
-
-
-def right_translate(c: ClassCalculus, pos: int, f: GroupFunction) -> GroupFunction:
-    """(R_a f)(h) = f(h a) for the class element at the given position."""
-    perm = c.right_perm[pos]
-    return GroupFunction(tuple(f.values[perm[h]] for h in range(c.group.order)))
-
-
-def partial(c: ClassCalculus, a: Union[int, str], f: GroupFunction) -> GroupFunction:
-    """The difference operator R_a - id attached to a class element."""
-    pos = c.position(a) if isinstance(a, str) else a
-    return right_translate(c, pos, f) - f
+def right_translate(group: FiniteGroup, g: int, f: GroupFunction) -> GroupFunction:
+    """(R_g f)(h) = f(h g), read off column g of the table."""
+    return GroupFunction(tuple(f.values[row[g]] for row in group.table))
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +216,13 @@ def theta(c: ClassCalculus) -> Form:
     return Form.constant(c.group.order, [ONE] * c.n)
 
 
-def one_form_right_mul(c: ClassCalculus, w: Form, f: GroupFunction) -> Form:
-    """w * f, moved into left presentation via e_a f = R_a(f) e_a."""
-    return Form(
-        tuple(g * right_translate(c, i, f) for i, g in enumerate(w.coeffs))
-    )
+def right_mul(group: FiniteGroup, w: Form, f: GroupFunction, products: Sequence[int]) -> Form:
+    """w * f = sum_i w_i R_{p_i}(f) b_i, p_i = products[i] the product of b_i's letters.
+
+    e_a f = R_a(f) e_a moves f past one letter at a time; the products are
+    ``c.elements`` for one-forms and ``omega2_basis(c).prod_elem`` for two-forms.
+    """
+    return Form(tuple(g * right_translate(group, p, f) for g, p in zip(w.coeffs, products)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +342,12 @@ def tensor_of_forms(c: ClassCalculus, u: Form, v: Form) -> Form:
     zero = GroupFunction.zero(c.group.order)
     live = [not h.is_zero() for h in v.coeffs]
     coeffs: list[GroupFunction] = []
-    for a, f in enumerate(u.coeffs):
+    for g, f in zip(c.elements, u.coeffs):
         if f.is_zero():
             coeffs.extend([zero] * len(live))
         else:
             coeffs.extend(
-                f * right_translate(c, a, h) if ok else zero for h, ok in zip(v.coeffs, live)
+                f * right_translate(c.group, g, h) if ok else zero for h, ok in zip(v.coeffs, live)
             )
     return Form(tuple(coeffs))
 
@@ -379,25 +372,14 @@ def wedge(c: ClassCalculus, u: Form, v: Form) -> Form:
     return wedge_tensor(c, tensor_of_forms(c, u, v))
 
 
-def two_form_right_mul(c: ClassCalculus, w: Form, f: GroupFunction) -> Form:
-    """w * f: the function moves left through both legs of each basis wedge."""
-    basis = omega2_basis(c)
-    return Form(
-        tuple(
-            g * translate_by_element(c.group, basis.prod_elem[beta], f)
-            for beta, g in enumerate(w.coeffs)
-        )
-    )
-
-
 # ---------------------------------------------------------------------------
 # differentials
 # ---------------------------------------------------------------------------
 
 
 def d0(c: ClassCalculus, f: GroupFunction) -> Form:
-    """d f = sum_a (R_a - id)(f) e_a."""
-    return Form(tuple(partial(c, a, f) for a in range(c.n)))
+    """d f = theta f - f theta = sum_a (R_a f - f) e_a."""
+    return Form(tuple(right_translate(c.group, a, f) - f for a in c.elements))
 
 
 @lru_cache(maxsize=None)

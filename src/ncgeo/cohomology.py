@@ -34,9 +34,9 @@ from .calculus import (
     d0,
     d1,
     e_form,
-    one_form_right_mul,
+    omega2_basis,
+    right_mul,
     theta,
-    two_form_right_mul,
     wedge,
 )
 
@@ -87,12 +87,13 @@ def u1_curvature(c: ClassCalculus, alpha: Form) -> Form:
 def gauge_transform(c: ClassCalculus, u: GroupFunction, alpha: Form) -> Form:
     """alpha -> u alpha u^-1 + u d(u^-1), for a unit function u."""
     uinv = u.pointwise_inverse()
-    return (one_form_right_mul(c, alpha, uinv) + d0(c, uinv)).left_mul(u)
+    return (right_mul(c.group, alpha, uinv, c.elements) + d0(c, uinv)).left_mul(u)
 
 
 def conjugate_two_form(c: ClassCalculus, u: GroupFunction, w: Form) -> Form:
     """u w u^-1: the inverse translates past both legs of each basis wedge."""
-    return two_form_right_mul(c, w, u.pointwise_inverse()).left_mul(u)
+    products = omega2_basis(c).prod_elem
+    return right_mul(c.group, w, u.pointwise_inverse(), products).left_mul(u)
 
 
 class FlatFamily(NamedTuple):

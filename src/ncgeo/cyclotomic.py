@@ -38,12 +38,6 @@ class Cyclotomic:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Cyclotomic is immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_int(cls, n: int) -> "Cyclotomic":
-        return _small_int(n)
-
     # -- components --------------------------------------------------------
 
     def triple(self) -> tuple[int, int, int]:

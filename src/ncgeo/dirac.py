@@ -72,9 +72,7 @@ def builtin_reps(group: FiniteGroup) -> dict[str, Representation]:
     t, u, v, w = _frame(group)
 
     def mk(entries: list[list[int]]) -> ExactMatrix:
-        return ExactMatrix(
-            3, 3, [[Cyclotomic.from_int(x) for x in row] for row in entries]
-        )
+        return ExactMatrix(3, 3, [[as_cyc(x) for x in row] for row in entries])
 
     klein = {
         e: ExactMatrix.identity(3),
@@ -334,13 +332,13 @@ def dirac_eigenbasis(
     # -4 omega^n: the coset character powers placed in each slot
     for npow in range(3):
         twist = [r**npow for r in rho]
-        out += [(Cyclotomic.from_int(-4) * OMEGA**npow, place(i, twist)) for i in range(3)]
+        out += [(as_cyc(-4) * OMEGA**npow, place(i, twist)) for i in range(3)]
     # +4 omega^n: stacked rows of W, twisted by character powers
     for npow in range(3):
         twist = [r**npow for r in rho]
         out += [
             (
-                Cyclotomic.from_int(4) * OMEGA**npow,
+                as_cyc(4) * OMEGA**npow,
                 tuple(f * r for j in range(3) for f, r in zip(entry[k][j], twist)),
             )
             for k in range(3)

@@ -4,12 +4,13 @@ A group is a table of index products with the identity at index 0; builtins
 cover the alternating group on four letters (in the element order used by
 the rest of the engine), symmetric groups on 3 and 4 letters, SL(2, Z/3),
 the Klein four-group, and cyclic groups.  A ClassCalculus packages one
-conjugacy class together with its adjoint action and right translations;
-it is the geometric site every other module works over.  ``orbits`` is the
-one routine that walks a permutation: the conjugacy classes are the orbits
-of conjugation, the subgroup a class generates is the identity's orbit
-under its right translations, t is a cyclicity witness when Ad_t has two
-orbits on its class, and the S4 builtin names each element by its orbits.
+conjugacy class together with its adjoint action; it is the geometric site
+every other module works over.  Right translation h -> h g is column g of
+the table.  ``orbits`` is the one routine that walks a permutation: the
+conjugacy classes are the orbits of conjugation, the subgroup a class
+generates is the identity's orbit under the table's columns at the class,
+t is a cyclicity witness when Ad_t has two orbits on its class, and the S4
+builtin names each element by its orbits.
 The builtins and the paper's two class product tables (letter grids over a
 frame (t, x, y, z) of a four-element class) are data, each read by one routine.
 """
@@ -32,9 +33,9 @@ class GroupSpecError(DiagnosticError, ValueError):
     """Raised for malformed group descriptions."""
 
 
-# linalg exports it; it lives here so that the CLI catches it without loading linalg
-class CertificationError(RuntimeError):
-    """Two modular ranks disagreed; the certified value does not exist."""
+# linalg exports it; it lives here beside its base, DiagnosticError
+class CertificationError(DiagnosticError, RuntimeError):
+    """A computed certificate failed, such as two modular ranks that disagree."""
 
 
 class FiniteGroup(NamedTuple):
@@ -310,12 +311,11 @@ def conjugacy_classes(group: FiniteGroup) -> list[list[int]]:
 
 
 class ClassCalculus(NamedTuple):
-    """One nontrivial conjugacy class with its adjoint and right actions."""
+    """One nontrivial conjugacy class with its adjoint action."""
 
     group: FiniteGroup
     elements: tuple[int, ...]  # group indices of the class, canonical order
     ad_table: tuple[tuple[int, ...], ...]  # ad[i][j]: class position of a_i a_j a_i^-1
-    right_perm: tuple[tuple[int, ...], ...]  # right_perm[i][g] = g * a_i
 
     @property
     def n(self) -> int:
@@ -351,15 +351,7 @@ def class_calculus(group: FiniteGroup, element: Union[str, int]) -> ClassCalculu
     ad_table = tuple(
         tuple(ordered.index(group.conjugate(a, b)) for b in ordered) for a in ordered
     )
-    right_perm = tuple(
-        tuple(group.mult(h, a) for h in range(group.order)) for a in ordered
-    )
-    return ClassCalculus(
-        group=group,
-        elements=tuple(ordered),
-        ad_table=ad_table,
-        right_perm=right_perm,
-    )
+    return ClassCalculus(group=group, elements=tuple(ordered), ad_table=ad_table)
 
 
 def _canonical_class_order(group: FiniteGroup, members: list[int]) -> list[int]:
@@ -400,8 +392,9 @@ def class_generates(c: ClassCalculus) -> bool:
 
 
 def generated_subgroup(c: ClassCalculus) -> list[int]:
-    """The identity's orbit under ``right_perm``: in a finite group, the generated subgroup."""
-    return list(next(o for o in orbits(c.right_perm, c.group.order) if c.group.identity in o))
+    """The identity's orbit under h -> h a, a in the class: in a finite group, the subgroup."""
+    columns = [[row[a] for row in c.group.table] for a in c.elements]
+    return list(next(o for o in orbits(columns, c.group.order) if c.group.identity in o))
 
 
 # ---------------------------------------------------------------------------

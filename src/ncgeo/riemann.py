@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .cyclotomic import ONE, ZERO, Cyclotomic, Scalar, as_cyc
-from .groups import ClassCalculus, orbits
+from .groups import ClassCalculus, DiagnosticError, orbits
 from . import linalg
 from .linalg import AffineSpace, ExactMatrix
 from .calculus import (
@@ -462,7 +462,7 @@ def ricci(c: ClassCalculus, conn: Connection, lift: ExactMatrix) -> Form:
     return Form(tuple(coeffs))
 
 
-class NonlinearCurvatureError(RuntimeError):
+class NonlinearCurvatureError(DiagnosticError, RuntimeError):
     """The quadratic curvature terms do not drop out on the torsion-free family."""
 
 

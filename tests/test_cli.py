@@ -683,6 +683,17 @@ REFUSALS = {
             "error": "unknown builtin group 'foo'",
         },
     ),
+    "info --class nope": (
+        2,
+        {
+            "error": "unknown element label 'nope'",
+            "known": ["e", "u", "v", "w", "t", "x", "y", "z", "t2", "ut2", "vt2", "wt2"],
+        },
+    ),
+    "info --class e": (2, {"error": "the identity class carries no calculus"}),
+    "ricci-flat --group s3 --class (123)": (
+        2, {"error": "two class elements multiply back into the class"}
+    ),
     "ricci --lift x": (
         2,
         {"error": "argument --lift: invalid choice: 'x' (choose from 'i', 'iprime', 'both')"},
@@ -782,12 +793,13 @@ def test_short_spectrum_fails_its_certification(capsys, monkeypatch, argv):
 def test_diagnostic_errors_share_one_base():
     from ncgeo.calculus import ScaleCapError
     from ncgeo.cli import PreconditionError
-    from ncgeo.groups import DiagnosticError, GroupSpecError
+    from ncgeo.groups import CertificationError, DiagnosticError, GroupSpecError
+    from ncgeo.riemann import NonlinearCurvatureError
 
     assert issubclass(GroupSpecError, ValueError)
-    assert issubclass(ScaleCapError, RuntimeError)
-    assert issubclass(PreconditionError, RuntimeError)
-    for cls in (GroupSpecError, ScaleCapError, PreconditionError):
+    refusals = (ScaleCapError, PreconditionError, CertificationError, NonlinearCurvatureError)
+    assert all(issubclass(cls, RuntimeError) for cls in refusals)
+    for cls in (GroupSpecError, *refusals):
         ex = cls("refused", {"degree": 7})
         assert isinstance(ex, DiagnosticError)
         assert str(ex) == "refused"

@@ -35,7 +35,7 @@ from ncgeo import (
     wedge,
 )
 from ncgeo import calculus
-from ncgeo.calculus import omega2_basis, right_translate
+from ncgeo.calculus import omega2_basis
 from ncgeo.groups import build_group, class_calculus
 
 from helpers import (
@@ -81,16 +81,21 @@ def one_forms(c):
 
 
 def reference_wedge(c, u, v):
-    """(f e_a) ^ (h e_b) = f R_a(h) [e_a e_b], one reduction column per basis pair."""
+    """(f e_a) ^ (h e_b) = f R_a(h) [e_a e_b], one reduction column per basis pair.
+
+    R_a(h) is read straight off the multiplication, (R_a h)(x) = h(x a).
+    """
     _, reduction = cached_omega2_oracle(c)
-    out = [GroupFunction.zero(c.group.order) for _ in range(reduction.rows)]
+    order = c.group.order
+    out = [GroupFunction.zero(order) for _ in range(reduction.rows)]
     for i, f in enumerate(u.coeffs):
         if f.is_zero():
             continue
         for j, h in enumerate(v.coeffs):
             if h.is_zero():
                 continue
-            prod = f * right_translate(c, i, h)
+            moved = (h.values[c.group.mult(x, c.elements[i])] for x in range(order))
+            prod = f * GroupFunction(tuple(moved))
             col = i * c.n + j
             for beta in range(reduction.rows):
                 r = reduction.data[beta][col]

@@ -161,9 +161,20 @@ def test_a4_class_calculus_tables(a4, a4_c):
             conj = a4.mult(a4.mult(gi, gj), a4.inv(gi))
             assert a4_c.elements[a4_c.ad(i, j)] == conj
             assert a4_c.ad_inv(i, a4_c.ad(i, j)) == j
-    for i in range(4):
-        for g in range(12):
-            assert a4_c.right_perm[i][g] == a4.mult(g, a4_c.elements[i])
+
+
+@pytest.mark.parametrize("key", sorted(CATALOGUE))
+def test_right_translation_is_a_right_action(key):
+    # (R_g f)(h) = f(h g) and R_g R_h = R_{gh}; f takes a distinct value at every point
+    from ncgeo.calculus import GroupFunction, right_translate
+
+    group = CATALOGUE[key]
+    f = GroupFunction.from_values(range(group.order))
+    moved = [right_translate(group, g, f) for g in range(group.order)]
+    for g in range(group.order):
+        assert moved[g].values == tuple(f.values[group.mult(h, g)] for h in range(group.order))
+        for h in range(group.order):
+            assert right_translate(group, g, moved[h]) == moved[group.mult(g, h)]
 
 
 def test_a4_classification_is_third_table(a4_c):

@@ -3,8 +3,9 @@
 The CLI only parses, loads, dispatches and prints: it reads no private name
 of another layer, and the mathematics and serialisers that the layers now
 own are not defined in it again.  Every exported function and class is
-run by the program: the package or ``scripts/reproduce.py`` loads it, or
-``UNLOADED_EXPORTS`` says why it stays.  No test module imports a name it
+run by the program, and so is every module-level function and class of the
+package: the package, ``scripts/`` or ``perfbench/`` loads it outside its
+own definition, or ``UNLOADED_EXPORTS`` says why it stays.  No test module imports a name it
 never loads, so an import does not make a library name look tested.
 
 ``scripts/reproduce.py`` recomputes the README's headline table end to end,
@@ -67,7 +68,7 @@ def test_every_exported_name_resolves():
     assert set(ncgeo.__all__) <= set(namespace)
 
 
-# exported functions that neither the package nor scripts/reproduce.py loads,
+# exported functions that neither the package, scripts/ nor perfbench/ loads,
 # each with the reason it stays in the library
 UNLOADED_EXPORTS = {
     "nullspace": "the benchmark traces it (tracing.SPANNED)",
@@ -97,13 +98,21 @@ def _loaded_names(path):
 
 def test_every_exported_function_is_run_by_the_program():
     root = PERFBENCH.parent
-    paths = [*sorted((root / "src" / "ncgeo").glob("*.py")), root / "scripts" / "reproduce.py"]
-    loaded = set().union(*map(_loaded_names, paths))
-    code = [
+    package = sorted((root / "src" / "ncgeo").glob("*.py"))
+    programs = [*sorted((root / "scripts").glob("*.py")), *sorted(PERFBENCH.glob("*.py"))]
+    loaded = set().union(*map(_loaded_names, package + programs))
+    code = {
         name for name in ncgeo.__all__
         if inspect.isclass(value := getattr(ncgeo, name)) or inspect.isroutine(value)
-    ]
-    assert sorted(set(code) - loaded) == sorted(UNLOADED_EXPORTS)
+    }
+    # the interpreter calls the package's __getattr__ and __dir__ hooks itself
+    code |= {
+        node.name
+        for path in package
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__")
+    }
+    assert sorted(code - loaded) == sorted(UNLOADED_EXPORTS)
 
 
 def test_no_test_module_imports_a_name_it_never_loads():
