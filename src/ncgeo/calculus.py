@@ -17,8 +17,11 @@ degree-two relations are the indicator vectors of its cycles
 cycle, and the wedge quotient subtracts the coefficient of the left-out
 pair: none of them needs elimination.  Higher relations come
 from braided integers and factorials; exterior dimensions are the ranks of the
-braided factorials, computed exactly in small degree and certified modulo
-two large primes in degrees where the matrices reach 4096 x 4096.  The
+braided factorials, computed exactly while they have at most
+``AUTO_EXACT_LIMIT`` (256) rows and certified modulo two large primes above,
+which on A4 means from degree 5.  Both the exterior and the quadratic
+dimensions are cached per braiding permutation (``BraidData``), not per
+class, so classes with the same labelled braiding share them.  The
 matrices split into blocks by word product, and conjugation by a group
 element carries the block of product g onto that of its conjugate, so each
 block rank is taken once per conjugation orbit of products, after an exact
@@ -230,15 +233,24 @@ def right_mul(group: FiniteGroup, w: Form, f: GroupFunction, products: Sequence[
 # ---------------------------------------------------------------------------
 
 
-class BraidData(NamedTuple):
-    """The braiding as a permutation of the n^2 tensor-basis pairs."""
+class BraidData:
+    """The braiding as a permutation of the n^2 tensor-basis pairs, from ``calculus``.
 
-    calculus: ClassCalculus
-    perm: tuple[int, ...]  # column (a,b) maps to row perm[(a,b)]
+    It compares and hashes by (n, perm) alone, which fix the factorials,
+    ranks and quadratic tower, so the caches keyed on it serve every class
+    with the same labelled braiding.
+    """
 
-    @property
-    def n(self) -> int:
-        return self.calculus.n
+    __slots__ = ("n", "perm", "calculus")
+
+    def __init__(self, n: int, perm: tuple[int, ...], calculus: ClassCalculus):
+        self.n, self.perm, self.calculus = n, perm, calculus  # perm[(a,b)]: row of column (a,b)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, BraidData) and (self.n, self.perm) == (other.n, other.perm)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.perm))
 
 
 @lru_cache(maxsize=None)
@@ -249,7 +261,7 @@ def braiding(c: ClassCalculus) -> BraidData:
     for a in range(n):
         for b in range(n):
             perm[a * n + b] = c.ad(a, b) * n + a
-    return BraidData(calculus=c, perm=tuple(perm))
+    return BraidData(n, tuple(perm), c)
 
 
 @lru_cache(maxsize=None)
@@ -691,13 +703,24 @@ def exterior_dimension_info(
         return c.n, {"method": "exact"}
     b = braiding(c)
     _check_cap(b, m, cap)
+    rank, primes = _exterior_rank(b, m)
+    if not primes:
+        return rank, {"method": "exact"}
+    return rank, {"method": "modular-certified", "primes": list(primes)}
+
+
+@lru_cache(maxsize=None)
+def _exterior_rank(b: BraidData, m: int) -> tuple[int, tuple[int, ...]]:
+    """The rank of A_m and the primes that certified it, none where it is exact.
+
+    A_m, and so its rank, digest and primes, are fixed by the permutation;
+    the blocks are those of the grading of ``b.calculus``, the first class seen.
+    """
     mat = _factorial_sparse(b, m)
-    blocks = _orbit_blocks(c, m, mat)
-    if c.n**m <= AUTO_EXACT_LIMIT:
-        return linalg.exact_rank_blocks(blocks), {"method": "exact"}
-    digest = _sparse_digest(mat, b"exterior")
-    rank_certified, primes = linalg.certified_rank_blocks(blocks, digest)
-    return rank_certified, {"method": "modular-certified", "primes": list(primes)}
+    blocks = _orbit_blocks(b.calculus, m, mat)
+    if b.n**m <= AUTO_EXACT_LIMIT:
+        return linalg.exact_rank_blocks(blocks), ()
+    return linalg.certified_rank_blocks(blocks, _sparse_digest(mat, b"exterior"))
 
 
 class _QuadraticTower:
@@ -712,12 +735,12 @@ class _QuadraticTower:
     word of degree m over that basis and ``dims[m]`` the size of the basis.
     """
 
-    def __init__(self, c: ClassCalculus):
-        self.calculus = c
+    def __init__(self, b: BraidData):
+        self.n = n = b.n
         # each relation is a cycle's indicator: a sum of pairs with coefficient 1
-        self.relations = [[divmod(q, c.n) for q in cycle] for cycle in braid_cycles(c)]
-        self.dims = [1, c.n]
-        self.forms = [[], [{a: 1} for a in range(c.n)]]
+        self.relations = [[divmod(q, n) for q in cycle] for cycle in orbits([b.perm], n * n)]
+        self.dims = [1, n]
+        self.forms = [[], [{a: 1} for a in range(n)]]
 
     def dimension(self, m: int) -> int:
         while len(self.dims) <= m:
@@ -725,7 +748,7 @@ class _QuadraticTower:
         return self.dims[m]
 
     def _extend(self) -> None:
-        n, m = self.calculus.n, len(self.dims)
+        n, m = self.n, len(self.dims)
         size = n * self.dims[m - 1]
         if size > QUADRATIC_SIZE_LIMIT:
             raise ScaleCapError(
@@ -757,15 +780,15 @@ class _QuadraticTower:
 
 
 @lru_cache(maxsize=None)
-def _quadratic_tower(c: ClassCalculus) -> _QuadraticTower:
-    return _QuadraticTower(c)
+def _quadratic_tower(b: BraidData) -> _QuadraticTower:
+    return _QuadraticTower(b)
 
 
 def quadratic_dimension(c: ClassCalculus, m: int) -> int:
     """Degree-m dimension when only the degree-two relations are imposed."""
     if m < 2:
         raise ValueError("degree must be >= 2")
-    return _quadratic_tower(c).dimension(m)
+    return _quadratic_tower(braiding(c)).dimension(m)
 
 
 def exterior_profile(

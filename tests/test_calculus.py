@@ -54,6 +54,7 @@ from ncgeo.linalg import csr_from_entries
 from helpers import (
     CATALOGUE,
     CATALOGUE_CLASSES,
+    counted_calls,
     csr_to_int_array,
     invariant_metrics_oracle,
     lift_i_oracle,
@@ -308,7 +309,61 @@ def test_sl2z3_modular_records(sl2z3):
     ]
 
 
+def _records(c, top):
+    return (
+        [exterior_dimension_info(c, m) for m in range(top + 1)],
+        [quadratic_dimension(c, m) for m in range(2, top + 1)],
+    )
+
+
+def test_a_class_with_the_same_braiding_reuses_its_ranks(a4_c, sl2z3, monkeypatch):
+    calculus._exterior_rank.cache_clear()
+    calculus._quadratic_tower.cache_clear()
+    c = class_calculus(sl2z3, "0121")
+    assert braiding(c) == braiding(a4_c)
+    first = _records(a4_c, 6)
+    factorials = counted_calls(monkeypatch, calculus, "_factorial_sparse")
+    ranks = counted_calls(monkeypatch, linalg, "rank_mod_p")
+    assert _records(c, 6) == first
+    assert factorials == [] and ranks == []
+    assert calculus._quadratic_tower(braiding(c)) is calculus._quadratic_tower(braiding(a4_c))
+
+
+def test_mirror_classes_are_ranked_on_their_own_braidings(a4):
+    calculus._exterior_rank.cache_clear()
+    t, t2 = (class_calculus(a4, name) for name in ("t", "t2"))
+    assert braiding(t) != braiding(t2)
+    got = [exterior_dimension_info(c, 5) for c in (t, t2)]
+    assert got == [
+        (12, {"method": "modular-certified", "primes": [1329157897, 1078345453]}),
+        (12, {"method": "modular-certified", "primes": [1954648903, 1520325379]}),
+    ]
+    assert calculus._exterior_rank.cache_info().misses == 2
+
+
+def test_shared_dimensions_equal_a_fresh_computation_on_every_class():
+    calculus._exterior_rank.cache_clear()
+    calculus._quadratic_tower.cache_clear()
+    calculi = [class_calculus(CATALOGUE[key], name) for key, name in CATALOGUE_CLASSES]
+    shared = [_records(c, 4) for c in calculi]
+    assert len({braiding(c) for c in calculi}) < len(calculi)
+    for c, want in zip(calculi, shared):
+        calculus._exterior_rank.cache_clear()
+        calculus._quadratic_tower.cache_clear()
+        assert _records(c, 4) == want
+
+
+def test_a_returned_record_is_the_callers_own(a4_c):
+    dim, info = exterior_dimension_info(a4_c, 5)
+    info["primes"].append(7)
+    info["method"] = "exact"
+    assert exterior_dimension_info(a4_c, 5) == (
+        dim, {"method": "modular-certified", "primes": [1329157897, 1078345453]}
+    )
+
+
 def test_s4_123_ranks_one_block_per_conjugation_orbit(s4, monkeypatch):
+    calculus._exterior_rank.cache_clear()
     c = class_calculus(s4, "(123)")
     rank_mod_p = linalg.rank_mod_p
     calls = []
@@ -327,6 +382,7 @@ def test_s4_123_ranks_one_block_per_conjugation_orbit(s4, monkeypatch):
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_unequal_conjugate_blocks_refuse_certification(s4, monkeypatch, capsys, m):
+    calculus._exterior_rank.cache_clear()
     c = class_calculus(s4, "(34)")
     grading = _word_grading(c, m)
     # the block of the largest grade with a nontrivial orbit is not its
@@ -481,6 +537,7 @@ def test_factorial_entry_beyond_m_factorial_is_refused(a4_c, monkeypatch):
 
 @pytest.mark.parametrize("group, element, top", [("a4", "t", 6), ("s4", "(34)", 5)])
 def test_factorial_cache_holds_only_the_last_degree(group, element, top):
+    calculus._exterior_rank.cache_clear()
     c = class_calculus(build_group(group), element)
     for m in range(top + 1):
         exterior_dimension_info(c, m)

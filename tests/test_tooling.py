@@ -5,7 +5,8 @@ of another layer, and the mathematics and serialisers that the layers now
 own are not defined in it again.  Every exported function and class is
 run by the program, and so is every module-level function and class of the
 package: the package, ``scripts/`` or ``perfbench/`` loads it outside its
-own definition, or ``UNLOADED_EXPORTS`` says why it stays.  No test module imports a name it
+own definition, each load resolved to the module it reads, or
+``UNLOADED_EXPORTS`` says why it stays.  No test module imports a name it
 never loads, so an import does not make a library name look tested.
 
 ``scripts/reproduce.py`` recomputes the README's headline table end to end,
@@ -69,30 +70,76 @@ def test_every_exported_name_resolves():
 
 
 # exported functions that neither the package, scripts/ nor perfbench/ loads,
-# each with the reason it stays in the library
+# by module and name, each with the reason it stays in the library
 UNLOADED_EXPORTS = {
-    "nullspace": "the benchmark traces it (tracing.SPANNED)",
-    "covariant_derivative": "acceptance criterion 7 checks the paper's nabla",
-    "chi_operator": "acceptance criterion 10 checks it",
-    "chirality_gamma": "acceptance criterion 10 checks it",
+    "linalg.nullspace": "the benchmark traces it (tracing.SPANNED)",
+    "riemann.covariant_derivative": "acceptance criterion 7 checks the paper's nabla",
+    "riemann.riemann": "acceptance criterion 6 checks the Riemann tensor W",
+    "dirac.chi_operator": "acceptance criterion 10 checks it",
+    "dirac.chirality_gamma": "acceptance criterion 10 checks it",
 }
 
 
-def _loaded_names(path):
-    """Every name and attribute that the module loads outside the definition of that name."""
+def _ncgeo_value(module, name=None):
+    """ncgeo.<module> or its attribute name, a submodule included; None outside ncgeo."""
+    if module != "ncgeo" and not module.startswith("ncgeo."):
+        return None
+    value = importlib.import_module(module)
+    if name is None:
+        return value
+    if not hasattr(value, name):
+        return _ncgeo_value(f"{module}.{name}")
+    return getattr(value, name)
+
+
+def _loaded_objects(path, module=None):
+    """The ids of the ncgeo objects the file loads outside their own module-level definition.
+
+    Each loaded name is resolved to what it is bound to: a global of the
+    package module ``module`` (``ncgeo.<stem>``), or an import of the file,
+    lazy imports included; ``x.y`` is attribute y of x where x is a module.
+    A name that only shares its text with a function, such as a module
+    ``riemann`` beside the function ``riemann.riemann``, is not a load of it.
+    """
+    tree = ast.parse(path.read_text())
+    imports = {}  # bound name -> (module, attribute or None)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imports[bound] = (alias.name if alias.asname else bound, None)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "ncgeo" + (f".{base}" if base else "")
+            for alias in node.names:
+                imports[alias.asname or alias.name] = (base, alias.name)
+    own = vars(importlib.import_module(module)) if module else {}
+
+    def resolve(node):
+        if isinstance(node, ast.Name):
+            if node.id in own:
+                return own[node.id]
+            return _ncgeo_value(*imports[node.id]) if node.id in imports else None
+        if isinstance(node, ast.Attribute):
+            base = resolve(node.value)
+            if inspect.ismodule(base) and base.__name__.startswith("ncgeo"):
+                return _ncgeo_value(base.__name__, node.attr)
+        return None
+
     loaded = set()
 
-    def visit(node, defining):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            defining = defining | {node.name}
+    def visit(node, defining, top):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and top:
+            defining = own.get(node.name)
         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
-            name = node.id if isinstance(node, ast.Name) else node.attr
-            if name not in defining:
-                loaded.add(name)
+            value = resolve(node)
+            if value is not None and value is not defining and not inspect.ismodule(value):
+                loaded.add(id(value))
         for child in ast.iter_child_nodes(node):
-            visit(child, defining)
+            visit(child, defining, isinstance(node, ast.Module))
 
-    visit(ast.parse(path.read_text()), frozenset())
+    visit(tree, None, False)
     return loaded
 
 
@@ -100,19 +147,24 @@ def test_every_exported_function_is_run_by_the_program():
     root = PERFBENCH.parent
     package = sorted((root / "src" / "ncgeo").glob("*.py"))
     programs = [*sorted((root / "scripts").glob("*.py")), *sorted(PERFBENCH.glob("*.py"))]
-    loaded = set().union(*map(_loaded_names, package + programs))
+    loaded = set().union(
+        *(_loaded_objects(path, "ncgeo" + ("" if path.stem == "__init__" else f".{path.stem}"))
+          for path in package),
+        *map(_loaded_objects, programs),
+    )
     code = {
-        name for name in ncgeo.__all__
+        f"{ncgeo._MODULE_OF[name]}.{name}": value for name in ncgeo.__all__
         if inspect.isclass(value := getattr(ncgeo, name)) or inspect.isroutine(value)
     }
     # the interpreter calls the package's __getattr__ and __dir__ hooks itself
     code |= {
-        node.name
+        f"{path.stem}.{node.name}": getattr(importlib.import_module(f"ncgeo.{path.stem}"), node.name)
         for path in package
         for node in ast.parse(path.read_text()).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__")
     }
-    assert sorted(code - loaded) == sorted(UNLOADED_EXPORTS)
+    unloaded = [name for name, value in code.items() if id(value) not in loaded]
+    assert sorted(unloaded) == sorted(UNLOADED_EXPORTS)
 
 
 def test_no_test_module_imports_a_name_it_never_loads():
