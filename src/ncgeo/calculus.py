@@ -335,7 +335,7 @@ def omega2_basis(c: ClassCalculus) -> Omega2Basis:
     return Omega2Basis(
         pairs=pairs,
         left_out=tuple(next(r for r in cycle_of[q] if r not in chosen) for q in indices),
-        prod_elem=tuple(c.group.mult(c.elements[a], c.elements[b]) for a, b in pairs),
+        prod_elem=tuple(c.products[a][b] for a, b in pairs),
     )
 
 
@@ -636,7 +636,6 @@ def _orbit_blocks(
     blocks = _grading_blocks(c, m)
     grading = _word_grading(c, m)
     block_of = {grading[idx[0]]: k for k, idx in enumerate(blocks)}
-    place = {e: pos for pos, e in enumerate(c.elements)}
     powers = c.n ** np.arange(m - 1, -1, -1)  # first letter most significant
     word_block = np.empty(c.n**m, dtype=np.int64)  # word -> its block
     for k, idx in enumerate(blocks):
@@ -652,7 +651,7 @@ def _orbit_blocks(
             if j in orbit:
                 continue
             orbit.add(j)
-            letter = np.array([place[group.conjugate(h, e)] for e in c.elements])
+            letter = np.array(c.conj[h])
             image = (letter[idx[:, None] // powers % c.n] * powers).sum(axis=1)
             # the letter map is a bijection, so the image has idx.size words
             if blocks[j].size != idx.size or (word_block[image] != j).any():

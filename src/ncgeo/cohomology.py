@@ -267,8 +267,8 @@ def conjugate_calculus_check(c: ClassCalculus) -> dict:
     # [g a^2 = h] - [g = h]; the identity parts agree
     order = group.order
     ok = all(
-        (group.mult(h, a) == g) == (group.mult(g, group.mult(a, a)) == h)
-        for a in c.elements
+        (group.mult(h, a) == g) == (group.mult(g, c.products[i][i]) == h)
+        for i, a in enumerate(c.elements)
         for g in range(order)
         for h in range(order)
     )

@@ -146,7 +146,7 @@ def casimir_element(c: ClassCalculus, metric: Metric | None = None) -> dict[int,
         for b, gb in enumerate(c.elements):
             s = eta_inv[a][b]
             if s:
-                for g, v in ((group.mult(ga, gb), s), (ga, -s), (gb, -s), (group.identity, s)):
+                for g, v in ((c.products[a][b], s), (ga, -s), (gb, -s), (group.identity, s)):
                     z[g] = z.get(g, ZERO) + v
     return z
 

@@ -3,16 +3,17 @@
 A group is a table of index products with the identity at index 0; builtins
 cover the alternating group on four letters (in the element order used by
 the rest of the engine), symmetric groups on 3 and 4 letters, SL(2, Z/3),
-the Klein four-group, and cyclic groups.  A ClassCalculus packages one
-conjugacy class together with its adjoint action; it is the geometric site
-every other module works over.  Right translation h -> h g is column g of
-the table.  ``orbits`` is the one routine that walks a permutation: the
-conjugacy classes are the orbits of conjugation, the subgroup a class
-generates is the identity's orbit under the table's columns at the class,
-t is a cyclicity witness when Ad_t has two orbits on its class, and the S4
-builtin names each element by its orbits.
-The builtins and the paper's two class product tables (letter grids over a
-frame (t, x, y, z) of a four-element class) are data, each read by one routine.
+the Klein four-group, and cyclic groups.  A ClassCalculus is one conjugacy
+class with its action computed once (conjugation by every element, the pair
+products and the cyclicity witnesses): the site every other module works
+over.  Right translation h -> h g is column g of the table.  ``orbits`` is
+the one routine that walks a permutation: the conjugacy classes are the
+orbits of conjugation, the subgroup a class generates is the identity's
+orbit under the table's columns at the class, t is a cyclicity witness when
+Ad_t has two orbits on its class, and the S4 builtin names each element by
+its orbits.  The builtins and the paper's two class product tables (letter
+grids over a frame (t, x, y, z) of a four-element class) are data, each
+read by one routine.
 """
 
 from __future__ import annotations
@@ -118,6 +119,8 @@ def _validate(names: Sequence[str], table: Sequence[Sequence[int]]) -> FiniteGro
     if not isinstance(names, (list, tuple)) or not all(isinstance(x, str) for x in names):
         raise GroupSpecError("element names must be a list of strings")
     n = len(names)
+    if n == 0:
+        raise GroupSpecError("a group needs at least its identity, element 0")
     if len(set(names)) != n:
         raise GroupSpecError("duplicate element names", {"names": list(names)})
     rows = (list, tuple)
@@ -311,11 +314,18 @@ def conjugacy_classes(group: FiniteGroup) -> list[list[int]]:
 
 
 class ClassCalculus(NamedTuple):
-    """One nontrivial conjugacy class with its adjoint action."""
+    """A nontrivial conjugacy class a_0, ..., a_{n-1} with its action tabulated once.
+
+    conj[g][j] is the class position of g a_j g^-1 for every group element g,
+    products[i][j] the group element a_i a_j, and witnesses the positions, in
+    class order, whose Ad cycles the rest of the class (``_is_witness``).
+    """
 
     group: FiniteGroup
-    elements: tuple[int, ...]  # group indices of the class, canonical order
-    ad_table: tuple[tuple[int, ...], ...]  # ad[i][j]: class position of a_i a_j a_i^-1
+    elements: tuple[int, ...]  # ascending group indices, the first witness moved to the front
+    conj: tuple[tuple[int, ...], ...]
+    products: tuple[tuple[int, ...], ...]
+    witnesses: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -330,11 +340,11 @@ class ClassCalculus(NamedTuple):
 
     def ad(self, i: int, j: int) -> int:
         """Class position of a_i a_j a_i^-1."""
-        return self.ad_table[i][j]
+        return self.conj[self.elements[i]][j]
 
     def ad_inv(self, i: int, j: int) -> int:
-        """Class position of a_i^-1 a_j a_i: the inverse of row i of ``ad_table``."""
-        return self.ad_table[i].index(j)
+        """Class position of a_i^-1 a_j a_i."""
+        return self.conj[self.group.inverse[self.elements[i]]][j]
 
 
 def class_calculus(group: FiniteGroup, element: Union[str, int]) -> ClassCalculus:
@@ -347,18 +357,13 @@ def class_calculus(group: FiniteGroup, element: Union[str, int]) -> ClassCalculu
     if g == group.identity:
         raise GroupSpecError("the identity class carries no calculus")
     members = next(cls for cls in conjugacy_classes(group) if g in cls)
-    ordered = _canonical_class_order(group, members)
-    ad_table = tuple(
-        tuple(ordered.index(group.conjugate(a, b)) for b in ordered) for a in ordered
-    )
-    return ClassCalculus(group=group, elements=tuple(ordered), ad_table=ad_table)
-
-
-def _canonical_class_order(group: FiniteGroup, members: list[int]) -> list[int]:
-    """Ascending group order, with the first cyclicity witness moved to front."""
-    ordered = sorted(members)
-    first = next((m for m in ordered if _is_witness(group, ordered, m)), None)
-    return ordered if first is None else [first] + [m for m in ordered if m != first]
+    witnesses = [m for m in members if _is_witness(group, members, m)]
+    ordered = witnesses[:1] + [m for m in members if m not in witnesses[:1]]
+    place = {e: pos for pos, e in enumerate(ordered)}
+    conj = tuple(tuple(place[group.conjugate(h, e)] for e in ordered) for h in range(group.order))
+    products = tuple(tuple(group.mult(a, b) for b in ordered) for a in ordered)
+    positions = tuple(sorted(place[w] for w in witnesses))
+    return ClassCalculus(group, tuple(ordered), conj, products, positions)
 
 
 def _is_witness(group: FiniteGroup, members: list[int], t: int) -> bool:
@@ -379,11 +384,7 @@ def is_cyclic_class(c: ClassCalculus) -> tuple[bool, str | None]:
 
 def cyclicity_witnesses(c: ClassCalculus) -> list[str]:
     """Every class element whose adjoint action cycles the rest, in class order."""
-    return [
-        c.labels[pos]
-        for pos, g in enumerate(c.elements)
-        if _is_witness(c.group, list(c.elements), g)
-    ]
+    return [c.group.names[c.elements[pos]] for pos in c.witnesses]
 
 
 def class_generates(c: ClassCalculus) -> bool:
@@ -441,16 +442,13 @@ def class_frames(c: ClassCalculus) -> Iterator[tuple[tuple[int, int, int, int], 
     """
     if c.n != 4:
         return
-    for t in range(4):
-        if not _is_witness(c.group, list(c.elements), c.elements[t]):
-            continue
+    for t in c.witnesses:
         for x in range(4):
             z = c.ad(t, x)
             y = c.ad(t, z)
             frame = (t, x, y, z)
             if len(set(frame)) == 4:
-                e = [c.elements[i] for i in frame]
-                yield frame, _match_tables([c.group.mult(a, b) for a in e for b in e])
+                yield frame, _match_tables([c.products[i][j] for i in frame for j in frame])
 
 
 def _match_tables(cells: Sequence[int]) -> str:

@@ -14,11 +14,11 @@ Ricci curvature lifts two-forms into the tensor square by ``Form.apply``
 with an n^2 x dim lift matrix that the caller passes: the canonical
 splitting (the identity minus each braiding cycle's average, which projects
 along the relation kernel), on which the Ricci-flat system is built, or the
-simpler id - braiding lift.  The invariant metrics are the
-indicator matrices of the orbits of simultaneous conjugation on pairs.
-Both come from ``groups.orbits``, with no elimination, and the same
-conjugation maps test a metric's invariance.  The metric eta = id + mu J
-enters everything through ``mu_scaling``, 1/(1 + n mu).
+simpler id - braiding lift.  The invariant metrics are the indicator
+matrices of the orbits of simultaneous conjugation on pairs.  Both come
+from ``groups.orbits``, with no elimination, and the same conjugation
+maps, ``ClassCalculus.conj``, test a metric's invariance.  The metric
+eta = id + mu J enters everything through ``mu_scaling``, 1/(1 + n mu).
 """
 
 from __future__ import annotations
@@ -52,16 +52,6 @@ from .calculus import (
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _class_conjugations(c: ClassCalculus) -> tuple[tuple[int, ...], ...]:
-    """For every group element g, the class position map j -> position of g a_j g^-1."""
-    group = c.group
-    place = {e: pos for pos, e in enumerate(c.elements)}
-    return tuple(
-        tuple(place[group.conjugate(g, e)] for e in c.elements) for g in range(group.order)
-    )
-
-
 def invariant_bilinear_space(c: ClassCalculus) -> list[ExactMatrix]:
     """Basis of bilinear forms with eta(conj_g a, b) = eta(a, conj_{g^-1} b).
 
@@ -69,7 +59,7 @@ def invariant_bilinear_space(c: ClassCalculus) -> list[ExactMatrix]:
     on pairs, so the basis is the orbits' indicator matrices.
     """
     n = c.n
-    perms = [[p[a] * n + p[b] for a in range(n) for b in range(n)] for p in _class_conjugations(c)]
+    perms = [[p[a] * n + p[b] for a in range(n) for b in range(n)] for p in c.conj]
     space = []
     for orbit in orbits(perms, n * n):
         eta = ExactMatrix.zeros(n, n)
@@ -81,7 +71,7 @@ def invariant_bilinear_space(c: ClassCalculus) -> list[ExactMatrix]:
 
 def is_conjugation_invariant(c: ClassCalculus, eta: ExactMatrix) -> bool:
     """Whether eta(conj_g a, conj_g b) = eta(a, b) for every group element g."""
-    return all(eta.submatrix(p, p) == eta for p in _class_conjugations(c))
+    return all(eta.submatrix(p, p) == eta for p in c.conj)
 
 
 class Metric(NamedTuple):
@@ -334,12 +324,11 @@ def solve_torsion_cotorsion_free(
 
 def is_regular(c: ClassCalculus, conn: Connection) -> bool:
     """Products A_a ^ A_b grouped by a*b vanish outside identity and class."""
-    group = c.group
-    allowed = {group.identity} | set(c.elements)
+    allowed = {c.group.identity} | set(c.elements)
     buckets: dict[int, Form] = {}
     for a in range(c.n):
         for b in range(c.n):
-            g = group.mult(c.elements[a], c.elements[b])
+            g = c.products[a][b]
             if g in allowed:
                 continue
             w = wedge(c, conn.comps[a], conn.comps[b])
@@ -353,14 +342,13 @@ def curvature_2forms(c: ClassCalculus, conn: Connection) -> list[Form]:
     With d = {theta, -} and S = sum_c A_c this is
     (theta - S) ^ A_a + A_a ^ (theta - S) + sum_{cd=a} A_c ^ A_d.
     """
-    group = c.group
     shifted = theta(c) - conn.sum()
     out = []
     for a in range(c.n):
         total = wedge(c, shifted, conn.comps[a]) + wedge(c, conn.comps[a], shifted)
         for i in range(c.n):
             for j in range(c.n):
-                if group.mult(c.elements[i], c.elements[j]) == c.elements[a]:
+                if c.products[i][j] == c.elements[a]:
                     total = total + wedge(c, conn.comps[i], conn.comps[j])
         out.append(total)
     return out
@@ -467,14 +455,9 @@ class NonlinearCurvatureError(DiagnosticError, RuntimeError):
 
 
 def _check_linear_curvature(c: ClassCalculus, point: AffineSpace) -> None:
-    group = c.group
     class_set = set(c.elements)
-    for i in range(c.n):
-        for j in range(c.n):
-            if group.mult(c.elements[i], c.elements[j]) in class_set:
-                raise NonlinearCurvatureError(
-                    "two class elements multiply back into the class"
-                )
+    if any(g in class_set for row in c.products for g in row):
+        raise NonlinearCurvatureError("two class elements multiply back into the class")
     # every member takes its values in the point space, so its k + 1
     # vectors carry the component sums of the whole family
     n = c.n

@@ -84,8 +84,16 @@ def test_unknown_command_exits_64(capsys):
             {"names": ["e", "a"], "table": [[0, True], [True, 0]]},
             {"error": "table entry out of range", "row": "e", "col": "a", "value": True},
         ),
+        # order 0 has no identity, so no command has a class to work on
+        (
+            {"names": [], "table": []},
+            {"error": "a group needs at least its identity, element 0"},
+        ),
     ],
-    ids=["row", "string-names", "int-names", "duplicate-names", "int-table", "int-row", "bool-entry"],
+    ids=[
+        "row", "string-names", "int-names", "duplicate-names", "int-table", "int-row",
+        "bool-entry", "empty",
+    ],
 )
 def test_bad_group_file_exits_65(tmp_path, capsys, payload, diagnostic):
     path = tmp_path / "bad.json"
@@ -423,7 +431,9 @@ def _order_free_outcome(capsys, command, group, element):
     return code, checks, ORDER_FREE_RESULTS[command](report["results"])
 
 
-@pytest.mark.parametrize("name, element", [("s3", "(12)"), ("a4", "t")])
+@pytest.mark.parametrize(
+    "name, element", [("s3", "(12)"), ("a4", "t"), ("sl2z3", "0121")]
+)
 def test_geometry_commands_are_relabelling_invariant(tmp_path, capsys, name, element):
     group = build_group(name)
     builtin = {

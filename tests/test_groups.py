@@ -76,6 +76,12 @@ def test_validation_rejects_broken_rows():
     assert "row" in exc.value.diagnostic
 
 
+def test_validation_rejects_an_empty_table():
+    with pytest.raises(GroupSpecError) as exc:
+        build_group({"names": [], "table": []})
+    assert exc.value.diagnostic == {"error": "a group needs at least its identity, element 0"}
+
+
 def test_validation_rejects_nonassociative_loop():
     # a Latin square with identity and two-sided inverses that is not
     # associative; found by brute force over order-5 loops
@@ -290,7 +296,16 @@ def test_class_structure_matches_its_definition(key, element):
     # ascending, with the first witness moved to the front
     assert list(c.elements) == witnesses[:1] + [g for g in members if g not in witnesses[:1]]
     assert cyclicity_witnesses(c) == [group.names[g] for g in c.elements if g in witnesses]
+    assert [c.elements[p] for p in c.witnesses] == [g for g in c.elements if g in witnesses]
     assert generated_subgroup(c) == subgroup_oracle(group, members)
+    # the tabulated action: conjugation by every element, pair products, Ad and its inverse
+    for h in range(group.order):
+        assert [c.elements[j] for j in c.conj[h]] == [group.conjugate(h, b) for b in c.elements]
+    for i, a in enumerate(c.elements):
+        assert c.products[i] == tuple(group.mult(a, b) for b in c.elements)
+        for j, b in enumerate(c.elements):
+            assert c.elements[c.ad(i, j)] == group.conjugate(a, b)
+            assert c.elements[c.ad_inv(i, j)] == group.conjugate(group.inv(a), b)
 
 
 def test_an_onto_conjugation_map_does_not_make_a_witness():
