@@ -15,28 +15,29 @@ e_a (x) e_b -> e_{aba^-1} (x) e_a permutes the tensor basis, so the
 degree-two relations are the indicator vectors of its cycles
 (``braid_cycles``), the degree-two basis leaves out one pair of every
 cycle, and the wedge quotient subtracts the coefficient of the left-out
-pair: none of them needs elimination.  Higher relations come
-from braided integers and factorials; exterior dimensions are the ranks of the
-braided factorials, computed exactly while they have at most
-``AUTO_EXACT_LIMIT`` (256) rows and certified modulo two large primes above,
-which on A4 means from degree 5.  Both the exterior and the quadratic
-dimensions are cached per braiding permutation (``BraidData``), not per
-class, so classes with the same labelled braiding share them.  The
-matrices split into blocks by word product, and conjugation by a group
-element carries the block of product g onto that of its conjugate, so each
-block rank is taken once per conjugation orbit of products, after an exact
-check that the blocks of the orbit are similar under the induced word
-permutation.  The factorials are numpy arrays in canonical CSR order
-(``linalg.Csr``): A_m = (id (x) A_{m-1}) [m, -psi] is a signed sum of m
-column permutations of id (x) A_{m-1}, summed one row chunk at a time, so
-no sparse product is formed, and its values, bounded by m!, are stored in
-the narrowest signed type that holds m!.  The digest that fixes the
-primes reads those arrays a chunk at a time, widened to int64.  numpy is
-imported only by these exterior ranks.  The quadratic
-cover, where only the degree-two relations are
-imposed, is exact on a word basis: degree m is spanned by a basis word of
-degree m - 1 times a letter, at most ``QUADRATIC_SIZE_LIMIT`` of them, and
-its relation rows are reduced by the one exact kernel, ``linalg._eliminate``.
+pair: none of them needs elimination.  Higher relations come from braided
+integers and factorials; exterior dimensions are the ranks of the braided
+factorials, computed exactly while they have at most ``AUTO_EXACT_LIMIT``
+(256) rows and certified modulo two large primes above, which on A4 means
+from degree 5.  Isomorphic racks (a > b = a b a^-1) have isomorphic
+exterior and quadratic algebras, so both are reduced once per isomorphism
+class of braidings: a braiding is matched to the first one seen that a
+letter bijection carries onto it, whose A_m it relabels for its own digest
+and primes.  The matrices split into blocks by word product, and
+conjugation by a group element carries the block of product g onto that
+of its conjugate, so each block rank is taken once per conjugation orbit
+of products, after an exact check that the blocks of the orbit are similar
+under the induced word permutation.  The factorials are numpy arrays in
+canonical CSR order (``linalg.Csr``): A_m = (id (x) A_{m-1}) [m, -psi] is
+a signed sum of m column permutations of id (x) A_{m-1}, summed one row
+chunk at a time, so no sparse product is formed, and its values, bounded
+by m!, are stored in the narrowest signed type that holds m!.  The digest
+that fixes the primes reads those arrays a chunk at a time, widened to
+int64.  numpy is imported only by these exterior ranks.  The quadratic
+cover, where only the degree-two relations are imposed, is exact on a word
+basis: degree m is spanned by a basis word of degree m - 1 times a letter,
+at most ``QUADRATIC_SIZE_LIMIT`` of them, and its relation rows are
+reduced by the one exact kernel, ``linalg._eliminate``.
 """
 
 from __future__ import annotations
@@ -708,18 +709,80 @@ def exterior_dimension_info(
     return rank, {"method": "modular-certified", "primes": list(primes)}
 
 
+def _respects(src: BraidData, dst: BraidData, sigma: Sequence[int]) -> bool:
+    """Whether sigma, one-to-one, carries src's braiding onto dst's wherever it is defined."""
+    n, k = src.n, len(sigma)
+    return dst.n == n and len(set(sigma)) == k and all(
+        dst.perm[sigma[q // n] * n + sigma[q % n]] == sigma[r // n] * n + sigma[r % n]
+        for q, r in enumerate(src.perm) if max(q // n, q % n, r // n) < k
+    )
+
+
+def _rack_isomorphism(src: BraidData, dst: BraidData) -> tuple[int, ...] | None:
+    """A letter bijection s with s(a > b) = s(a) > s(b), a > b = perm[a n + b] // n, or None.
+
+    Backtracking maps the letters in order, each onto one whose b -> a > b has
+    the same cycle type, while ``_respects`` accepts the partial map: at the
+    last letter, on all n^2 pairs.
+    """
+    n = src.n
+    if dst.n != n:
+        return None
+    kinds = [[sorted(map(len, orbits([[q // n for q in b.perm[a * n : a * n + n]]], n)))
+              for a in range(n)] for b in (src, dst)]
+
+    def extend(sigma: list[int]) -> tuple[int, ...] | None:
+        if len(sigma) == n:
+            return tuple(sigma)
+        for s in ([*sigma, y] for y in range(n) if kinds[1][y] == kinds[0][len(sigma)]):
+            if _respects(src, dst, s) and (found := extend(s)):
+                return found
+        return None
+
+    return extend([])
+
+
+_REPRESENTATIVES: dict = {}  # braiding -> (first isomorphic one seen, letter map from it or None)
+
+
+def _representative(b: BraidData) -> tuple[BraidData, tuple[int, ...] | None]:
+    if b not in _REPRESENTATIVES:
+        reps = [rep for rep, (_, sigma) in _REPRESENTATIVES.items() if sigma is None]
+        found = ((rep, _rack_isomorphism(rep, b)) for rep in reps)
+        _REPRESENTATIVES[b] = next(((rep, s) for rep, s in found if s), (b, None))
+    return _REPRESENTATIVES[b]
+
+
+@lru_cache(maxsize=None)
+def _reduced_factorial(rep: BraidData, m: int) -> tuple[linalg.Csr | None, int | list]:
+    """(None, rank) where exact, else (A_m, a ``reduce_block`` triple per conjugation orbit)."""
+    mat = _factorial_sparse(rep, m)
+    cores = [(*linalg.reduce_block(block), k) for block, k in _orbit_blocks(rep.calculus, m, mat)]
+    return (None, linalg.exact_rank_blocks(cores)) if rep.n**m <= AUTO_EXACT_LIMIT else (mat, cores)
+
+
+def _relabelled(mat: linalg.Csr, sigma: Sequence[int], m: int) -> linalg.Csr:
+    """mat with each word, row and column, relabelled letter by letter, in canonical CSR order."""
+    import numpy as np
+
+    words = np.zeros(1, dtype=np.int64)
+    for _ in range(m):
+        words = (words[:, None] * len(sigma) + np.array(sigma)).ravel()
+    return linalg.csr_from_entries(mat.shape, words[mat.row_indices()], words[mat.indices], mat.data)
+
+
 @lru_cache(maxsize=None)
 def _exterior_rank(b: BraidData, m: int) -> tuple[int, tuple[int, ...]]:
     """The rank of A_m and the primes that certified it, none where it is exact.
 
-    A_m, and so its rank, digest and primes, are fixed by the permutation;
-    the blocks are those of the grading of ``b.calculus``, the first class seen.
+    The representative's cores are ranked at the primes of b's own A_m, its A_m relabelled.
     """
-    mat = _factorial_sparse(b, m)
-    blocks = _orbit_blocks(b.calculus, m, mat)
-    if b.n**m <= AUTO_EXACT_LIMIT:
-        return linalg.exact_rank_blocks(blocks), ()
-    return linalg.certified_rank_blocks(blocks, _sparse_digest(mat, b"exterior"))
+    rep, sigma = _representative(b)
+    mat, reduced = _reduced_factorial(rep, m)
+    if mat is None:
+        return reduced, ()
+    mat = mat if sigma is None else _relabelled(mat, sigma, m)
+    return linalg.certified_rank_blocks(reduced, _sparse_digest(mat, b"exterior"))
 
 
 class _QuadraticTower:
@@ -787,7 +850,7 @@ def quadratic_dimension(c: ClassCalculus, m: int) -> int:
     """Degree-m dimension when only the degree-two relations are imposed."""
     if m < 2:
         raise ValueError("degree must be >= 2")
-    return _quadratic_tower(braiding(c)).dimension(m)
+    return _quadratic_tower(_representative(braiding(c))[0]).dimension(m)
 
 
 def exterior_profile(

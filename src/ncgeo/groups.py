@@ -327,6 +327,9 @@ class ClassCalculus(NamedTuple):
     products: tuple[tuple[int, ...], ...]
     witnesses: tuple[int, ...]
 
+    def __hash__(self) -> int:  # equal calculi have equal names and elements; no table is hashed
+        return hash((self.group.names, self.elements))
+
     @property
     def n(self) -> int:
         return len(self.elements)

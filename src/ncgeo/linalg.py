@@ -16,8 +16,8 @@ mod p for two deterministically chosen primes > 2**30 congruent to 1 mod
 3; agreement of the two ranks is the certification contract.
 ``rank_mod_p`` reads the matrix a fixed number of rows at a time and keeps
 only its sparse pivot rows, so it never copies the matrix.  The block
-rankers take (block, weight) pairs, so a block that stands for a whole
-orbit of similar blocks, checked equal by the caller, is ranked once.
+rankers take reduced blocks with weights, so a block that stands for a
+whole orbit of similar blocks, checked equal by the caller, is ranked once.
 """
 
 from __future__ import annotations
@@ -287,14 +287,10 @@ def rank(m: ExactMatrix) -> int:
     return len(_eliminate(map(integer_row, m.data), False))
 
 
-def exact_rank_blocks(blocks: Iterable) -> int:
-    """Exact sum of weight * rank over (integer block, weight) pairs.
-
-    Each block is shrunk by ``reduce_block`` first.
-    """
+def exact_rank_blocks(cores: Iterable) -> int:
+    """Exact sum of weight * (peeled + rank(core)) over ``reduce_block`` triples with weights."""
     total = 0
-    for block, weight in blocks:
-        peeled, core = reduce_block(block)
+    for peeled, core, weight in cores:
         rows = ({j: (v, 0) for j, v in enumerate(row) if v} for row in core.tolist())
         total += weight * (peeled + len(_eliminate(rows, False)))
     return total
@@ -675,20 +671,18 @@ def _renumber(index: np.ndarray, size: int) -> tuple[int, np.ndarray]:
 
 
 def certified_rank_blocks(
-    blocks: Iterable, digest: bytes
+    cores: Iterable, digest: bytes
 ) -> tuple[int, tuple[int, int]]:
     """Sum of weight * rank mod two deterministic primes; the sums must agree.
 
-    ``blocks`` holds (block, weight) pairs: each block stands for ``weight``
-    blocks of a block-diagonal decomposition (after row/column permutation)
-    of the matrix whose rank is certified, all similar to it.  Each block is
-    shrunk by ``reduce_block`` first; the digest is the caller's, taken over
-    the unreduced matrix.
+    ``cores`` holds ``reduce_block`` (peeled, core) pairs with a weight: each
+    stands for ``weight`` similar blocks of a block-diagonal decomposition
+    (after row/column permutation) of the matrix whose rank is certified.
+    The digest is the caller's, taken over the unreduced matrix.
     """
     p1, p2 = deterministic_primes(digest)
     r1 = r2 = 0
-    for block, weight in blocks:
-        peeled, core = reduce_block(block)
+    for peeled, core, weight in cores:
         r1 += weight * (peeled + rank_mod_p(core, p1))
         r2 += weight * (peeled + rank_mod_p(core, p2))
     if r1 != r2:

@@ -23,6 +23,7 @@ from ncgeo import (
     theta,
     wedge,
 )
+from ncgeo import calculus
 from ncgeo.calculus import tableiii_assignment, zero_two_form
 from ncgeo.cyclotomic import as_cyc
 from ncgeo.groups import OTHER, TABLE_II, TABLE_III
@@ -140,6 +141,17 @@ def counted_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def clear_exterior_caches():
+    """Forget every exterior rank, reduced factorial, braiding representative and quadratic tower.
+
+    A test that checks the computation itself, not a cached answer, starts with it.
+    """
+    calculus._exterior_rank.cache_clear()
+    calculus._reduced_factorial.cache_clear()
+    calculus._REPRESENTATIVES.clear()
+    calculus._quadratic_tower.cache_clear()
 
 
 def off_by_one(fn):

@@ -43,6 +43,9 @@ from ncgeo.calculus import (
     _factorial_sparse,
     _grading_blocks,
     _orbit_blocks,
+    _rack_isomorphism,
+    _relabelled,
+    _respects,
     _sparse_digest,
     _word_grading,
     right_mul,
@@ -54,6 +57,7 @@ from ncgeo.linalg import csr_from_entries
 from helpers import (
     CATALOGUE,
     CATALOGUE_CLASSES,
+    clear_exterior_caches,
     counted_calls,
     csr_to_int_array,
     invariant_metrics_oracle,
@@ -317,8 +321,7 @@ def _records(c, top):
 
 
 def test_a_class_with_the_same_braiding_reuses_its_ranks(a4_c, sl2z3, monkeypatch):
-    calculus._exterior_rank.cache_clear()
-    calculus._quadratic_tower.cache_clear()
+    clear_exterior_caches()
     c = class_calculus(sl2z3, "0121")
     assert braiding(c) == braiding(a4_c)
     first = _records(a4_c, 6)
@@ -330,7 +333,7 @@ def test_a_class_with_the_same_braiding_reuses_its_ranks(a4_c, sl2z3, monkeypatc
 
 
 def test_mirror_classes_are_ranked_on_their_own_braidings(a4):
-    calculus._exterior_rank.cache_clear()
+    clear_exterior_caches()
     t, t2 = (class_calculus(a4, name) for name in ("t", "t2"))
     assert braiding(t) != braiding(t2)
     got = [exterior_dimension_info(c, 5) for c in (t, t2)]
@@ -342,14 +345,12 @@ def test_mirror_classes_are_ranked_on_their_own_braidings(a4):
 
 
 def test_shared_dimensions_equal_a_fresh_computation_on_every_class():
-    calculus._exterior_rank.cache_clear()
-    calculus._quadratic_tower.cache_clear()
+    clear_exterior_caches()
     calculi = [class_calculus(CATALOGUE[key], name) for key, name in CATALOGUE_CLASSES]
     shared = [_records(c, 4) for c in calculi]
     assert len({braiding(c) for c in calculi}) < len(calculi)
     for c, want in zip(calculi, shared):
-        calculus._exterior_rank.cache_clear()
-        calculus._quadratic_tower.cache_clear()
+        clear_exterior_caches()
         assert _records(c, 4) == want
 
 
@@ -362,8 +363,142 @@ def test_a_returned_record_is_the_callers_own(a4_c):
     )
 
 
+def _isomorphic_oracle(src, dst):
+    """Whether some letter bijection s has s(a > b) = s(a) > s(b), trying every one."""
+    n = src.n
+    if dst.n != n:
+        return False
+    left, right = ([[b.perm[a * n + x] // n for x in range(n)] for a in range(n)] for b in (src, dst))
+    return any(
+        all(right[s[a]][s[x]] == s[left[a][x]] for a in range(n) for x in range(n))
+        for s in itertools.permutations(range(n))
+    )
+
+
+def test_rack_isomorphisms_between_every_pair_of_catalogue_classes():
+    braids = [braiding(class_calculus(CATALOGUE[key], name)) for key, name in CATALOGUE_CLASSES]
+    for src, dst in itertools.product(braids, repeat=2):
+        sigma = _rack_isomorphism(src, dst)
+        assert (sigma is not None) == _isomorphic_oracle(src, dst)
+        assert sigma is None or _respects(src, dst, sigma)
+
+
+@pytest.mark.parametrize("first, second, found", [
+    (("a4", "t"), ("a4", "t2"), True),
+    (("a4", "t"), ("sl2z3", "0121"), True),
+    (("a4", "t"), ("sl2z3", "0122"), True),
+    (("a4", "t"), ("sl2z3", "0211"), True),
+    (("a4", "t"), ("sl2z3", "0212"), True),
+    (("a4", "u"), ("s4", "(12)(34)"), True),
+    (("s4", "(34)"), ("s4", "(1234)"), False),
+    (("sl2z3", "0120"), ("s4", "(34)"), False),
+])
+def test_rack_isomorphism_search(first, second, found):
+    src, dst = (braiding(class_calculus(CATALOGUE[key], name)) for key, name in (first, second))
+    for a, b in ((src, dst), (dst, src)):
+        sigma = _rack_isomorphism(a, b)
+        assert (sigma is not None) == found
+        assert sigma is None or _respects(a, b, sigma)
+
+
+def test_a_letter_map_with_a_wrong_image_is_refused(a4):
+    src, dst = (braiding(class_calculus(a4, name)) for name in ("t", "t2"))
+    sigma = _rack_isomorphism(src, dst)
+    assert _respects(src, dst, sigma)
+    for i, v in itertools.product(range(4), range(4)):
+        if v != sigma[i]:  # one wrong image, so not a bijection
+            assert not _respects(src, dst, sigma[:i] + (v,) + sigma[i + 1:])
+    # the rack's automorphisms are the even permutations, so no swap of two
+    # images carries one braiding onto the other
+    for i, j in itertools.combinations(range(4), 2):
+        swapped = list(sigma)
+        swapped[i], swapped[j] = sigma[j], sigma[i]
+        assert not _respects(src, dst, swapped)
+
+
+# SL(2,3) relabelled so that its class of 0212 has A4 t2's labelled braiding
+SL2Z3_RELABELLED = build_group(relabelled(build_group("sl2z3"), [
+    21, 22, 12, 15, 11, 1, 7, 19, 5, 3, 20, 4, 18, 6, 8, 10, 23, 16, 17, 9, 2, 14, 13,
+]))
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_relabelled_factorial_equals_the_direct_build(a4, sl2z3, m):
+    t, t2 = (class_calculus(a4, name) for name in ("t", "t2"))
+    pairs = [(t, t2), (t2, t), (class_calculus(sl2z3, "0121"), class_calculus(SL2Z3_RELABELLED, "0212"))]
+    for src, dst in pairs:
+        sigma = _rack_isomorphism(braiding(src), braiding(dst))
+        assert sigma != tuple(range(4))
+        got = _relabelled(_factorial_sparse(braiding(src), m), sigma, m)
+        want = _factorial_sparse(braiding(dst), m)
+        assert got.shape == want.shape
+        for x, y in zip(got[1:], want[1:]):  # indptr, indices, data
+            assert x.tolist() == y.tolist()
+        assert _sparse_digest(got, b"exterior") == _sparse_digest(want, b"exterior")
+
+
+def _representative_of(c):
+    return calculus._representative(braiding(c))[0]
+
+
+@pytest.mark.parametrize("classes, top", [
+    ([(CATALOGUE["a4"], "t"), (CATALOGUE["a4"], "t2"), (CATALOGUE["sl2z3"], "0121"),
+      (SL2Z3_RELABELLED, "0212")], 6),
+    ([(CATALOGUE["s4"], "(234)"), (CATALOGUE["s4-reversed"], "(143)")], 4),
+])
+def test_a_class_records_the_same_first_or_after_an_isomorphic_class(classes, top):
+    calculi = [class_calculus(group, name) for group, name in classes]
+    alone = []
+    for c in calculi:
+        clear_exterior_caches()
+        alone.append(_records(c, top))
+    for first, then in itertools.permutations(range(len(calculi)), 2):
+        if braiding(calculi[first]) != braiding(calculi[then]):
+            clear_exterior_caches()
+            _records(calculi[first], top)
+            assert _representative_of(calculi[then]) == braiding(calculi[first])
+            assert _records(calculi[then], top) == alone[then]
+
+
+@pytest.mark.parametrize("first, then, top", [
+    (("a4", "t"), ("a4", "t2"), 6), (("s4", "(234)"), ("s4-reversed", "(143)"), 4),
+])
+def test_a_non_representative_ranks_the_shared_cores_at_its_own_primes(
+    first, then, top, monkeypatch
+):
+    rep, c = (class_calculus(CATALOGUE[key], name) for key, name in (first, then))
+    clear_exterior_caches()
+    _records(rep, top)
+    steps = {f: counted_calls(monkeypatch, calculus, f) for f in ("_orbit_blocks", "_factorial_sparse")}
+    reduced = counted_calls(monkeypatch, linalg, "reduce_block")
+    ranks = counted_calls(monkeypatch, linalg, "rank_mod_p")
+    records, _ = _records(c, top)
+    assert steps == {"_orbit_blocks": [], "_factorial_sparse": []} and reduced == []
+    assert _representative_of(c) == braiding(rep) != braiding(c)
+    assert calculus._quadratic_tower.cache_info().currsize == 1
+    # each core of the representative, once at each of the class's own primes
+    modular = [m for m in range(top + 1) if records[m][1]["method"] != "exact"]
+    assert modular
+    assert sorted(p for _, p in ranks) == sorted(
+        p for m in modular
+        for p in records[m][1]["primes"]
+        for _ in calculus._reduced_factorial(braiding(rep), m)[1]
+    )
+    assert not set(records[modular[0]][1]["primes"]) & set(
+        exterior_dimension_info(rep, modular[0])[1]["primes"]
+    )
+
+
+def test_equal_calculi_built_twice_share_cache_entries():
+    first, second = (class_calculus(build_group("sl2z3"), "0121") for _ in range(2))
+    assert first == second and first is not second
+    assert hash(first) == hash(second)
+    assert omega2_basis(first) is omega2_basis(second)
+    assert braiding(first) is braiding(second)
+
+
 def test_s4_123_ranks_one_block_per_conjugation_orbit(s4, monkeypatch):
-    calculus._exterior_rank.cache_clear()
+    clear_exterior_caches()
     c = class_calculus(s4, "(123)")
     rank_mod_p = linalg.rank_mod_p
     calls = []
@@ -382,7 +517,7 @@ def test_s4_123_ranks_one_block_per_conjugation_orbit(s4, monkeypatch):
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_unequal_conjugate_blocks_refuse_certification(s4, monkeypatch, capsys, m):
-    calculus._exterior_rank.cache_clear()
+    clear_exterior_caches()
     c = class_calculus(s4, "(34)")
     grading = _word_grading(c, m)
     # the block of the largest grade with a nontrivial orbit is not its
@@ -537,7 +672,7 @@ def test_factorial_entry_beyond_m_factorial_is_refused(a4_c, monkeypatch):
 
 @pytest.mark.parametrize("group, element, top", [("a4", "t", 6), ("s4", "(34)", 5)])
 def test_factorial_cache_holds_only_the_last_degree(group, element, top):
-    calculus._exterior_rank.cache_clear()
+    clear_exterior_caches()
     c = class_calculus(build_group(group), element)
     for m in range(top + 1):
         exterior_dimension_info(c, m)
@@ -545,6 +680,12 @@ def test_factorial_cache_holds_only_the_last_degree(group, element, top):
     assert info.currsize == 1
     _factorial_sparse(braiding(c), top)  # the one the next degree reads
     assert _factorial_sparse.cache_info().hits == info.hits + 1
+    # the reduced factorials keep A_m only where the rank is modular
+    b = braiding(c)
+    misses = calculus._reduced_factorial.cache_info().misses
+    held = [calculus._reduced_factorial(b, m)[0] is not None for m in range(2, top + 1)]
+    assert held == [b.n**m > calculus.AUTO_EXACT_LIMIT for m in range(2, top + 1)]
+    assert calculus._reduced_factorial.cache_info().misses == misses
 
 
 def test_rank_mod_p_on_the_s4_123_degree_five_cores(s4):
